@@ -56,7 +56,7 @@ class BuildState:
         self._outgoing.add((src, sym))
 
 
-def recurse_build(ctx, i, chain, acc, optimized_jloop=False):
+def recurse_build(ctx, i, chain, acc):
     """One recursion step; returns (global state, context state) pairs.
 
     The context automaton must consist of a single maximal SCC except at the
@@ -71,8 +71,7 @@ def recurse_build(ctx, i, chain, acc, optimized_jloop=False):
             "recursion at color %d exceeds the chain length %d; "
             "the level languages are not weakly falling" % (i, n))
     ab = empty_floating(chain.rlta, marked=True)
-    j_start = i if optimized_jloop else 1
-    for j in range(j_start, n + 1):
+    for j in range(1, n + 1):
         prod = product_floating(ctx, chain.levels[j - 1])
         if j % 2 == i % 2:
             ab = union_floating(ab, prod)
@@ -92,7 +91,7 @@ def recurse_build(ctx, i, chain, acc, optimized_jloop=False):
     covered = set()
     for (members, _trans) in max_accepting_sccs(ab):
         sub = restrict_floating(ab, members)
-        for (gid, sub_state) in recurse_build(sub, i + 1, chain, acc, optimized_jloop):
+        for (gid, sub_state) in recurse_build(sub, i + 1, chain, acc):
             new_states.append((gid, sub.marking[sub_state]))
         covered.update(ab.marking[q] for q in members)
     for qc in range(ctx.state_count):
@@ -113,14 +112,14 @@ def recurse_build(ctx, i, chain, acc, optimized_jloop=False):
     return new_states
 
 
-def build_minimal(chain, optimized_jloop=False):
+def build_minimal(chain):
     """Minimal rerailing automaton for the language of a floating chain."""
     ctx0 = level0_floating(chain.rlta)
     if ctx0.state_count == 1:
         ctx0 = FloatingAutomaton(ctx0.alphabet, 1, ctx0.delta, ctx0.labels,
                                  ctx0.rlta, names=[""])
     acc = BuildState()
-    pairs = recurse_build(ctx0, 1, chain, acc, optimized_jloop)
+    pairs = recurse_build(ctx0, 1, chain, acc)
     initial = min(gid for (gid, s) in pairs if s == chain.rlta.initial)
     result = AutomatonStructure(chain.alphabet, acc.state_count,
                                 sorted(acc.transitions), initial,
@@ -132,19 +131,16 @@ def build_minimal(chain, optimized_jloop=False):
     return result
 
 
-def minimize_rerailing(aut, optimized_jloop=False):
+def minimize_rerailing(aut):
     """End-to-end minimization of a complete rerailing automaton.
 
     Decomposes into a chain of co-Buchi levels, builds the residual tracker,
     residualizes every level and reassembles the minimal automaton.  The
     rerailing property of the input is assumed, not checked here.
     """
-    missing = validate_complete(aut)
-    if missing:
-        raise ValueError("input automaton incomplete at %s" % (missing[:5],))
     chain = decompose_rerailing(aut)
     fchain = residualize_chain(chain)
-    return build_minimal(fchain, optimized_jloop)
+    return build_minimal(fchain)
 
 
 def check_color_homogeneous(aut):

@@ -14,7 +14,8 @@ import sys
 from . import build as build_mod
 from . import cobuchi, floating, synthesis
 from .games import solve
-from .lasso import bounded_equivalence, format_lasso, membership_function, parse_lasso
+from .lasso import (SEMANTICS, bounded_equivalence, format_lasso, membership_function,
+                    parse_lasso)
 from .raf import (Alphabet, AutomatonStructure, RafError, _numbered_lines,
                   parse_automaton, serialize_automaton, validate_complete)
 
@@ -114,14 +115,14 @@ def cmd_build_min(args):
         obj = floating.residualize_chain(obj)
     if not isinstance(obj, floating.FloatingChain):
         raise ValueError("%s: expected a 'cocoa 1' or 'flochain 1' file" % args.chain)
-    aut = build_mod.build_minimal(obj, optimized_jloop=args.optimized_jloop)
+    aut = build_mod.build_minimal(obj)
     _write_text(args.output, serialize_automaton(aut))
     return 0
 
 
 def cmd_minimize(args):
     aut = _load_automaton(args.input)
-    result = build_mod.minimize_rerailing(aut, optimized_jloop=args.optimized_jloop)
+    result = build_mod.minimize_rerailing(aut)
     _write_text(args.output, serialize_automaton(result))
     return 0
 
@@ -216,9 +217,7 @@ def _build_parser():
 
     p = sub.add_parser("membership", help="decide lasso membership under a semantics")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--sem", default="rerailing",
-                   choices=["rerailing", "parity-exists", "parity-det", "cobuchi",
-                            "chain", "floating"])
+    p.add_argument("--sem", default="rerailing", choices=SEMANTICS)
     p.add_argument("--lasso", required=True,
                    help="word as 'stem;cycle' with '.'-separated symbols, e.g. ';a.d'")
     p.set_defaults(func=cmd_membership)
@@ -236,13 +235,11 @@ def _build_parser():
     p = sub.add_parser("build-min", help="build the minimal rerailing automaton of a chain")
     p.add_argument("--chain", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--optimized-jloop", action="store_true")
     p.set_defaults(func=cmd_build_min)
 
     p = sub.add_parser("minimize", help="minimize a rerailing automaton end to end")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--optimized-jloop", action="store_true")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("equiv", help="compare two objects on all bounded lassos")

@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .games import GameArena, solve
+from .games import ArenaBuilder, solve
 from .lasso import member_cobuchi, enumerate_lassos
 from .raf import (AutomatonStructure, RafError, equireach_relation, validate_complete,
                   _numbered_lines, _parse_raf_body)
@@ -176,48 +176,31 @@ def inclusion_game(a, b):
     Returns (arena, entries) with entries[(p, q)] the vertex asking
     L(a from p) <= L(b from q).
     """
-    ids = {}
-    owners = []
-    colors = []
-    edges = []
     nsym = len(a.alphabet)
     if a.alphabet != b.alphabet:
         raise ValueError("inclusion needs a common alphabet")
-
-    def vertex(key, owner, color):
-        if key not in ids:
-            ids[key] = len(owners)
-            owners.append(owner)
-            colors.append(color)
-            edges.append([])
-        return ids[key]
-
+    builder = ArenaBuilder()
+    vertex, ids, keys, edges = builder.vertex, builder.ids, builder.keys, builder.edges
     for pa in range(a.state_count):
         for pb in range(b.state_count):
             for e in (0, 1, 2):
                 vertex(("s", pa, pb, e), 1, e)
-    todo = list(ids)
-    while todo:
-        key = todo.pop()
-        vid = ids[key]
+    while builder.todo:
+        vid = builder.todo.pop()
+        key = keys[vid]
         if key[0] == "s":
             (_tag, pa, pb, _e) = key
             for x in range(nsym):
                 for (pa2, ca) in a.successors(pa, x):
-                    child = ("d", pa2, pb, x, ca == 1)
-                    if child not in ids:
-                        vertex(child, 0, 2)
-                        todo.append(child)
-                    edges[vid].append(ids[child])
+                    edges[vid].append(vertex(("d", pa2, pb, x, ca == 1), 0, 2))
         else:
             (_tag, pa2, pb, x, ra) = key
             for (pb2, cb) in b.successors(pb, x):
                 e2 = 0 if ra else (1 if cb == 1 else 2)
                 edges[vid].append(ids[("s", pa2, pb2, e2)])
-    arena = GameArena(owners, colors, edges)
     entries = {(pa, pb): ids[("s", pa, pb, 2)]
                for pa in range(a.state_count) for pb in range(b.state_count)}
-    return arena, entries
+    return builder.arena(), entries
 
 
 def inclusion_table(a, b):
@@ -395,50 +378,28 @@ def compute_Rij(chain, trackers, i, j):
     aj, aj1 = view.automaton(j), view.automaton(j + 1)
     nsym = len(chain.alphabet)
 
-    ids = {}
-    owners = []
-    colors = []
-    edges = []
-
-    def vertex(key, owner, color):
-        if key not in ids:
-            ids[key] = len(owners)
-            owners.append(owner)
-            colors.append(color)
-            edges.append([])
-        return ids[key]
-
-    sink = None
-    state_vertices = []
+    builder = ArenaBuilder()
+    vertex, ids, keys, edges = builder.vertex, builder.ids, builder.keys, builder.edges
     for qi in range(ai.state_count):
         for qi1 in range(ai1.state_count):
             for qj in range(aj.state_count):
                 for qj1 in range(aj1.state_count):
                     for z in (0, 1, 2):
-                        key = ("s", qi, qi1, qj, qj1, z)
-                        vertex(key, 0, 0 if z == 2 else 1)
-                        state_vertices.append(key)
-    todo = list(state_vertices)
-    while todo:
-        key = todo.pop()
-        vid = ids[key]
+                        vertex(("s", qi, qi1, qj, qj1, z), 0, 0 if z == 2 else 1)
+    state_vertices = len(keys)
+    while builder.todo:
+        vid = builder.todo.pop()
+        key = keys[vid]
         if key[0] == "s":
             (_t, qi, qi1, qj, qj1, z) = key
             z2 = 0 if z == 2 else z
             for x in range(nsym):
                 for a2 in ai.accepting_successors(qi, x):
                     for b2 in aj.accepting_successors(qj, x):
-                        child = ("x", a2, qi1, b2, qj1, z2, x)
-                        if child not in ids:
-                            vertex(child, 1, 1)
-                            todo.append(child)
-                        edges[vid].append(ids[child])
+                        edges[vid].append(vertex(("x", a2, qi1, b2, qj1, z2, x), 1, 1))
             if not edges[vid]:
-                if sink is None:
-                    sink = vertex(("sink",), 0, 1)
-                    edges[sink].append(sink)
-                edges[vid].append(sink)
-        else:
+                edges[vid].append(vertex(("sink",), 0, 1))
+        elif key[0] == "x":
             (_t, qi, qi1, qj, qj1, z, x) = key
             for (r, ci) in ai1.successors(qi1, x):
                 for (s2, cj) in aj1.successors(qj1, x):
@@ -449,12 +410,13 @@ def compute_Rij(chain, trackers, i, j):
                     else:
                         z3 = 2
                     edges[vid].append(ids[("s", qi, r, qj, s2, z3)])
-    arena = GameArena(owners, colors, edges)
-    w0, _w1 = solve(arena)
+        else:                             # ("sink",): stuck, color 1 forever
+            edges[vid].append(vid)
+    w0, _w1 = solve(builder.arena())
     raw = set()
-    for key in state_vertices:
-        if ids[key] in w0:
-            (_t, qi, qi1, qj, qj1, _z) = key
+    for vid in range(state_vertices):
+        if vid in w0:
+            (_t, qi, qi1, qj, qj1, _z) = keys[vid]
             raw.add((view.tracker_map(i, qi), view.tracker_map(i + 1, qi1),
                      view.tracker_map(j, qj), view.tracker_map(j + 1, qj1)))
     spaces = [range(view.tracker_states(i)), range(view.tracker_states(i + 1)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cobuchi import Rlta, build_rlta_chain, RijRelation  # noqa: F401 (re-export)
+from .cobuchi import Rlta, build_rlta_chain
 from .raf import RafError, _numbered_lines, _parse_name_line, _parse_raf_body
 from .scc import scc_decomposition
 

@@ -1,12 +1,10 @@
-"""Vertex-colored parity games and a recursive solver.
+"""Vertex-colored parity games, an arena builder and an iterative solver.
 
 Player 0 wins a play iff the lowest vertex color occurring infinitely often
 is even.  Arenas must be total: every vertex needs at least one successor.
 """
 
 from __future__ import annotations
-
-import sys
 
 
 class GameArena:
@@ -39,6 +37,8 @@ class GameArena:
             if self.colors[v] < 0:
                 raise ValueError("vertex %d has negative color" % v)
         self.names = list(names) if names is not None else None
+        if self.names is not None and len(self.names) != n:
+            raise ValueError("names must have one entry per vertex")
 
     @property
     def vertex_count(self):
@@ -59,11 +59,49 @@ class GameArena:
         return "\n".join(out) + "\n"
 
 
+class ArenaBuilder:
+    """Incremental arena construction over hashable vertex keys.
+
+    Vertex ids follow first insertion.  Every new vertex id is pushed onto
+    `todo`, so a construction can expand the arena as a worklist; edges are
+    appended to `edges[id]`.
+    """
+
+    def __init__(self):
+        self.ids = {}
+        self.keys = []
+        self.owners = []
+        self.colors = []
+        self.edges = []
+        self.todo = []
+
+    def vertex(self, key, owner, color):
+        """Id of the vertex `key`, added with owner and color when new."""
+        vid = self.ids.get(key)
+        if vid is None:
+            vid = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.owners.append(owner)
+            self.colors.append(color)
+            self.edges.append([])
+            self.todo.append(vid)
+        return vid
+
+    def arena(self, initial=0, name=None):
+        """The finished arena; `name(key)` gives display names when supplied."""
+        names = None if name is None else [name(key) for key in self.keys]
+        return GameArena(self.owners, self.colors, self.edges, initial, names)
+
+
 def solve(arena):
     """Winning regions (player 0 set, player 1 set) of the whole arena.
 
-    Classic recursive decomposition on the minimum color; deterministic since
-    all regions are computed as sets with ascending-index iteration.
+    Zielonka's decomposition on the minimum color, run on an explicit stack.
+    A frame holds a subgame, the regions it has won so far and the parity p
+    of its minimum color; its first subproblem (the subgame minus the
+    p-attractor of that color) is pushed as a new frame, and its second one
+    continues in the same frame after removing the opponent's attractor.
+    A subgame whose colors all have one parity goes to that player at once.
     """
     n = arena.vertex_count
     owners = arena.owners
@@ -95,29 +133,28 @@ def solve(arena):
                         queue.append(v)
         return attr
 
-    def recurse(alive):
-        if not alive:
-            return set(), set()
-        c = min(colors[v] for v in alive)
-        p = c & 1
-        targets = {v for v in alive if colors[v] == c}
-        a = attractor(targets, p, alive)
-        w0, w1 = recurse(alive - a)
-        opponent = w1 if p == 0 else w0
-        if not opponent:
-            return (set(alive), set()) if p == 0 else (set(), set(alive))
-        b = attractor(opponent, 1 - p, alive)
-        w0b, w1b = recurse(alive - b)
-        if p == 0:
-            return w0b, w1b | b
-        return w0b | b, w1b
-
-    limit = sys.getrecursionlimit()
-    want = n + 1000
-    if want > limit:
-        sys.setrecursionlimit(want)
-    try:
-        return recurse(set(range(n)))
-    finally:
-        if want > limit:
-            sys.setrecursionlimit(limit)
+    frames = []
+    sub, won = set(range(n)), [set(), set()]
+    while True:
+        while sub:
+            present = {colors[v] for v in sub}
+            c = min(present)
+            p = c & 1
+            if all(d & 1 == p for d in present):
+                won[p] |= sub
+                break
+            a = attractor({v for v in sub if colors[v] == c}, p, sub)
+            frames.append((sub, won, p))
+            sub, won = sub - a, [set(), set()]
+        while frames:
+            result = won
+            sub, won, p = frames.pop()
+            opponent = result[1 - p]
+            if opponent:
+                b = attractor(opponent, 1 - p, sub)
+                won[1 - p] |= b
+                sub = sub - b
+                break
+            won[p] |= sub
+        else:
+            return won[0], won[1]

@@ -7,6 +7,7 @@ with the lasso's positions.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,14 +62,14 @@ def parse_lasso(text, alphabet):
         raise ValueError("lasso must contain exactly one ';' separating stem and cycle")
     stem_text, cycle_text = text.split(";")
 
-    def part(chunk, what):
+    def part(chunk):
         chunk = chunk.strip()
         if not chunk:
             return ()
         return tuple(alphabet.index(tok) for tok in chunk.split("."))
 
-    stem = part(stem_text, "stem")
-    cycle = part(cycle_text, "cycle")
+    stem = part(stem_text)
+    cycle = part(cycle_text)
     if not cycle:
         raise ValueError("lasso cycle must not be empty")
     return LassoWord(stem, cycle)
@@ -326,26 +327,27 @@ def member_cobuchi(aut, lasso):
     return 2 in colors
 
 
-_SEMANTICS = ("rerailing", "parity-exists", "parity-det", "cobuchi", "chain", "floating")
+# Semantics name -> (module, membership test).  The test is looked up on
+# use: cobuchi and floating import this module, so they load lazily.
+_MEMBERSHIP = {
+    "rerailing": ("lasso", "member_rerailing"),
+    "parity-exists": ("lasso", "member_parity_exists"),
+    "parity-det": ("lasso", "member_parity_det"),
+    "cobuchi": ("lasso", "member_cobuchi"),
+    "chain": ("cobuchi", "chain_member"),
+    "floating": ("floating", "floating_chain_member"),
+}
+SEMANTICS = tuple(_MEMBERSHIP)
 
 
 def membership_function(obj, semantics):
     """Bind an object to one of the membership semantics by name."""
-    if semantics == "rerailing":
-        return lambda w: member_rerailing(obj, w)
-    if semantics == "parity-exists":
-        return lambda w: member_parity_exists(obj, w)
-    if semantics == "parity-det":
-        return lambda w: member_parity_det(obj, w)
-    if semantics == "cobuchi":
-        return lambda w: member_cobuchi(obj, w)
-    if semantics == "chain":
-        from .cobuchi import chain_member
-        return lambda w: chain_member(obj, w)
-    if semantics == "floating":
-        from .floating import floating_chain_member
-        return lambda w: floating_chain_member(obj, w)
-    raise ValueError("unknown semantics %r (expected one of %s)" % (semantics, ", ".join(_SEMANTICS)))
+    if semantics not in SEMANTICS:
+        raise ValueError("unknown semantics %r (expected one of %s)"
+                         % (semantics, ", ".join(SEMANTICS)))
+    module, name = _MEMBERSHIP[semantics]
+    member = getattr(importlib.import_module("." + module, __package__), name)
+    return lambda w: member(obj, w)
 
 
 def bounded_equivalence(a, sem_a, b, sem_b, stem_bound, cycle_bound):

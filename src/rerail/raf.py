@@ -216,7 +216,7 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
     state_count = None
     initial = None
     names = {}
-    transitions = []
+    colors = {}
     while idx < len(lines):
         lineno, line = lines[idx]
         word = line.split(None, 1)[0]
@@ -261,10 +261,8 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
             except ValueError:
                 raise RafError("unknown symbol %r" % parts[1], lineno) from None
             key = (src, sym, dst)
-            for (s2, a2, d2, c2) in transitions:
-                if (s2, a2, d2) == key and c2 != color:
-                    raise RafError("conflicting colors for transition %r" % (key,), lineno)
-            transitions.append((src, sym, dst, color))
+            if colors.setdefault(key, color) != color:
+                raise RafError("conflicting colors for transition %r" % (key,), lineno)
         else:
             raise RafError("unknown directive %r" % word, lineno)
     if alphabet is None:
@@ -274,7 +272,8 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
     if initial is None:
         raise RafError("missing initial state")
     try:
-        aut = AutomatonStructure(alphabet, state_count, transitions, initial,
+        aut = AutomatonStructure(alphabet, state_count,
+                                 [key + (c,) for key, c in colors.items()], initial,
                                  state_names=names or None)
     except ValueError as exc:
         raise RafError(str(exc)) from None

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .build import check_color_homogeneous
-from .games import GameArena, solve
+from .games import ArenaBuilder, solve
 from .raf import Alphabet
 
 
@@ -62,43 +62,34 @@ def build_realizability_game(r, io):
                       "built anyway but the construction is only proven for "
                       "color-homogeneous automata")
     top = r.max_color
-    ids = {}
-    owners = []
-    colors = []
-    edges = []
-    names = []
 
-    def vertex(key, owner, color, name):
-        if key not in ids:
-            ids[key] = len(owners)
-            owners.append(owner)
-            colors.append(color)
-            edges.append([])
-            names.append(name)
-        return ids[key]
+    def name(key):
+        if key[0] == "q":
+            return r.state_name(key[1])
+        if key[0] == "y":
+            return "%s / %s" % (r.state_name(key[1]), io.outputs.symbols[key[2]])
+        (_tag, members, c) = key
+        return "{%s}:%d" % (",".join(r.state_name(m) for m in sorted(members)), c)
 
+    builder = ArenaBuilder()
+    vertex, edges = builder.vertex, builder.edges
     for q in range(r.state_count):
-        vertex(("q", q), 0, top, r.state_name(q))
+        vertex(("q", q), 0, top)          # state q is vertex q
     for q in range(r.state_count):
         for yi in range(len(io.outputs)):
-            out_id = vertex(("y", q, yi), 1, top,
-                            "%s / %s" % (r.state_name(q), io.outputs.symbols[yi]))
-            edges[ids[("q", q)]].append(out_id)
+            out_id = vertex(("y", q, yi), 1, top)
+            edges[q].append(out_id)
             for xi in range(len(io.inputs)):
-                sym = io.combined_index(xi, yi)
                 classes = {}
-                for (dst, c) in r.successors(q, sym):
+                for (dst, c) in r.successors(q, io.combined_index(xi, yi)):
                     classes.setdefault(c, set()).add(dst)
                 for c in sorted(classes):
                     members = frozenset(classes[c])
-                    label = "{%s}:%d" % (",".join(r.state_name(m)
-                                                  for m in sorted(members)), c)
-                    class_id = vertex(("c", members, c), 0 if c % 2 else 1, c, label)
-                    if class_id == len(owners) - 1:
-                        for member in sorted(members):
-                            edges[class_id].append(ids[("q", member)])
+                    class_id = vertex(("c", members, c), 0 if c % 2 else 1, c)
+                    if not edges[class_id]:
+                        edges[class_id].extend(members)
                     edges[out_id].append(class_id)
-    return GameArena(owners, colors, edges, initial=ids[("q", r.initial)], names=names)
+    return builder.arena(initial=r.initial, name=name)
 
 
 def realizability(r, io):

@@ -10,8 +10,7 @@ from rerail.floating import (floating_chain_color, floating_chain_member,
                              level0_floating)
 from rerail.lasso import (LassoWord, bounded_equivalence, enumerate_lassos,
                           member_rerailing)
-from rerail.raf import (Alphabet, AutomatonStructure, serialize_automaton,
-                        validate_complete)
+from rerail.raf import Alphabet, AutomatonStructure, validate_complete
 
 import oracles
 
@@ -164,19 +163,6 @@ def test_minimize_idempotent():
         assert again.state_count == out.state_count
         assert again.initial == out.initial
         assert sorted(again.transitions) == sorted(out.transitions)
-
-
-def test_optimized_jloop_same_result(uniform_flochain):
-    plain = build_minimal(uniform_flochain)
-    fast = build_minimal(uniform_flochain, optimized_jloop=True)
-    assert serialize_automaton(fast) == serialize_automaton(plain)
-    rng = random.Random(43)
-    for _ in range(5):
-        aut = oracles.random_dpw(rng, 2 + rng.randrange(4), 2, 3)
-        out = minimize_rerailing(aut)
-        fast = minimize_rerailing(aut, optimized_jloop=True)
-        assert fast.state_count == out.state_count
-        assert bounded_equivalence(fast, "rerailing", out, "rerailing", 3, 3) is None
 
 
 def test_minimize_requires_complete():

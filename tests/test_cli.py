@@ -162,9 +162,13 @@ def test_realizability_dump_game(tmp_path, capsys):
     grant = spec_file(tmp_path, "grant.raf", lambda s: s.endswith("g"))
     assert run_cli("realizability", "-i", grant, "--dump-game",
                    "--inputs", "r,n", "--outputs", "g,w") == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("vertex 0 owner 0")
-    assert out[-1] == "realizable"
+    assert capsys.readouterr().out == (
+        'vertex 0 owner 0 color 2 name "0" succ 1 3\n'
+        'vertex 1 owner 1 color 2 name "0 / g" succ 2\n'
+        'vertex 2 owner 1 color 2 name "{0}:2" succ 0\n'
+        'vertex 3 owner 1 color 2 name "0 / w" succ 4\n'
+        'vertex 4 owner 0 color 1 name "{0}:1" succ 0\n'
+        "realizable\n")
 
 
 def test_stats_automaton(capsys):

@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from rerail.games import GameArena, solve
+from rerail.games import ArenaBuilder, GameArena, solve
 
 import oracles
 
@@ -43,6 +44,28 @@ def test_arena_initial_out_of_range():
         GameArena([0], [0], [[0]], initial=3)
 
 
+def test_arena_rejects_wrong_names_length():
+    with pytest.raises(ValueError):
+        GameArena([0, 0], [0, 0], [[1], [0]], names=["only one"])
+
+
+def test_arena_builder():
+    builder = ArenaBuilder()
+    a = builder.vertex("a", 0, 2)
+    b = builder.vertex(("b", 1), 1, 1)
+    assert (a, b) == (0, 1)
+    assert builder.vertex("a", 1, 5) == a          # repeated key: same id, unchanged
+    assert builder.todo == [0, 1]
+    builder.edges[builder.todo.pop()].append(a)
+    builder.edges[builder.todo.pop()].append(b)
+    assert builder.todo == []
+    arena = builder.arena(initial=b, name=lambda key: str(key).upper())
+    assert (arena.owners, arena.colors, arena.edges) == ([0, 1], [2, 1], [[1], [0]])
+    assert arena.initial == 1
+    assert arena.names == ["A", "('B', 1)"]
+    assert builder.arena().names is None
+
+
 def test_dump_table():
     arena = two_loops()
     lines = arena.dump_table().splitlines()
@@ -71,6 +94,22 @@ def test_solve_min_color_wins_on_cycle():
     w0, w1 = solve(arena)
     assert w0 == set()
     assert w1 == {0, 1}
+
+
+def test_solve_deep_staircase_keeps_recursion_limit(monkeypatch):
+    # colors 0..n-1, each vertex owned by its color's parity, with a self loop
+    # and a step down: every descent removes one color, n levels deep
+    n = 2000
+
+    def refuse(limit):
+        raise AssertionError("solve changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    arena = GameArena([v % 2 for v in range(n)], list(range(n)),
+                      [[v, v - 1] if v else [v] for v in range(n)])
+    w0, w1 = solve(arena)
+    assert w0 == set(range(0, n, 2))
+    assert w1 == set(range(1, n, 2))
 
 
 def test_solve_matches_strategy_enumeration():

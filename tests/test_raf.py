@@ -109,11 +109,14 @@ def test_parse_errors(text, hint):
     assert hint in str(err.value)
 
 
-def test_raf_error_carries_line_number():
-    text = "raf 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 z 0 1\n"
+@pytest.mark.parametrize("text,line", [
+    ("raf 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 z 0 1\n", 5),
+    ("raf 1\nalphabet a\nstates 2\ninitial 0\ntrans 0 a 1 1\ntrans 0 a 1 2\n", 6),
+], ids=["unknown-symbol", "conflicting-colors"])
+def test_raf_error_carries_line_number(text, line):
     with pytest.raises(RafError) as err:
         parse_automaton(text)
-    assert err.value.line == 5
+    assert err.value.line == line
 
 
 def test_equireach_matches_subset_oracle(hd5):
