@@ -314,69 +314,41 @@ class RijRelation:
         return item in self.tuples
 
 
-def _implicit_universal(alphabet):
-    nsym = len(alphabet)
-    return CoBuchiAutomaton(alphabet, 1, [(0, x, 0, 2) for x in range(nsym)], 0)
-
-
-def _implicit_empty(alphabet):
-    nsym = len(alphabet)
-    return CoBuchiAutomaton(alphabet, 1, [(0, x, 0, 1) for x in range(nsym)], 0)
-
-
-class _LevelView:
-    """Uniform access to chain levels 0..n+1 with their trackers.
+def _level(chain, trackers, k):
+    """(automaton, state-to-tracker map, tracker table) of level k in 0..n+1.
 
     Level 0 is the implicit universal automaton, level n+1 the implicit
     empty-language automaton; both track a single residual.
     """
-
-    def __init__(self, chain, trackers):
-        self.chain = chain
-        self.trackers = trackers
-        self.n = len(chain.levels)
-        self._universal = _implicit_universal(chain.alphabet)
-        self._empty = _implicit_empty(chain.alphabet)
-
-    def automaton(self, k):
-        if k == 0:
-            return self._universal
-        if k == self.n + 1:
-            return self._empty
-        return self.chain.levels[k - 1]
-
-    def tracker_states(self, k):
-        if k == 0 or k == self.n + 1:
-            return 1
-        return self.trackers[k - 1][0].state_count
-
-    def tracker_map(self, k, state):
-        if k == 0 or k == self.n + 1:
-            return 0
-        return self.trackers[k - 1][1][state]
-
-    def tracker_step(self, k, s, x):
-        if k == 0 or k == self.n + 1:
-            return 0
-        return self.trackers[k - 1][0].step(s, x)
-
-
-def compute_Rij(chain, trackers, i, j):
-    """The level-(i, j) distinguishing relation over tracker states.
-
-    Solved as a parity game: player 0 steers accepting runs of levels i and j
-    while player 1 resolves levels i+1 and j+1; a counter z demands a
-    rejecting (i+1)-move, then a rejecting (j+1)-move, and pays out color 0
-    when both were seen.  Winning positions are mapped through the trackers
-    and closed under predecessors.
-    """
-    view = _LevelView(chain, trackers)
-    n = view.n
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError("level indices out of range")
-    ai, ai1 = view.automaton(i), view.automaton(i + 1)
-    aj, aj1 = view.automaton(j), view.automaton(j + 1)
+    if 1 <= k <= len(chain.levels):
+        tracker, state_map = trackers[k - 1]
+        return chain.levels[k - 1], state_map, tracker.delta
     nsym = len(chain.alphabet)
+    color = 2 if k == 0 else 1
+    aut = CoBuchiAutomaton(chain.alphabet, 1, [(0, x, 0, color) for x in range(nsym)], 0)
+    return aut, [0], [[0] * nsym]
+
+
+def _predecessors(delta, nsym):
+    """pred[s][x]: the tracker states that move to s on symbol x."""
+    pred = [[[] for _x in range(nsym)] for _s in delta]
+    for s, row in enumerate(delta):
+        for x, t in enumerate(row):
+            pred[t][x].append(s)
+    return pred
+
+
+def _rij_game(ai, ai1, aj, aj1, nsym):
+    """Arena of the level-(i, j) game from the four level automata.
+
+    Its first vertices are the round starts (qi, qi1, qj, qj1, z) in the order
+    of `itertools.product` over the state ranges and z in 0..2.
+    """
+    symbols = range(nsym)
+    acc_i = [[ai.accepting_successors(q, x) for x in symbols] for q in range(ai.state_count)]
+    acc_j = [[aj.accepting_successors(q, x) for x in symbols] for q in range(aj.state_count)]
+    succ_i1 = [[ai1.successors(q, x) for x in symbols] for q in range(ai1.state_count)]
+    succ_j1 = [[aj1.successors(q, x) for x in symbols] for q in range(aj1.state_count)]
 
     builder = ArenaBuilder()
     vertex, ids, keys, edges = builder.vertex, builder.ids, builder.keys, builder.edges
@@ -386,56 +358,62 @@ def compute_Rij(chain, trackers, i, j):
                 for qj1 in range(aj1.state_count):
                     for z in (0, 1, 2):
                         vertex(("s", qi, qi1, qj, qj1, z), 0, 0 if z == 2 else 1)
-    state_vertices = len(keys)
     while builder.todo:
         vid = builder.todo.pop()
         key = keys[vid]
+        out = edges[vid]
         if key[0] == "s":
             (_t, qi, qi1, qj, qj1, z) = key
             z2 = 0 if z == 2 else z
-            for x in range(nsym):
-                for a2 in ai.accepting_successors(qi, x):
-                    for b2 in aj.accepting_successors(qj, x):
-                        edges[vid].append(vertex(("x", a2, qi1, b2, qj1, z2, x), 1, 1))
-            if not edges[vid]:
-                edges[vid].append(vertex(("sink",), 0, 1))
-        elif key[0] == "x":
+            for x in symbols:
+                bs = acc_j[qj][x]
+                for a2 in acc_i[qi][x]:
+                    for b2 in bs:
+                        out.append(vertex(("x", a2, qi1, b2, qj1, z2, x), 1, 1))
+            if not out:
+                out.append(vertex(("sink",), 0, 1))
+        elif key[0] == "x":               # z is 0 or 1 here
             (_t, qi, qi1, qj, qj1, z, x) = key
-            for (r, ci) in ai1.successors(qi1, x):
-                for (s2, cj) in aj1.successors(qj1, x):
-                    if z == 0:
-                        z3 = 2 - ci
-                    elif z == 1:
-                        z3 = 3 - cj
-                    else:
-                        z3 = 2
-                    edges[vid].append(ids[("s", qi, r, qj, s2, z3)])
+            for (r, ci) in succ_i1[qi1][x]:
+                for (s2, cj) in succ_j1[qj1][x]:
+                    out.append(ids[("s", qi, r, qj, s2, 2 - ci if z == 0 else 3 - cj)])
         else:                             # ("sink",): stuck, color 1 forever
-            edges[vid].append(vid)
-    w0, _w1 = solve(builder.arena())
-    raw = set()
-    for vid in range(state_vertices):
-        if vid in w0:
-            (_t, qi, qi1, qj, qj1, _z) = keys[vid]
-            raw.add((view.tracker_map(i, qi), view.tracker_map(i + 1, qi1),
-                     view.tracker_map(j, qj), view.tracker_map(j + 1, qj1)))
-    spaces = [range(view.tracker_states(i)), range(view.tracker_states(i + 1)),
-              range(view.tracker_states(j)), range(view.tracker_states(j + 1))]
-    changed = True
-    while changed:
-        changed = False
-        for combo in itertools.product(*spaces):
-            if combo in raw:
-                continue
-            (si, si1, sj, sj1) = combo
-            for x in range(nsym):
-                stepped = (view.tracker_step(i, si, x), view.tracker_step(i + 1, si1, x),
-                           view.tracker_step(j, sj, x), view.tracker_step(j + 1, sj1, x))
-                if stepped in raw:
-                    raw.add(combo)
-                    changed = True
-                    break
-    return RijRelation(i, j, frozenset(raw))
+            out.append(vid)
+    return builder.arena()
+
+
+def compute_Rij(chain, trackers, i, j):
+    """The level-(i, j) distinguishing relation over tracker states.
+
+    Solved as a parity game: player 0 steers accepting runs of levels i and j
+    while player 1 resolves levels i+1 and j+1; a counter z demands a
+    rejecting (i+1)-move, then a rejecting (j+1)-move, and pays out color 0
+    when both were seen.  Winning positions are mapped through the trackers
+    and closed under predecessors by a worklist over the trackers'
+    predecessor lists.  By definition R_ji is R_ij with its two tuple halves
+    swapped, which is why `build_rlta_chain` only asks for i < j.
+    """
+    n = len(chain.levels)
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError("level indices out of range")
+    (ai, mi, di), (ai1, mi1, di1), (aj, mj, dj), (aj1, mj1, dj1) = (
+        _level(chain, trackers, k) for k in (i, i + 1, j, j + 1))
+    nsym = len(chain.alphabet)
+    w0, _w1 = solve(_rij_game(ai, ai1, aj, aj1, nsym))
+    positions = itertools.product(range(ai.state_count), range(ai1.state_count),
+                                  range(aj.state_count), range(aj1.state_count), range(3))
+    rel = {(mi[qi], mi1[qi1], mj[qj], mj1[qj1])
+           for vid, (qi, qi1, qj, qj1, _z) in enumerate(positions) if vid in w0}
+    pi, pi1, pj, pj1 = (_predecessors(d, nsym) for d in (di, di1, dj, dj1))
+    work = list(rel)
+    while work:
+        (si, si1, sj, sj1) = work.pop()
+        for x in range(nsym):
+            for combo in itertools.product(pi[si][x], pi1[si1][x], pj[sj][x], pj1[sj1][x]):
+                if combo not in rel:
+                    rel.add(combo)
+                    work.append(combo)
+    return RijRelation(i, j, frozenset(rel))
 
 
 def build_rlta_chain(chain):
@@ -444,35 +422,32 @@ def build_rlta_chain(chain):
     Worklist construction over tuples of per-level tracker states; a freshly
     computed successor tuple reuses an existing state unless some
     distinguishing relation of mixed evenness separates the two, scanning
-    existing states in insertion order (first match wins).
+    existing states in insertion order (first match wins).  Only R_ij with
+    i < j is computed: R_ji is R_ij with its tuple halves swapped, so each
+    stored relation is probed in both orientations.
 
     Returns (tracker, per_state_levels) where per_state_levels[s] is the tuple
     of per-level tracker states represented by state s.
     """
     n = len(chain.levels)
     trackers = [residual_tracking_single(a) for a in chain.levels]
-    view = _LevelView(chain, trackers)
-    relations = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if (i + j) % 2 == 1:
-                relations[(i, j)] = compute_Rij(chain, trackers, i, j)
+    relations = [compute_Rij(chain, trackers, i, j)
+                 for i in range(n + 1) for j in range(i + 1, n + 1, 2)]
 
-    def component(t, k):
-        if 1 <= k <= n:
-            return t[k - 1]
-        return 0
-
+    # States are padded with the single tracker state of levels 0 and n+1,
+    # so t[k] is the level-k component for every k in 0..n+1.
     def separated(t_new, t_old):
-        for (i, j), rel in relations.items():
-            probe = (component(t_new, i), component(t_new, i + 1),
-                     component(t_old, j), component(t_old, j + 1))
-            if probe in rel:
+        for rel in relations:
+            i, j = rel.i, rel.j
+            if ((t_new[i], t_new[i + 1], t_old[j], t_old[j + 1]) in rel
+                    or (t_old[i], t_old[i + 1], t_new[j], t_new[j + 1]) in rel):
                 return True
         return False
 
-    initial_tuple = tuple(trackers[k][1][chain.levels[k].initial] for k in range(n))
-    states = [initial_tuple]
+    deltas = [tracker.delta for (tracker, _map) in trackers]
+    initial = tuple(state_map[level.initial]
+                    for (_tracker, state_map), level in zip(trackers, chain.levels))
+    states = [(0,) + initial + (0,)]
     nsym = len(chain.alphabet)
     delta = {}
     todo = deque([0])
@@ -480,7 +455,7 @@ def build_rlta_chain(chain):
         s = todo.popleft()
         t = states[s]
         for x in range(nsym):
-            t2 = tuple(view.tracker_step(k + 1, t[k], x) for k in range(n))
+            t2 = (0,) + tuple(d[t[k]][x] for k, d in enumerate(deltas, start=1)) + (0,)
             target = None
             for cand, t3 in enumerate(states):
                 if not separated(t2, t3):
@@ -493,4 +468,4 @@ def build_rlta_chain(chain):
             delta[(s, x)] = target
     table = [[delta[(s, x)] for x in range(nsym)] for s in range(len(states))]
     rlta = Rlta(chain.alphabet, len(states), table, 0)
-    return rlta, tuple(states)
+    return rlta, tuple(t[1:-1] for t in states)

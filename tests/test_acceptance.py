@@ -5,6 +5,7 @@ Each test covers one advertised guarantee and prints a single PASS/FAIL line
 recompute every verdict through an independent route.
 """
 
+import hashlib
 import random
 import time
 
@@ -24,6 +25,9 @@ from rerail.synthesis import IoAlphabet, realizability
 import oracles
 
 BOUND = 4
+
+# sha256 of the concatenated serialize_automaton texts of the minimized corpus
+CORPUS_DIGEST = "dd65211b55a1a6b0e0c5d8b1a0be893beec7f3ccd4a4e663e44177710f6832f8"
 
 RG_IO = IoAlphabet(Alphabet(("r", "n")), Alphabet(("g", "w")))
 
@@ -82,6 +86,15 @@ def test_language_preservation_corpus(dpw_corpus, minimized_corpus):
     ok = ok and total < 600.0
     _report(ok, "minimization preserves the language on %d automata" % len(outputs),
             "%d lasso checks, %.1fs total" % (checked, total))
+
+
+def test_minimized_corpus_byte_identical(minimized_corpus):
+    outputs, _elapsed = minimized_corpus
+    text = "".join(serialize_automaton(out) for out in outputs)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    _report(digest == CORPUS_DIGEST,
+            "minimized corpus is byte-identical to the pinned outputs",
+            "sha256 %s" % digest)
 
 
 def test_minimization_idempotent(minimized_corpus):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -203,6 +204,47 @@ def test_compute_rij_bounds(collapse_chain):
         compute_Rij(collapse_chain, trackers, 0, 3)
     with pytest.raises(ValueError):
         compute_Rij(collapse_chain, trackers, -1, 0)
+
+
+def test_rij_symmetric_and_matches_bounded_witnesses():
+    """R_ji is R_ij with swapped halves, and R_ij is what short lassos witness.
+
+    A tracker tuple is witnessed when some lasso with stem and cycle <= 3 is
+    accepted at level i from q_i but not at level i+1 from q_i1, and at level
+    j from q_j but not at level j+1 from q_j1, levels 0 and n+1 included.
+    """
+    rng = random.Random(5)
+    lassos = list(enumerate_lassos(2, 3, 3))
+    pairs = 0
+    for _ in range(8):
+        aut = oracles.random_dpw(rng, 2 + rng.randrange(3), 2, 1 + rng.randrange(3))
+        chain = decompose_rerailing(aut)
+        trackers = [residual_tracking_single(a) for a in chain.levels]
+        n = len(chain)
+        levels = [universal(chain.alphabet)] + chain.levels + [empty_language(chain.alphabet)]
+        maps = [[0]] + [state_map for (_tracker, state_map) in trackers] + [[0]]
+        # accepted[k][q]: bit b set iff level k accepts lassos[b] from state q
+        accepted = [[sum(1 << b for b, w in enumerate(lassos)
+                         if oracles.member_cobuchi(
+                             CoBuchiAutomaton(a.alphabet, a.state_count, a.transitions, q), w))
+                     for q in range(a.state_count)]
+                    for a in levels]
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if (i + j) % 2 == 0:
+                    continue
+                ks = (i, i + 1, j, j + 1)
+                rel = compute_Rij(chain, trackers, i, j).tuples
+                swapped = compute_Rij(chain, trackers, j, i).tuples
+                assert swapped == {(c, d, a, b) for (a, b, c, d) in rel}
+                witnessed = {
+                    tuple(maps[k][q] for k, q in zip(ks, qs))
+                    for qs in itertools.product(*(range(levels[k].state_count) for k in ks))
+                    if (accepted[i][qs[0]] & ~accepted[i + 1][qs[1]]
+                        & accepted[j][qs[2]] & ~accepted[j + 1][qs[3]])}
+                assert rel == witnessed, (i, j)
+                pairs += 1
+    assert pairs == 28
 
 
 def test_inclusion_tiny():
