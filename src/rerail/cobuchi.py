@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .games import ArenaBuilder, solve
 from .lasso import member_cobuchi, enumerate_lassos
 from .raf import (AutomatonStructure, RafError, equireach_relation, validate_complete,
-                  _numbered_lines, _parse_raf_body)
+                  _body_lines, _numbered_lines, _parse_raf_body)
 
 
 class CoBuchiAutomaton(AutomatonStructure):
@@ -93,14 +93,7 @@ def serialize_chain(chain):
     out = ["cocoa 1", "count %d" % len(chain.levels)]
     for idx, level in enumerate(chain.levels, start=1):
         out.append("automaton %d" % idx)
-        out.append("alphabet " + " ".join(level.alphabet.symbols))
-        out.append("states %d" % level.state_count)
-        out.append("initial %d" % level.initial)
-        if level.state_names:
-            for q in sorted(level.state_names):
-                out.append('name %d "%s"' % (q, level.state_names[q]))
-        for (src, sym, dst, color) in level.transitions:
-            out.append("trans %d %s %d %d" % (src, level.alphabet.symbols[sym], dst, color))
+        out.extend(_body_lines(level))
     return "\n".join(out) + "\n"
 
 
@@ -342,7 +335,8 @@ def _rij_game(ai, ai1, aj, aj1, nsym):
     """Arena of the level-(i, j) game from the four level automata.
 
     Its first vertices are the round starts (qi, qi1, qj, qj1, z) in the order
-    of `itertools.product` over the state ranges and z in 0..2.
+    of `itertools.product` over the state ranges and z in 0..2.  A z = 2 start
+    has the single move to the z = 0 start of its tuple.
     """
     symbols = range(nsym)
     acc_i = [[ai.accepting_successors(q, x) for x in symbols] for q in range(ai.state_count)]
@@ -364,12 +358,14 @@ def _rij_game(ai, ai1, aj, aj1, nsym):
         out = edges[vid]
         if key[0] == "s":
             (_t, qi, qi1, qj, qj1, z) = key
-            z2 = 0 if z == 2 else z
+            if z == 2:                    # pays out color 0, then plays on as z = 0
+                out.append(ids[("s", qi, qi1, qj, qj1, 0)])
+                continue
             for x in symbols:
                 bs = acc_j[qj][x]
                 for a2 in acc_i[qi][x]:
                     for b2 in bs:
-                        out.append(vertex(("x", a2, qi1, b2, qj1, z2, x), 1, 1))
+                        out.append(vertex(("x", a2, qi1, b2, qj1, z, x), 1, 1))
             if not out:
                 out.append(vertex(("sink",), 0, 1))
         elif key[0] == "x":               # z is 0 or 1 here

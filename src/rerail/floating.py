@@ -129,11 +129,13 @@ def residualize(a, rlta):
     """Floating automaton of one complete co-Buchi chain level.
 
     The carrier is the set of (state, tracker state) pairs jointly reachable
-    under common words; only accepting transitions survive.  When the
-    accepting part is deterministic on the carrier, the pairs themselves are
-    the states.  Otherwise pairs sharing a tracker state are grouped and
-    determinized by subsets, which keeps the floating language because the
-    safe language of a set is the union of its members' safe languages.
+    under common words; only accepting transitions survive.  One subset
+    construction over (state set, tracker state) keys builds the states.
+    When the accepting part is deterministic on the carrier, it is seeded
+    with the singleton pairs in carrier order; every child is then a seed,
+    so the pairs themselves are the states.  Otherwise it is seeded with the
+    pairs grouped by tracker state, which keeps the floating language because
+    the safe language of a set is the union of its members' safe languages.
     """
     pairs = []
     seen = {(a.initial, rlta.initial)}
@@ -150,26 +152,13 @@ def residualize(a, rlta):
     deterministic = all(len(a.accepting_successors(q, x)) <= 1
                         for (q, _s) in pairs for x in range(len(a.alphabet)))
     if deterministic:
-        ids = {pair: i for i, pair in enumerate(pairs)}
-        delta = {}
+        order = [(frozenset({q}), s) for (q, s) in pairs]
+    else:
+        per_tracker = {}
         for (q, s) in pairs:
-            for x in range(len(a.alphabet)):
-                targets = a.accepting_successors(q, x)
-                if targets:
-                    delta[(ids[(q, s)], x)] = ids[(targets[0], rlta.step(s, x))]
-        labels = [s for (_q, s) in pairs]
-        names = [_residual_name(a.state_name(q), s, rlta) for (q, s) in pairs]
-        return FloatingAutomaton(a.alphabet, len(pairs), delta, labels, rlta,
-                                 names=names)
-    per_tracker = {}
-    for (q, s) in pairs:
-        per_tracker.setdefault(s, set()).add(q)
-    ids = {}
-    order = []
-    for s in sorted(per_tracker):
-        key = (frozenset(per_tracker[s]), s)
-        ids[key] = len(order)
-        order.append(key)
+            per_tracker.setdefault(s, set()).add(q)
+        order = [(frozenset(per_tracker[s]), s) for s in sorted(per_tracker)]
+    ids = {key: i for i, key in enumerate(order)}
     delta = {}
     queue = deque(order)
     while queue:
@@ -306,110 +295,65 @@ def _merge_names(a, b):
     return "%s/%s" % (a, b)
 
 
-class _Workpiece:
-    """Mutable view of a floating automaton during minimization."""
-
-    def __init__(self, f):
-        self.nsym = len(f.alphabet)
-        self.alive = set(range(f.state_count))
-        self.delta = dict(f.delta)
-        self.labels = list(f.labels)
-        self.marking = list(f.marking) if f.marking is not None else None
-        self.names = [f.state_name(q) for q in range(f.state_count)]
-
-    def key(self, q):
-        mark = self.marking[q] if self.marking is not None else None
-        return (self.labels[q], mark)
-
-    def drop_state(self, q):
-        self.alive.discard(q)
-        self.delta = {(src, x): dst for (src, x), dst in self.delta.items()
-                      if src != q and dst != q}
-
-    def components(self):
-        order = sorted(self.alive)
-        index = {q: i for i, q in enumerate(order)}
-        adj = [[] for _ in order]
-        for (src, x), dst in self.delta.items():
-            adj[index[src]].append(index[dst])
-        dec = scc_decomposition(len(order), adj)
-        comp = {q: dec.component_of[index[q]] for q in order}
-        nontrivial = {q for q in order if dec.component_of[index[q]] in dec.nontrivial}
-        return comp, nontrivial
-
-    def prune_acyclic(self):
-        while True:
-            if not self.alive:
-                return
-            _comp, nontrivial = self.components()
-            doomed = self.alive - nontrivial
-            if not doomed:
-                return
-            for q in sorted(doomed):
-                self.drop_state(q)
-
-    def normalize(self):
-        if not self.alive:
-            return
-        comp, _nontrivial = self.components()
-        self.delta = {(src, x): dst for (src, x), dst in self.delta.items()
-                      if comp[src] == comp[dst]}
-
-    def safe_subset(self, q, q2):
-        return _safe_subset_raw(self.delta, q, self.delta, q2, self.nsym)
-
-
 def minimize_floating(f):
     """Smallest floating automaton with the same language and marking behavior.
 
-    Iterates: drop states on no cycle; drop transitions that cross SCCs (a run
-    eventually stays inside one SCC and may as well enter there, so these are
-    superfluous); between distinct SCCs drop a state whose safe language is
-    strictly contained in that of an equally labeled and marked state; merge
-    states with equal label, marking and safe language onto the lowest index.
-    Cross-SCC transitions must go before the containment comparisons: they
-    inflate the safe languages of upstream states, and deleting a state that
-    such an escape path runs through would lose words.
+    Each round runs one SCC pass over the current transitions.  It drops
+    every state on no cycle and every transition between SCCs: a run
+    eventually stays inside one SCC and may as well enter there, so these
+    transitions are superfluous.  Removing a state on no cycle breaks no
+    cycle, so the partition of that pass still holds for what is left.  The
+    round then takes one action on it: between distinct SCCs drop the first
+    state (in sorted pair order) whose safe language is strictly contained
+    in that of an equally labeled and marked state; failing that, merge the
+    higher index of the first pair with equal label, marking and safe
+    language onto the lower one.  Cross-SCC transitions must go before the
+    containment comparisons: they inflate the safe languages of upstream
+    states, and deleting a state that such an escape path runs through would
+    lose words.  Rounds stop when no action applies.
     """
-    work = _Workpiece(f)
+    n = f.state_count
+    nsym = len(f.alphabet)
+    delta = dict(f.delta)
+    names = [f.state_name(q) for q in range(n)]
+    keys = [(f.labels[q], None if f.marking is None else f.marking[q]) for q in range(n)]
+
+    def subset(q, q2):
+        return _safe_subset_raw(delta, q, delta, q2, nsym)
+
     while True:
-        work.prune_acyclic()
-        work.normalize()
-        order = sorted(work.alive)
-        comp, _nontrivial = work.components() if work.alive else ({}, set())
-        pairs = [(q, q2) for qi, q in enumerate(order) for q2 in order[qi + 1:]
-                 if work.key(q) == work.key(q2)]
-        acted = False
+        # Dropped and merged-away states have no transitions left, so they
+        # fall out of `alive` here with the states on no cycle.
+        adj = [[] for _ in range(n)]
+        for (src, _x), dst in delta.items():
+            adj[src].append(dst)
+        dec = scc_decomposition(n, adj)
+        comp = dec.component_of
+        alive = [q for q in range(n) if comp[q] in dec.nontrivial]
+        delta = {(src, x): dst for (src, x), dst in delta.items() if comp[src] == comp[dst]}
+        pairs = [(q, q2) for qi, q in enumerate(alive) for q2 in alive[qi + 1:]
+                 if keys[q] == keys[q2]]
+        doomed = None
         for (q, q2) in pairs:
-            if comp[q] == comp[q2]:
-                continue
-            sub = work.safe_subset(q, q2)
-            sup = work.safe_subset(q2, q)
-            if sub != sup:
-                work.drop_state(q if sub else q2)
-                acted = True
-                break
-        if not acted:
-            for (q, q2) in pairs:
-                if work.safe_subset(q, q2) and work.safe_subset(q2, q):
-                    for (src, x), dst in list(work.delta.items()):
-                        if dst == q2:
-                            work.delta[(src, x)] = q
-                    work.delta = {(src, x): dst for (src, x), dst in work.delta.items()
-                                  if src != q2}
-                    work.alive.discard(q2)
-                    work.names[q] = _merge_names(work.names[q], work.names[q2])
-                    acted = True
+            if comp[q] != comp[q2]:
+                sub, sup = subset(q, q2), subset(q2, q)
+                if sub != sup:
+                    doomed = q if sub else q2
                     break
-        if not acted:
+        if doomed is not None:
+            delta = {(src, x): dst for (src, x), dst in delta.items()
+                     if doomed not in (src, dst)}
+            continue
+        equal = next(((q, q2) for (q, q2) in pairs if subset(q, q2) and subset(q2, q)), None)
+        if equal is None:
             break
-    order = sorted(work.alive)
-    renum = {q: i for i, q in enumerate(order)}
-    delta = {(renum[src], x): renum[dst] for (src, x), dst in work.delta.items()}
-    marking = [work.marking[q] for q in order] if work.marking is not None else None
-    return FloatingAutomaton(f.alphabet, len(order), delta,
-                             [work.labels[q] for q in order], f.rlta,
-                             marking=marking, names=[work.names[q] for q in order])
+        (q, q2) = equal
+        delta = {(src, x): q if dst == q2 else dst for (src, x), dst in delta.items()
+                 if src != q2}
+        names[q] = _merge_names(names[q], names[q2])
+    kept = FloatingAutomaton(f.alphabet, n, delta, f.labels, f.rlta,
+                             marking=f.marking, names=names)
+    return restrict_floating(kept, alive)
 
 
 def product_floating(f1, f2):

@@ -167,16 +167,20 @@ def parse_automaton(text):
 
 def serialize_automaton(aut):
     """Render an automaton in the text format with a canonical line order."""
-    out = ["raf 1"]
-    out.append("alphabet " + " ".join(aut.alphabet.symbols))
-    out.append("states %d" % aut.state_count)
-    out.append("initial %d" % aut.initial)
+    return "\n".join(["raf 1"] + _body_lines(aut)) + "\n"
+
+
+def _body_lines(aut):
+    """The alphabet, states, initial, name and trans lines of an automaton body."""
+    out = ["alphabet " + " ".join(aut.alphabet.symbols),
+           "states %d" % aut.state_count,
+           "initial %d" % aut.initial]
     if aut.state_names:
         for q in sorted(aut.state_names):
             out.append('name %d "%s"' % (q, aut.state_names[q]))
     for (src, sym, dst, color) in aut.transitions:
         out.append("trans %d %s %d %d" % (src, aut.alphabet.symbols[sym], dst, color))
-    return "\n".join(out) + "\n"
+    return out
 
 
 def _numbered_lines(text):

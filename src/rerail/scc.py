@@ -26,12 +26,8 @@ class SccDecomposition:
 def scc_decomposition(node_count, adjacency):
     """Tarjan's algorithm without recursion.
 
-    adjacency: callable or indexable giving an iterable of successors per node.
+    adjacency: a list giving an iterable of successors per node.
     """
-    if callable(adjacency):
-        adj = adjacency
-    else:
-        adj = adjacency.__getitem__
     index = [-1] * node_count
     low = [0] * node_count
     on_stack = [False] * node_count
@@ -42,7 +38,7 @@ def scc_decomposition(node_count, adjacency):
     for root in range(node_count):
         if index[root] != -1:
             continue
-        work = [(root, iter(adj(root)))]
+        work = [(root, iter(adjacency[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -56,7 +52,7 @@ def scc_decomposition(node_count, adjacency):
                     counter += 1
                     stack.append(succ)
                     on_stack[succ] = True
-                    work.append((succ, iter(adj(succ))))
+                    work.append((succ, iter(adjacency[succ])))
                     advanced = True
                     break
                 elif on_stack[succ]:
@@ -91,5 +87,5 @@ def scc_decomposition(node_count, adjacency):
     topo_order = [comp_index[i] for i in range(len(raw_components))]
     nontrivial = frozenset(
         comp_id for comp_id, comp in enumerate(components)
-        if len(comp) > 1 or any(s == comp[0] for s in adj(comp[0])))
+        if len(comp) > 1 or any(s == comp[0] for s in adjacency[comp[0]]))
     return SccDecomposition(component_of, components, topo_order, nontrivial)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rerail.cobuchi import (CoBuchiAutomaton, Rlta, chain_color,
@@ -218,6 +220,33 @@ def test_minimize_dominated_state_behind_bridge():
     assert out.transitions() == [(0, 0, 0), (1, 1, 1)]
     for w in enumerate_lassos(2, 3, 3):
         assert floating_member(out, w) == floating_member(f, w)
+
+
+def test_minimize_random_residuals_and_products():
+    # Residualized random co-Buchi levels over 1- and 2-state trackers, with
+    # deterministic and nondeterministic accepting parts (the grouped subset
+    # seeding), and the marked products of each pair of levels: minimization
+    # is a fixpoint, never grows and keeps the floating language.
+    rng = random.Random(4)
+    lassos = list(enumerate_lassos(2, 3, 3))
+    cases = []
+    for k in range(20):
+        pair = []
+        for fanout in (1, 2):
+            level = CoBuchiAutomaton.from_structure(
+                oracles.random_cobuchi_automaton(rng, 2 + rng.randrange(2), 2, fanout))
+            rlta = (trivial_rlta(level.alphabet) if k % 2
+                    else Rlta(level.alphabet, 2, [[1, 1], [0, 0]], 0))
+            pair.append(residualize(level, rlta))
+        cases += pair + [product_floating(pair[0], pair[1]),
+                         product_floating(pair[1], pair[0])]
+    assert any("+" in name for f in cases for name in f.names)
+    for f in cases:
+        small = minimize_floating(f)
+        assert minimize_floating(small) == small
+        assert small.state_count <= f.state_count
+        for w in lassos:
+            assert oracles.floating_member(small, w) == oracles.floating_member(f, w)
 
 
 def test_product_intersects(uniform_flochain):
