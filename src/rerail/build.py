@@ -17,7 +17,7 @@ from .floating import (empty_floating, level0_floating, max_accepting_sccs,
                        minimize_floating, product_floating, residualize_chain,
                        restrict_floating, safe_subset, union_floating,
                        FloatingAutomaton)
-from .lasso import LassoProduct, achievable_dominating_colors, enumerate_lassos
+from .lasso import LassoProduct, enumerate_lassos
 from .raf import AutomatonStructure, validate_complete
 
 
@@ -171,24 +171,19 @@ class RerailingVerdict:
 def _check_lasso(aut, lasso):
     product = LassoProduct(aut, lasso)
     analysis = product.analysis()
-    start = product.node(aut.initial, 0)
-    member = max(achievable_dominating_colors(product, start)) % 2 == 0
+    member = max(analysis.achievable[0]) % 2 == 0
     violations = []
-    for node in sorted(product.reachable_nodes):
-        achievable = achievable_dominating_colors(product, node)
-        uniform = analysis.uniform_reachable(node)
-        for d in sorted(achievable):
-            parity_ok = [c for c in uniform if (c % 2 == 0) == member]
-            if any(c >= d for c in parity_ok):
-                continue
-            if not uniform:
-                reason = "no-uniform-successor"
-            elif not parity_ok:
-                reason = "parity-mismatch"
-            else:
-                reason = "color-decrease"
-            violations.append(((product.node_state(node), product.node_position(node)),
-                               d, reason))
+    for (site, achievable, uniform) in sorted(zip(product.nodes, analysis.achievable,
+                                                  analysis.uniform)):
+        parity_ok = [c for c in uniform if (c % 2 == 0) == member]
+        if not uniform:
+            reason = "no-uniform-successor"
+        elif not parity_ok:
+            reason = "parity-mismatch"
+        else:
+            reason = "color-decrease"
+        best = max(parity_ok, default=-1)
+        violations.extend((site, d, reason) for d in sorted(achievable) if d > best)
     if violations:
         return RerailingVerdict(lasso, member, tuple(violations))
     return None

@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import deque
 
 from .cobuchi import Rlta, build_rlta_chain
-from .raf import RafError, _numbered_lines, _parse_name_line, _parse_raf_body
+from .raf import (AutomatonStructure, RafError, _body_lines, _numbered_lines,
+                  _parse_name_line, _parse_raf_body)
 from .scc import scc_decomposition
 
 
@@ -429,16 +430,13 @@ def max_accepting_sccs(f):
 
 def serialize_floating_chain(fchain):
     rlta = fchain.rlta
-    out = ["flochain 1", "rlta"]
-    out.append("alphabet " + " ".join(rlta.alphabet.symbols))
-    out.append("states %d" % rlta.state_count)
-    out.append("initial %d" % rlta.initial)
-    if rlta.names is not None:
-        for s in range(rlta.state_count):
-            out.append('name %d "%s"' % (s, rlta.names[s]))
-    for s in range(rlta.state_count):
-        for x in range(len(rlta.alphabet)):
-            out.append("trans %d %s %d" % (s, rlta.alphabet.symbols[x], rlta.step(s, x)))
+    tracker = AutomatonStructure(
+        rlta.alphabet, rlta.state_count,
+        [(s, x, rlta.step(s, x), 0)
+         for s in range(rlta.state_count) for x in range(len(rlta.alphabet))],
+        rlta.initial,
+        state_names=None if rlta.names is None else dict(enumerate(rlta.names)))
+    out = ["flochain 1", "rlta"] + _body_lines(tracker, with_colors=False)
     for idx, f in enumerate(fchain.levels, start=1):
         out.append("floating %d" % idx)
         out.append("states %d" % f.state_count)
@@ -500,6 +498,10 @@ def _parse_floating_block(lines, start, alphabet, rlta):
             raise RafError("unknown directive %r" % word, lineno)
     if state_count is None:
         raise RafError("floating block missing state count")
+    for what, table in (("name", names), ("label", labels)):
+        stray = sorted(q for q in table if not 0 <= q < state_count)
+        if stray:
+            raise RafError("%s given for missing state %d" % (what, stray[0]))
     missing = [q for q in range(state_count) if q not in labels]
     if missing:
         raise RafError("floating states missing labels: %s" % missing[:5])

@@ -108,79 +108,54 @@ class LassoProduct:
     """Finite (state, position) graph of an automaton run over a lasso.
 
     Positions 0..len(stem)+len(cycle)-1 index the letter about to be read;
-    the last position wraps back to the start of the cycle.  Only the part
-    reachable from (initial, 0) carries adjacency.
+    the last position wraps back to the start of the cycle.  Nodes are the
+    pairs reachable from (initial, 0), numbered in the order the walk
+    discovers them: node 0 is (initial, 0), nodes[i] is the (state, position)
+    pair of node i and adjacency[i] its list of (child, color) edges.
     """
 
     def __init__(self, aut, lasso):
         lasso = lasso.canonical()
-        self.aut = aut
-        self.lasso = lasso
-        self.period_start = len(lasso.stem)
-        self.letters = lasso.stem + lasso.cycle
-        self.length = len(self.letters)
-        self.initial_node = self._node(aut.initial, 0)
-        adjacency = {}
-        todo = [self.initial_node]
-        while todo:
-            node = todo.pop()
-            if node in adjacency:
-                continue
-            state, pos = self.node_state(node), self.node_position(node)
-            letter = self.letters[pos]
-            nxt = pos + 1 if pos + 1 < self.length else self.period_start
-            children = tuple((self._node(dst, nxt), color)
-                             for (dst, color) in aut.successors(state, letter))
-            adjacency[node] = children
-            for (child, _c) in children:
-                if child not in adjacency:
-                    todo.append(child)
+        letters = lasso.stem + lasso.cycle
+        wrap = len(lasso.stem)
+        last = len(letters) - 1
+        nodes = [(aut.initial, 0)]
+        number = {nodes[0]: 0}
+        adjacency = []
+        for (state, pos) in nodes:
+            nxt = pos + 1 if pos < last else wrap
+            children = []
+            for (dst, color) in aut.successors(state, letters[pos]):
+                key = (dst, nxt)
+                child = number.get(key)
+                if child is None:
+                    child = number[key] = len(nodes)
+                    nodes.append(key)
+                children.append((child, color))
+            adjacency.append(children)
+        self.nodes = nodes
         self.adjacency = adjacency
-        self._analysis = None
-
-    def _node(self, state, pos):
-        return state * self.length + pos
-
-    def node(self, state, pos):
-        return self._node(state, pos)
-
-    def node_state(self, node):
-        return node // self.length
-
-    def node_position(self, node):
-        return node % self.length
-
-    def is_reachable(self, node):
-        return node in self.adjacency
-
-    @property
-    def reachable_nodes(self):
-        return self.adjacency.keys()
 
     def analysis(self):
-        if self._analysis is None:
-            self._analysis = _ProductAnalysis(self)
-        return self._analysis
+        return _ProductAnalysis(self)
 
 
 def cycle_minima(edges):
     """Colors c such that some strongly connected subset of `edges` has minimum c.
 
-    Equivalently the minima of simple cycles: computed by repeatedly splitting
-    into strongly connected edge sets and recursing above each set's minimum.
+    `edges` must be strongly connected or empty.  Equivalently the minima of
+    simple cycles: each strongly connected set contributes its minimum, and
+    the edges above that minimum split into strongly connected sets again.
     """
     result = set()
-    stack = [list(edges)]
+    stack = [edges] if edges else []
     while stack:
         current = stack.pop()
-        if not current:
-            continue
-        for comp_edges in _scc_edge_sets(current):
-            c0 = min(c for (_u, _v, c) in comp_edges)
-            result.add(c0)
-            above = [e for e in comp_edges if e[2] > c0]
-            if above:
-                stack.append(above)
+        c0 = min(c for (_u, _v, c) in current)
+        result.add(c0)
+        above = [e for e in current if e[2] > c0]
+        if above:
+            stack.extend(_scc_edge_sets(above))
     return result
 
 
@@ -205,69 +180,49 @@ def _scc_edge_sets(edges):
 
 
 class _ProductAnalysis:
-    """Per-component achievable dominating colors plus condensation closure."""
+    """Per-node dominating colors of a lasso product.
+
+    achievable[i] holds the dominating colors of runs continuing from node i:
+    c is achievable iff some reachable strongly connected edge set has
+    minimum color exactly c.  uniform[i] holds the colors c such that some
+    node reachable from i has achievable set {c}.
+    """
 
     def __init__(self, product):
-        nodes = sorted(product.adjacency)
-        compact = {node: i for i, node in enumerate(nodes)}
-        adj = [[] for _ in nodes]
-        edges = [[] for _ in nodes]
-        for node, children in product.adjacency.items():
-            i = compact[node]
-            for (child, color) in children:
-                adj[i].append(compact[child])
-                edges[i].append((compact[child], color))
-        dec = scc_decomposition(len(nodes), adj)
-        comp_count = len(dec.components)
-        internal = [[] for _ in range(comp_count)]
-        succ_comps = [set() for _ in range(comp_count)]
-        for i in range(len(nodes)):
-            ci = dec.component_of[i]
-            for (j, color) in edges[i]:
-                cj = dec.component_of[j]
-                if ci == cj:
-                    internal[ci].append((i, j, color))
+        adjacency = product.adjacency
+        dec = scc_decomposition(len(adjacency),
+                                [[child for (child, _c) in edges] for edges in adjacency])
+        comp_of = dec.component_of
+        internal = [[] for _ in dec.components]
+        succ_comps = [set() for _ in dec.components]
+        for u, edges in enumerate(adjacency):
+            cu = comp_of[u]
+            for (v, color) in edges:
+                cv = comp_of[v]
+                if cu == cv:
+                    internal[cu].append((u, v, color))
                 else:
-                    succ_comps[ci].add(cj)
-        own = [frozenset(cycle_minima(internal[c])) if internal[c] else frozenset()
-               for c in range(comp_count)]
-        reach = [None] * comp_count
-        uniform = [None] * comp_count
+                    succ_comps[cu].add(cv)
+        reach = [None] * len(dec.components)
+        uniform = [None] * len(dec.components)
         # topo_order lists components sinks-first, so successors are done first
         for c in dec.topo_order:
-            acc = set(own[c])
+            acc = cycle_minima(internal[c])
+            uni = set()
             for s in succ_comps[c]:
                 acc |= reach[s]
-            reach[c] = frozenset(acc)
-            uni = set()
-            if len(reach[c]) == 1:
-                uni |= reach[c]
-            for s in succ_comps[c]:
                 uni |= uniform[s]
+            if len(acc) == 1:
+                uni |= acc
+            reach[c] = frozenset(acc)
             uniform[c] = frozenset(uni)
-        self._compact = compact
-        self._component_of = dec.component_of
-        self._reach = reach
-        self._uniform = uniform
-
-    def achievable(self, node):
-        return self._reach[self._component_of[self._compact[node]]]
-
-    def uniform_reachable(self, node):
-        """Colors c such that some node u reachable from `node` has achievable set {c}."""
-        return self._uniform[self._component_of[self._compact[node]]]
+        self.achievable = [reach[c] for c in comp_of]
+        self.uniform = [uniform[c] for c in comp_of]
 
 
-def achievable_dominating_colors(product, node):
-    """Dominating colors of runs continuing from a reachable product node.
-
-    A color c is achievable iff some reachable strongly connected edge set has
-    minimum color exactly c, i.e. some run from `node` visits exactly such a
-    set of transitions infinitely often.
-    """
-    if not product.is_reachable(node):
-        raise ValueError("node %d is not reachable in the lasso product" % node)
-    return product.analysis().achievable(node)
+def _run_colors(aut, lasso):
+    """Dominating colors of the runs of `aut` over `lasso` (node 0 of its product)."""
+    return LassoProduct(aut, lasso).analysis().achievable[0]
 
 
 def member_rerailing(aut, lasso):
@@ -276,8 +231,7 @@ def member_rerailing(aut, lasso):
     The word is accepted iff the maximum over the dominating colors of all its
     runs is even.
     """
-    product = LassoProduct(aut, lasso)
-    colors = achievable_dominating_colors(product, product.initial_node)
+    colors = _run_colors(aut, lasso)
     if not colors:
         raise ValueError("no infinite run: automaton incomplete along the lasso")
     return max(colors) % 2 == 0
@@ -285,8 +239,7 @@ def member_rerailing(aut, lasso):
 
 def member_parity_exists(aut, lasso):
     """True iff some run's dominating color is even (nondeterministic min-parity)."""
-    product = LassoProduct(aut, lasso)
-    colors = achievable_dominating_colors(product, product.initial_node)
+    colors = _run_colors(aut, lasso)
     if not colors:
         raise ValueError("no infinite run: automaton incomplete along the lasso")
     return any(c % 2 == 0 for c in colors)
@@ -322,9 +275,7 @@ def member_cobuchi(aut, lasso):
     bad = {c for c in aut.colors if c not in (1, 2)}
     if bad:
         raise ValueError("co-Buchi automata use colors 1 and 2 only, found %s" % sorted(bad))
-    product = LassoProduct(aut, lasso)
-    colors = achievable_dominating_colors(product, product.initial_node)
-    return 2 in colors
+    return 2 in _run_colors(aut, lasso)
 
 
 # Semantics name -> (module, membership test).  The test is looked up on

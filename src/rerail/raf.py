@@ -91,6 +91,9 @@ class AutomatonStructure:
         self.transitions = tuple(sorted((s, a, d, c) for (s, a, d), c in seen.items()))
         if state_names is not None:
             state_names = dict(state_names)
+            stray = sorted(q for q in state_names if not 0 <= q < state_count)
+            if stray:
+                raise ValueError("name given for missing state %d" % stray[0])
             if len(set(state_names.values())) != len(state_names):
                 raise ValueError("state display names must be unique")
         self.state_names = state_names
@@ -170,16 +173,25 @@ def serialize_automaton(aut):
     return "\n".join(["raf 1"] + _body_lines(aut)) + "\n"
 
 
-def _body_lines(aut):
-    """The alphabet, states, initial, name and trans lines of an automaton body."""
+def _body_lines(aut, with_colors=True):
+    """The alphabet, states, initial, name and trans lines of an automaton body.
+
+    Without colors the trans lines have three fields, as `_parse_raf_body`
+    reads them with `with_colors=False`.
+    """
     out = ["alphabet " + " ".join(aut.alphabet.symbols),
            "states %d" % aut.state_count,
            "initial %d" % aut.initial]
     if aut.state_names:
         for q in sorted(aut.state_names):
             out.append('name %d "%s"' % (q, aut.state_names[q]))
-    for (src, sym, dst, color) in aut.transitions:
-        out.append("trans %d %s %d %d" % (src, aut.alphabet.symbols[sym], dst, color))
+    symbols = aut.alphabet.symbols
+    if with_colors:
+        out.extend("trans %d %s %d %d" % (src, symbols[sym], dst, color)
+                   for (src, sym, dst, color) in aut.transitions)
+    else:
+        out.extend("trans %d %s %d" % (src, symbols[sym], dst)
+                   for (src, sym, dst, _color) in aut.transitions)
     return out
 
 

@@ -186,6 +186,48 @@ def member_cobuchi(aut, lasso):
     return 2 in dominating_colors(aut, lasso)
 
 
+def rerailing_violations(aut, lasso):
+    """Violations of the bounded rerailing property on one lasso.
+
+    Positions are those of `lasso` as given (pass a canonical lasso to
+    compare with the library).  A product node (q, pos) has the dominating
+    colors of the automaton restarted at q over the word from pos on, and
+    the colors c such that some node reachable from it (itself included)
+    has dominating colors {c}.  Every dominating color d of a node that no
+    such c of the verdict's parity reaches (c >= d) is a violation; the
+    list is sorted by node, then d.
+    """
+    word = lasso.stem + lasso.cycle
+    nodes, edges = product_graph(aut, lasso)
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = [[] for _ in nodes]
+    for (u, _color, v) in edges:
+        succ[index[u]].append(index[v])
+    dominating = []
+    for (q, pos) in nodes:
+        restarted = AutomatonStructure(aut.alphabet, aut.state_count,
+                                       aut.transitions, q)
+        dominating.append(dominating_colors(restarted,
+                                            LassoWord(word[pos:], lasso.cycle)))
+    member = max(dominating[index[(aut.initial, 0)]]) % 2 == 0
+    violations = []
+    for i, node in enumerate(nodes):
+        uniform = {c for j in _reachable_from(i, succ)
+                   for c in dominating[j] if len(dominating[j]) == 1}
+        good = [c for c in uniform if (c % 2 == 0) == member]
+        for d in sorted(dominating[i]):
+            if any(c >= d for c in good):
+                continue
+            if not uniform:
+                reason = "no-uniform-successor"
+            elif not good:
+                reason = "parity-mismatch"
+            else:
+                reason = "color-decrease"
+            violations.append((node, d, reason))
+    return violations
+
+
 def chain_color(chain, lasso):
     best = 0
     for i in range(1, len(chain) + 1):

@@ -238,3 +238,21 @@ def test_verify_reports_color_decrease():
     assert failures
     reasons = {reason for v in failures for (_n, _d, reason) in v.violations}
     assert "color-decrease" in reasons
+
+
+def test_verify_matches_violation_oracle():
+    """Every verdict equals the oracle's, violation for violation and in order."""
+    rng = random.Random(31)
+    reasons = set()
+    for k in range(60):
+        aut = oracles.random_complete_automaton(rng, 1 + rng.randrange(4), 2,
+                                                1 + rng.randrange(5), fanout=1 + k % 3)
+        expected = []
+        for w in enumerate_lassos(2, 2, 2):
+            violations = oracles.rerailing_violations(aut, w)
+            if violations:
+                expected.append((w, oracles.member_rerailing(aut, w), tuple(violations)))
+        got = [(v.lasso, v.member, v.violations) for v in verify_rerailing_bounded(aut, 2, 2)]
+        assert got == expected
+        reasons |= {reason for (_w, _m, vs) in expected for (_n, _d, reason) in vs}
+    assert reasons == {"no-uniform-successor", "parity-mismatch", "color-decrease"}

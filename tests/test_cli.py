@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rerail
 from rerail.cli import main
 from rerail.cobuchi import parse_chain
 from rerail.floating import parse_floating_chain
@@ -218,9 +220,14 @@ def test_argparse_failures(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same rerail package as this process, whether
+    # that came from PYTHONPATH, an install or pytest's pythonpath setting.
+    package_root = os.path.dirname(os.path.dirname(rerail.__file__))
+    path = [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "rerail", "membership", "-i", MINIMAL5,
          "--lasso", ";a"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert proc.returncode == 0
     assert proc.stdout == "accept\n"

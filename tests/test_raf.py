@@ -48,6 +48,9 @@ def test_structure_validation():
         small([(0, 0, 1, 1), (0, 0, 1, 2)])
     with pytest.raises(ValueError):
         small([], initial=9)
+    for stray in (2, -1):
+        with pytest.raises(ValueError, match="missing state %d" % stray):
+            small([], names={0: "x", stray: "y"})
     # same transition listed twice with one color is fine
     aut = small([(0, 0, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1)])
     assert len(aut.transitions) == 2
@@ -102,6 +105,10 @@ trans 1 b 1 1
     ("raf 1\nalphabet a\nstates 1\ninitial 0\nbogus 1\n", "directive"),
     ("raf 1\nalphabet a\nstates 2\ninitial 0\ntrans 0 a 1 1\ntrans 0 a 1 2\n",
      "conflicting"),
+    ('raf 1\nalphabet a\nstates 1\ninitial 0\nname 3 "x"\ntrans 0 a 0 0\n',
+     "missing state 3"),
+    ('raf 1\nalphabet a\nstates 1\ninitial 0\nname -1 "x"\ntrans 0 a 0 0\n',
+     "missing state -1"),
 ])
 def test_parse_errors(text, hint):
     with pytest.raises(RafError) as err:
