@@ -322,21 +322,16 @@ def _level(chain, trackers, k):
     return aut, [0], [[0] * nsym]
 
 
-def _predecessors(delta, nsym):
-    """pred[s][x]: the tracker states that move to s on symbol x."""
-    pred = [[[] for _x in range(nsym)] for _s in delta]
-    for s, row in enumerate(delta):
-        for x, t in enumerate(row):
-            pred[t][x].append(s)
-    return pred
+def _rij_game(ai, ai1, aj, aj1, nsym, starts, twin_step):
+    """Arena of the level-(i, j) game from the four level automata, with its keys.
 
-
-def _rij_game(ai, ai1, aj, aj1, nsym):
-    """Arena of the level-(i, j) game from the four level automata.
-
-    Its first vertices are the round starts (qi, qi1, qj, qj1, z) in the order
-    of `itertools.product` over the state ranges and z in 0..2.  A z = 2 start
-    has the single move to the z = 0 start of its tuple.
+    Its first vertices are the round starts (qi, qi1, qj, qj1, z) of the state
+    tuples in `starts`, z in 0..2; later round starts are added as play
+    reaches them.  A z = 2 start has the single move to the z = 0 start of
+    its tuple.  `twin_step` is given for j = i + 1: twin_step[q][x] is the
+    tracker state that level-(i+1) state q reaches on x, and a symbol on
+    which qi1 and qj reach the same one is no move; a round start left
+    without a move goes to the losing sink.
     """
     symbols = range(nsym)
     acc_i = [[ai.accepting_successors(q, x) for x in symbols] for q in range(ai.state_count)]
@@ -345,13 +340,10 @@ def _rij_game(ai, ai1, aj, aj1, nsym):
     succ_j1 = [[aj1.successors(q, x) for x in symbols] for q in range(aj1.state_count)]
 
     builder = ArenaBuilder()
-    vertex, ids, keys, edges = builder.vertex, builder.ids, builder.keys, builder.edges
-    for qi in range(ai.state_count):
-        for qi1 in range(ai1.state_count):
-            for qj in range(aj.state_count):
-                for qj1 in range(aj1.state_count):
-                    for z in (0, 1, 2):
-                        vertex(("s", qi, qi1, qj, qj1, z), 0, 0 if z == 2 else 1)
+    vertex, keys, edges = builder.vertex, builder.keys, builder.edges
+    for (qi, qi1, qj, qj1) in starts:
+        for z in (0, 1, 2):
+            vertex(("s", qi, qi1, qj, qj1, z), 0, 0 if z == 2 else 1)
     while builder.todo:
         vid = builder.todo.pop()
         key = keys[vid]
@@ -359,9 +351,11 @@ def _rij_game(ai, ai1, aj, aj1, nsym):
         if key[0] == "s":
             (_t, qi, qi1, qj, qj1, z) = key
             if z == 2:                    # pays out color 0, then plays on as z = 0
-                out.append(ids[("s", qi, qi1, qj, qj1, 0)])
+                out.append(vertex(("s", qi, qi1, qj, qj1, 0), 0, 1))
                 continue
             for x in symbols:
+                if twin_step is not None and twin_step[qi1][x] == twin_step[qj][x]:
+                    continue
                 bs = acc_j[qj][x]
                 for a2 in acc_i[qi][x]:
                     for b2 in bs:
@@ -372,43 +366,79 @@ def _rij_game(ai, ai1, aj, aj1, nsym):
             (_t, qi, qi1, qj, qj1, z, x) = key
             for (r, ci) in succ_i1[qi1][x]:
                 for (s2, cj) in succ_j1[qj1][x]:
-                    out.append(ids[("s", qi, r, qj, s2, 2 - ci if z == 0 else 3 - cj)])
+                    z2 = 2 - ci if z == 0 else 3 - cj
+                    out.append(vertex(("s", qi, r, qj, s2, z2), 0, 0 if z2 == 2 else 1))
         else:                             # ("sink",): stuck, color 1 forever
             out.append(vid)
-    return builder.arena()
+    return builder.arena(), keys
 
 
-def compute_Rij(chain, trackers, i, j):
+def compute_Rij(chain, trackers, i, j, domain=None):
     """The level-(i, j) distinguishing relation over tracker states.
 
     Solved as a parity game: player 0 steers accepting runs of levels i and j
     while player 1 resolves levels i+1 and j+1; a counter z demands a
     rejecting (i+1)-move, then a rejecting (j+1)-move, and pays out color 0
     when both were seen.  Winning positions are mapped through the trackers
-    and closed under predecessors by a worklist over the trackers'
-    predecessor lists.  By definition R_ji is R_ij with its two tuple halves
-    swapped, which is why `build_rlta_chain` only asks for i < j.
+    and closed under predecessors by a worklist.  By definition R_ji is R_ij
+    with its two tuple halves swapped, which is why `build_rlta_chain` only
+    asks for i < j.
+
+    `domain` holds tracker tuples and is closed under common letters (the
+    successors on one symbol of a tuple in it are in it, up to the tuples
+    dropped below); the result is the relation restricted to it, and
+    without a domain the whole tracker product is decided.  The game only
+    opens round starts whose states map into the domain, and the closure
+    only adds predecessors inside it.  Both are exact:
+
+    - (a) a vertex's winner depends only on its forward subgame, and every
+      round start reached from the domain maps into it again, so each start
+      wins in the smaller arena iff it wins in the whole one;
+    - (b) for j = i + 1 a tuple whose components at i+1 and j are equal
+      names one residual twice, which no word can both leave and enter, so
+      it is never in R_{i,i+1}.  Such tuples leave the domain, and a move
+      onto one is no move at all.  With no round start left the relation is
+      empty and no arena is built.
     """
     n = len(chain.levels)
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("level indices out of range")
-    (ai, mi, di), (ai1, mi1, di1), (aj, mj, dj), (aj1, mj1, dj1) = (
-        _level(chain, trackers, k) for k in (i, i + 1, j, j + 1))
+    levels = [_level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
+    (ai, mi, di), (ai1, mi1, di1), (aj, mj, dj), (aj1, mj1, dj1) = levels
     nsym = len(chain.alphabet)
-    w0, _w1 = solve(_rij_game(ai, ai1, aj, aj1, nsym))
-    positions = itertools.product(range(ai.state_count), range(ai1.state_count),
-                                  range(aj.state_count), range(aj1.state_count), range(3))
-    rel = {(mi[qi], mi1[qi1], mj[qj], mj1[qj1])
-           for vid, (qi, qi1, qj, qj1, _z) in enumerate(positions) if vid in w0}
-    pi, pi1, pj, pj1 = (_predecessors(d, nsym) for d in (di, di1, dj, dj1))
+    if domain is None:
+        domain = itertools.product(*(range(len(d)) for (_a, _m, d) in levels))
+    twins = j == i + 1
+    domain = [t for t in domain if not (twins and t[1] == t[2])]
+    members = []                  # per level: tracker state -> the level states it tracks
+    for (_a, m, d) in levels:
+        by_state = [[] for _s in d]
+        for q, s in enumerate(m):
+            by_state[s].append(q)
+        members.append(by_state)
+    starts = [qs for t in domain
+              for qs in itertools.product(*(by_state[s] for by_state, s in zip(members, t)))]
+    if not starts:
+        return RijRelation(i, j, frozenset())
+    twin_step = [di1[s] for s in mi1] if twins else None
+    arena, keys = _rij_game(ai, ai1, aj, aj1, nsym, starts, twin_step)
+    w0, _w1 = solve(arena)
+    rel = set()
+    for vid in w0:
+        key = keys[vid]
+        if key[0] == "s":
+            rel.add((mi[key[1]], mi1[key[2]], mj[key[3]], mj1[key[4]]))
+    preds = {}
+    for t in domain:
+        for x in range(nsym):
+            step = (di[t[0]][x], di1[t[1]][x], dj[t[2]][x], dj1[t[3]][x])
+            preds.setdefault(step, []).append(t)
     work = list(rel)
     while work:
-        (si, si1, sj, sj1) = work.pop()
-        for x in range(nsym):
-            for combo in itertools.product(pi[si][x], pi1[si1][x], pj[sj][x], pj1[sj1][x]):
-                if combo not in rel:
-                    rel.add(combo)
-                    work.append(combo)
+        for t in preds.get(work.pop(), ()):
+            if t not in rel:
+                rel.add(t)
+                work.append(t)
     return RijRelation(i, j, frozenset(rel))
 
 
@@ -422,16 +452,42 @@ def build_rlta_chain(chain):
     i < j is computed: R_ji is R_ij with its tuple halves swapped, so each
     stored relation is probed in both orientations.
 
+    Every tuple this construction meets lies in P, the reachable synchronized
+    product of the per-level trackers, so every probe of R_ij combines the
+    components at i and i+1 of one member of P with those at j and j+1 of
+    another.  Each R_ij is computed on exactly that domain, which is closed
+    under common letters because P is; see `compute_Rij` for why the
+    restricted game gives the same answers on it.
+
     Returns (tracker, per_state_levels) where per_state_levels[s] is the tuple
     of per-level tracker states represented by state s.
     """
     n = len(chain.levels)
+    nsym = len(chain.alphabet)
     trackers = [residual_tracking_single(a) for a in chain.levels]
-    relations = [compute_Rij(chain, trackers, i, j)
+    deltas = [tracker.delta for (tracker, _map) in trackers]
+
+    # Tuples are padded with the single tracker state of levels 0 and n+1,
+    # so t[k] is the level-k component for every k in 0..n+1.
+    def step(t, x):
+        return (0,) + tuple(d[t[k]][x] for k, d in enumerate(deltas, start=1)) + (0,)
+
+    initial = (0,) + tuple(state_map[level.initial]
+                           for (_tracker, state_map), level in zip(trackers, chain.levels)) + (0,)
+    product = {initial}
+    work = [initial]
+    while work:
+        t = work.pop()
+        for x in range(nsym):
+            t2 = step(t, x)
+            if t2 not in product:
+                product.add(t2)
+                work.append(t2)
+    pairs = [{(t[k], t[k + 1]) for t in product} for k in range(n + 1)]
+    relations = [compute_Rij(chain, trackers, i, j,
+                             {a + b for a in pairs[i] for b in pairs[j]})
                  for i in range(n + 1) for j in range(i + 1, n + 1, 2)]
 
-    # States are padded with the single tracker state of levels 0 and n+1,
-    # so t[k] is the level-k component for every k in 0..n+1.
     def separated(t_new, t_old):
         for rel in relations:
             i, j = rel.i, rel.j
@@ -440,18 +496,14 @@ def build_rlta_chain(chain):
                 return True
         return False
 
-    deltas = [tracker.delta for (tracker, _map) in trackers]
-    initial = tuple(state_map[level.initial]
-                    for (_tracker, state_map), level in zip(trackers, chain.levels))
-    states = [(0,) + initial + (0,)]
-    nsym = len(chain.alphabet)
+    states = [initial]
     delta = {}
     todo = deque([0])
     while todo:
         s = todo.popleft()
         t = states[s]
         for x in range(nsym):
-            t2 = (0,) + tuple(d[t[k]][x] for k, d in enumerate(deltas, start=1)) + (0,)
+            t2 = step(t, x)
             target = None
             for cand, t3 in enumerate(states):
                 if not separated(t2, t3):

@@ -470,15 +470,20 @@ def _parse_floating_block(lines, start, alphabet, rlta):
                 raise RafError("bad state count %r" % rest, lineno) from None
         elif word == "name":
             state, display = _parse_name_line(rest, lineno)
+            if state in names:
+                raise RafError("duplicate name for state %d" % state, lineno)
             names[state] = display
         elif word == "label":
             parts = rest.split()
             if len(parts) != 2:
                 raise RafError("label needs a state and a tracker state", lineno)
             try:
-                labels[int(parts[0])] = int(parts[1])
+                state, label = int(parts[0]), int(parts[1])
             except ValueError:
                 raise RafError("bad label fields %r" % rest, lineno) from None
+            if state in labels:
+                raise RafError("duplicate label for state %d" % state, lineno)
+            labels[state] = label
         elif word == "trans":
             parts = rest.split()
             if len(parts) != 3:

@@ -179,6 +179,48 @@ def test_minimize_never_grows_seed103_dpw():
     assert minimize_rerailing(aut).state_count <= aut.state_count
 
 
+# Two more DPWs that minimize_rerailing grows, both to 8 states with the
+# language kept: perfbench's `complete_dpw(Random(964), 5, ab, 5)` and
+# `complete_dpw(Random(998), 4, ab, 6)`.
+GROWING_DPWS = {
+    "complete964": """raf 1
+alphabet a b
+states 5
+initial 0
+trans 0 a 3 1
+trans 0 b 1 4
+trans 1 a 4 3
+trans 1 b 2 3
+trans 2 a 0 0
+trans 2 b 4 2
+trans 3 a 0 3
+trans 3 b 4 2
+trans 4 a 0 5
+trans 4 b 4 3
+""",
+    "complete998": """raf 1
+alphabet a b
+states 4
+initial 0
+trans 0 a 1 6
+trans 0 b 1 1
+trans 1 a 2 6
+trans 1 b 1 6
+trans 2 a 0 4
+trans 2 b 3 3
+trans 3 a 2 6
+trans 3 b 2 2
+""",
+}
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: 8 states for a 4- or 5-state DPW")
+@pytest.mark.parametrize("name", sorted(GROWING_DPWS))
+def test_minimize_never_grows_complete_dpw(name):
+    aut = parse_automaton(GROWING_DPWS[name])
+    assert minimize_rerailing(aut).state_count <= aut.state_count
+
+
 def test_minimize_idempotent():
     # State names record where each state came from, so they drift across
     # repeated runs; the structure itself must be reproduced exactly.

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rerail import build, cobuchi
 from rerail.cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain,
                             chain_color, chain_falling_violations, chain_member,
                             compute_Rij, decompose_rerailing,
@@ -245,6 +246,66 @@ def test_rij_symmetric_and_matches_bounded_witnesses():
                 assert rel == witnessed, (i, j)
                 pairs += 1
     assert pairs == 28
+
+
+def test_rij_on_build_domains_matches_whole_relation(monkeypatch):
+    """Each R_ij computed on the domain `build_rlta_chain` passes is the whole
+    relation restricted to that domain, the tracker built from the whole
+    relations is the same, and no whole R_{i,i+1} holds a tuple naming one
+    level-(i+1) residual twice.
+
+    The last check reads R_{i,i+1} through R_{i+1,i}, whose game keeps
+    every tuple: its halves swapped, a tuple (a, b, c, d) of R_{i+1,i} is
+    (c, d, a, b) of R_{i,i+1}, with level i+1 at the second and third places.
+    """
+    calls = []
+
+    def recording(chain, trackers, i, j, domain=None):
+        rel = compute_Rij(chain, trackers, i, j, domain)
+        calls.append((chain, trackers, domain, rel))
+        return rel
+
+    def whole_relation(chain, trackers, i, j, domain=None):
+        return compute_Rij(chain, trackers, i, j)
+
+    rng = random.Random(61)
+    for _ in range(20):
+        aut = oracles.random_dpw(rng, 2 + rng.randrange(5), 2 + rng.randrange(2),
+                                 1 + rng.randrange(4))
+        chain = decompose_rerailing(aut)
+        monkeypatch.setattr(cobuchi, "compute_Rij", recording)
+        restricted_rlta = build_rlta_chain(chain)
+        monkeypatch.setattr(cobuchi, "compute_Rij", whole_relation)
+        assert build_rlta_chain(chain) == restricted_rlta
+    restricted = 0
+    for (chain, trackers, domain, rel) in calls:
+        i, j = rel.i, rel.j
+        whole = compute_Rij(chain, trackers, i, j).tuples
+        assert rel.tuples == whole & domain, (i, j)
+        sizes = [1] + [tracker.state_count for (tracker, _map) in trackers] + [1]
+        restricted += len(domain) < sizes[i] * sizes[i + 1] * sizes[j] * sizes[j + 1]
+        if j == i + 1:
+            mirrored = compute_Rij(chain, trackers, j, i).tuples
+            assert {(c, d, a, b) for (a, b, c, d) in mirrored} == whole
+            assert not any(a == d for (a, _b, _c, d) in mirrored), (i, j)
+    assert restricted > 0
+
+
+def test_rij_arenas_stay_small_at_twenty_states(monkeypatch):
+    """Structural guard on the R_ij arenas: the vertices of every game solved
+    while minimizing a 20-state DPW.  Deciding the whole tracker product took
+    222,453 vertices over 7 games; the games restricted to the tuples
+    `build_rlta_chain` probes take about 20,000 over 5."""
+    sizes = []
+    original = cobuchi.solve
+
+    def counting(arena):
+        sizes.append(arena.vertex_count)
+        return original(arena)
+
+    monkeypatch.setattr(cobuchi, "solve", counting)
+    build.minimize_rerailing(oracles.random_dpw(random.Random(20), 20, 2, 3))
+    assert 0 < sum(sizes) < 45_000
 
 
 def test_inclusion_tiny():

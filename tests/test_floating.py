@@ -326,6 +326,11 @@ def test_floating_chain_roundtrip(uniform_flochain):
      "floating 1\nstates 1\nname 1 \"x\"\nlabel 0 0\n", "name given for missing state 1"),
     ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\nname 1 \"t\"\ntrans 0 a 0\n",
      "name given for missing state 1"),
+    ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n"
+     "floating 1\nstates 1\nname 0 \"x\"\nname 0 \"y\"\nlabel 0 0\n",
+     "duplicate name for state 0"),
+    ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n"
+     "floating 1\nstates 1\nlabel 0 0\nlabel 0 0\n", "duplicate label for state 0"),
 ])
 def test_parse_floating_chain_errors(text, hint):
     with pytest.raises(RafError) as err:

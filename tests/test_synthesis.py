@@ -128,10 +128,26 @@ def test_matches_deterministic_reference():
         assert realizability(spec, RG_IO) == (reference.initial in w0)
 
 
+def random_reachable_spec(rng, io, n_states, max_color):
+    """Complete deterministic spec with exactly n_states, all reachable."""
+    while True:
+        dpw = oracles.random_dpw(rng, n_states, len(io.combined), max_color)
+        if dpw.state_count == n_states:
+            return AutomatonStructure(io.combined, n_states, dpw.transitions, dpw.initial)
+
+
 def test_realizability_invariant_under_minimization():
+    """A minimized spec, often nondeterministic, keeps the realizability verdict."""
     rng = random.Random(52)
-    for _ in range(6):
-        spec = random_deterministic_spec(rng, RG_IO, 1 + rng.randrange(3),
-                                         rng.randrange(3))
+    verdicts = set()
+    nondeterministic = 0
+    for _ in range(60):
+        spec = random_reachable_spec(rng, RG_IO, 2 + rng.randrange(4), 1 + rng.randrange(3))
         small = minimize_rerailing(spec)
-        assert realizability(small, RG_IO) == realizability(spec, RG_IO)
+        verdict = realizability(spec, RG_IO)
+        assert realizability(small, RG_IO) == verdict
+        verdicts.add(verdict)
+        moves = {(src, sym) for (src, sym, _dst, _color) in small.transitions}
+        nondeterministic += len(moves) < len(small.transitions)
+    assert verdicts == {True, False}
+    assert nondeterministic > 0
