@@ -17,7 +17,7 @@ from .floating import (empty_floating, level0_floating, max_accepting_sccs,
                        minimize_floating, product_floating, residualize_chain,
                        restrict_floating, safe_subset, union_floating,
                        FloatingAutomaton)
-from .lasso import LassoProduct, enumerate_lassos
+from .lasso import LassoSweep, enumerate_lassos
 from .raf import AutomatonStructure, validate_complete
 
 
@@ -168,25 +168,18 @@ class RerailingVerdict:
         return not self.violations
 
 
-def _check_lasso(aut, lasso):
-    product = LassoProduct(aut, lasso)
-    analysis = product.analysis()
-    member = max(analysis.achievable[0]) % 2 == 0
-    violations = []
-    for (site, achievable, uniform) in sorted(zip(product.nodes, analysis.achievable,
-                                                  analysis.uniform)):
-        parity_ok = [c for c in uniform if (c % 2 == 0) == member]
-        if not uniform:
-            reason = "no-uniform-successor"
-        elif not parity_ok:
-            reason = "parity-mismatch"
-        else:
-            reason = "color-decrease"
-        best = max(parity_ok, default=-1)
-        violations.extend((site, d, reason) for d in sorted(achievable) if d > best)
-    if violations:
-        return RerailingVerdict(lasso, member, tuple(violations))
-    return None
+def _node_violations(achievable, uniform, member):
+    """(d, reason) for each achievable color d that no uniform color of the
+    verdict's evenness reaches from above."""
+    parity_ok = [c for c in uniform if (c % 2 == 0) == member]
+    if not uniform:
+        reason = "no-uniform-successor"
+    elif not parity_ok:
+        reason = "parity-mismatch"
+    else:
+        reason = "color-decrease"
+    best = max(parity_ok, default=-1)
+    return tuple((d, reason) for d in sorted(achievable) if d > best)
 
 
 def verify_rerailing_bounded(aut, stem_bound, cycle_bound):
@@ -195,14 +188,27 @@ def verify_rerailing_bounded(aut, stem_bound, cycle_bound):
     A lasso passes when from every reachable product node and every
     achievable dominating color d, some node is reachable whose only
     achievable color c is a single value with c >= d and the evenness of the
-    membership verdict.  Returns the verdicts of failing lassos only.
+    membership verdict.  Returns the verdicts of failing lassos only, each
+    listing its violations sorted by node, then d.
     """
     missing = validate_complete(aut)
     if missing:
         raise ValueError("input automaton incomplete at %s" % (missing[:5],))
+    sweep = LassoSweep(aut)
+    rule = {}
     failures = []
     for lasso in enumerate_lassos(len(aut.alphabet), stem_bound, cycle_bound):
-        verdict = _check_lasso(aut, lasso)
-        if verdict is not None:
-            failures.append(verdict)
+        member = max(sweep.colors(lasso)) % 2 == 0
+        found = []
+        for (site, achievable, uniform) in sweep.node_sets(lasso):
+            key = (achievable, uniform, member)
+            at = rule.get(key)
+            if at is None:
+                at = rule[key] = _node_violations(achievable, uniform, member)
+            if at:
+                found.append((site, at))
+        if found:
+            found.sort()
+            failures.append(RerailingVerdict(lasso, member, tuple(
+                (site, d, reason) for (site, at) in found for (d, reason) in at)))
     return failures

@@ -245,8 +245,8 @@ def _build_parser():
     p = sub.add_parser("equiv", help="compare two objects on all bounded lassos")
     p.add_argument("-a", required=True)
     p.add_argument("-b", required=True)
-    p.add_argument("--sem-a", default="rerailing")
-    p.add_argument("--sem-b", default="rerailing")
+    p.add_argument("--sem-a", default="rerailing", choices=SEMANTICS)
+    p.add_argument("--sem-b", default="rerailing", choices=SEMANTICS)
     p.add_argument("--bound-stem", type=_positive, default=4)
     p.add_argument("--bound-cycle", type=_positive, default=4)
     p.set_defaults(func=cmd_equiv)

@@ -100,7 +100,12 @@ def enumerate_lassos(n_symbols, stem_bound, cycle_bound):
 
     Yields canonical forms only, ordered by stem length, stem, cycle length,
     cycle; "first" counterexamples throughout the package refer to this order.
+    A negative stem bound or a cycle bound below 1 is a ValueError, since it
+    would make every sweep over the lassos pass vacuously.
     """
+    if stem_bound < 0 or cycle_bound < 1:
+        raise ValueError("lasso bounds need stem >= 0 and cycle >= 1, got stem %d, cycle %d"
+                         % (stem_bound, cycle_bound))
     return iter(_canonical_lassos(n_symbols, stem_bound, cycle_bound))
 
 
@@ -109,18 +114,20 @@ class LassoProduct:
 
     Positions 0..len(stem)+len(cycle)-1 index the letter about to be read;
     the last position wraps back to the start of the cycle.  Nodes are the
-    pairs reachable from (initial, 0), numbered in the order the walk
-    discovers them: node 0 is (initial, 0), nodes[i] is the (state, position)
-    pair of node i and adjacency[i] its list of (child, color) edges.
+    pairs reachable from the distinct (state, position) pairs `starts`, by
+    default (initial, 0) alone.  They are numbered in the order the walk
+    discovers them, the starts first and in their given order: nodes[i] is
+    the (state, position) pair of node i and adjacency[i] its list of
+    (child, color) edges.
     """
 
-    def __init__(self, aut, lasso):
+    def __init__(self, aut, lasso, starts=None):
         lasso = lasso.canonical()
         letters = lasso.stem + lasso.cycle
         wrap = len(lasso.stem)
         last = len(letters) - 1
-        nodes = [(aut.initial, 0)]
-        number = {nodes[0]: 0}
+        nodes = [(aut.initial, 0)] if starts is None else list(starts)
+        number = {node: i for i, node in enumerate(nodes)}
         adjacency = []
         for (state, pos) in nodes:
             nxt = pos + 1 if pos < last else wrap
@@ -220,9 +227,149 @@ class _ProductAnalysis:
         self.uniform = [uniform[c] for c in comp_of]
 
 
+class LassoSweep:
+    """Product analyses of one automaton shared across many canonical lassos.
+
+    Key fact: the verdict on a canonical lasso u.v^omega depends only on
+    R(u), the set of states reached by reading u, and on the analysis of the
+    automaton x v product.  The lasso's cycle nodes are the nodes of that
+    product reachable from R(u) at the first letter of v, a node's
+    achievable and uniform sets depend only on what is reachable from it,
+    and the rotations of v have the same product up to a shift of offsets.
+
+    So the sweep analyses each conjugacy class of primitive cycles once, on
+    first use, keyed by its least rotation w: one LassoProduct of the
+    automaton with w^omega walked from every (state, offset) node, where
+    node k*|Q| + q is (q, k).  Rotation mapping: the cycle v = w[r:] + w[:r]
+    enters w at offset r, so the lasso node (q, len(u) + j) is the class
+    node (q, (r + j) mod |w|).  Stem positions only grow, so each stem node
+    is a trivial SCC: its achievable set is the union over its children, and
+    its uniform set the union over its children plus the achievable set when
+    that is a single color.
+
+    R(u) per stem u, and the colors and cycle nodes per (v, R(u)), are
+    memoized.  Lassos must be canonical, as those of enumerate_lassos are;
+    on each, every node's sets equal those of LassoProduct(aut,
+    lasso).analysis().
+    """
+
+    def __init__(self, aut):
+        self.aut = aut
+        self._classes = {}      # least rotation w -> (product, analysis) of aut x w
+        self._cycles = {}       # cycle v -> (class product, analysis, entry offset r)
+        self._reached = {(): frozenset((aut.initial,))}
+        self._colors = {}       # (cycle, reached states) -> colors
+        self._cycle_nodes = {}  # (cycle, reached states) -> [(state, offset j, class node)]
+
+    def _class_of(self, cycle):
+        found = self._cycles.get(cycle)
+        if found is None:
+            size = len(cycle)
+            shift = min(range(size), key=lambda i: cycle[i:] + cycle[:i])
+            word = cycle[shift:] + cycle[:shift]
+            analysed = self._classes.get(word)
+            if analysed is None:
+                starts = [(q, k) for k in range(size) for q in range(self.aut.state_count)]
+                product = LassoProduct(self.aut, LassoWord((), word), starts)
+                analysed = self._classes[word] = (product, product.analysis())
+            found = self._cycles[cycle] = analysed + ((size - shift) % size,)
+        return found
+
+    def _states_after(self, stem):
+        """The set of states reached from the initial state by reading `stem`."""
+        states = self._reached.get(stem)
+        if states is None:
+            succ = self.aut.successors
+            states = self._reached[stem] = frozenset(
+                dst for q in self._states_after(stem[:-1]) for (dst, _c) in succ(q, stem[-1]))
+        return states
+
+    def colors(self, lasso):
+        """Dominating colors of the runs over `lasso` (achievable set of its node 0)."""
+        reached = self._states_after(lasso.stem)
+        key = (lasso.cycle, reached)
+        colors = self._colors.get(key)
+        if colors is None:
+            (_product, analysis, entry) = self._class_of(lasso.cycle)
+            base = entry * self.aut.state_count
+            colors = self._colors[key] = frozenset().union(
+                *(analysis.achievable[base + q] for q in reached))
+        return colors
+
+    def node_sets(self, lasso):
+        """Yield ((state, position), achievable, uniform) for each node of `lasso`."""
+        stem, cycle = lasso.stem, lasso.cycle
+        (product, analysis, entry) = self._class_of(cycle)
+        achievable, uniform = analysis.achievable, analysis.uniform
+        reached = self._states_after(stem)
+        base = entry * self.aut.state_count
+        key = (cycle, reached)
+        cycle_nodes = self._cycle_nodes.get(key)
+        if cycle_nodes is None:
+            seen = {base + q for q in reached}
+            stack = list(seen)
+            while stack:
+                for (child, _c) in product.adjacency[stack.pop()]:
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
+            size = len(cycle)
+            cycle_nodes = self._cycle_nodes[key] = [
+                (product.nodes[i][0], (product.nodes[i][1] - entry) % size, i)
+                for i in seen]
+        m = len(stem)
+        for (q, j, i) in cycle_nodes:
+            yield (q, m + j), achievable[i], uniform[i]
+        # backward pass along the stem, from the entry nodes of the cycle
+        later = {q: (achievable[base + q], uniform[base + q]) for q in reached}
+        succ = self.aut.successors
+        for k in range(m - 1, -1, -1):
+            current = {}
+            for q in self._states_after(stem[:k]):
+                acc = set()
+                uni = set()
+                for (dst, _c) in succ(q, stem[k]):
+                    (a, u) = later[dst]
+                    acc |= a
+                    uni |= u
+                if len(acc) == 1:
+                    uni |= acc
+                (a, u) = current[q] = (frozenset(acc), frozenset(uni))
+                yield (q, k), a, u
+            later = current
+
+
 def _run_colors(aut, lasso):
     """Dominating colors of the runs of `aut` over `lasso` (node 0 of its product)."""
     return LassoProduct(aut, lasso).analysis().achievable[0]
+
+
+# Verdicts of the semantics decided by the dominating colors of all runs.
+
+def _rerailing_verdict(aut, colors):
+    if not colors:
+        raise ValueError("no infinite run: automaton incomplete along the lasso")
+    return max(colors) % 2 == 0
+
+
+def _parity_exists_verdict(aut, colors):
+    if not colors:
+        raise ValueError("no infinite run: automaton incomplete along the lasso")
+    return any(c % 2 == 0 for c in colors)
+
+
+def _cobuchi_verdict(aut, colors):
+    bad = {c for c in aut.colors if c not in (1, 2)}
+    if bad:
+        raise ValueError("co-Buchi automata use colors 1 and 2 only, found %s" % sorted(bad))
+    return 2 in colors
+
+
+_COLOR_VERDICTS = {
+    "rerailing": _rerailing_verdict,
+    "parity-exists": _parity_exists_verdict,
+    "cobuchi": _cobuchi_verdict,
+}
 
 
 def member_rerailing(aut, lasso):
@@ -231,18 +378,12 @@ def member_rerailing(aut, lasso):
     The word is accepted iff the maximum over the dominating colors of all its
     runs is even.
     """
-    colors = _run_colors(aut, lasso)
-    if not colors:
-        raise ValueError("no infinite run: automaton incomplete along the lasso")
-    return max(colors) % 2 == 0
+    return _rerailing_verdict(aut, _run_colors(aut, lasso))
 
 
 def member_parity_exists(aut, lasso):
     """True iff some run's dominating color is even (nondeterministic min-parity)."""
-    colors = _run_colors(aut, lasso)
-    if not colors:
-        raise ValueError("no infinite run: automaton incomplete along the lasso")
-    return any(c % 2 == 0 for c in colors)
+    return _parity_exists_verdict(aut, _run_colors(aut, lasso))
 
 
 def member_parity_det(aut, lasso):
@@ -272,10 +413,7 @@ def member_parity_det(aut, lasso):
 
 def member_cobuchi(aut, lasso):
     """Co-Buchi acceptance: some run eventually takes only color-2 transitions."""
-    bad = {c for c in aut.colors if c not in (1, 2)}
-    if bad:
-        raise ValueError("co-Buchi automata use colors 1 and 2 only, found %s" % sorted(bad))
-    return 2 in _run_colors(aut, lasso)
+    return _cobuchi_verdict(aut, _run_colors(aut, lasso))
 
 
 # Semantics name -> (module, membership test).  The test is looked up on
@@ -301,6 +439,15 @@ def membership_function(obj, semantics):
     return lambda w: member(obj, w)
 
 
+def _sweep_function(obj, semantics):
+    """Like membership_function, but decides the color semantics by one LassoSweep."""
+    verdict = _COLOR_VERDICTS.get(semantics)
+    if verdict is None:
+        return membership_function(obj, semantics)
+    sweep = LassoSweep(obj)
+    return lambda w: verdict(obj, sweep.colors(w))
+
+
 def bounded_equivalence(a, sem_a, b, sem_b, stem_bound, cycle_bound):
     """First lasso within the bounds on which the two semantics disagree.
 
@@ -309,8 +456,8 @@ def bounded_equivalence(a, sem_a, b, sem_b, stem_bound, cycle_bound):
     """
     if a.alphabet != b.alphabet:
         raise ValueError("operands use different alphabets")
-    fa = membership_function(a, sem_a)
-    fb = membership_function(b, sem_b)
+    fa = _sweep_function(a, sem_a)
+    fb = _sweep_function(b, sem_b)
     for lasso in enumerate_lassos(len(a.alphabet), stem_bound, cycle_bound):
         if fa(lasso) != fb(lasso):
             return lasso

@@ -298,3 +298,30 @@ def test_verify_matches_violation_oracle():
         assert got == expected
         reasons |= {reason for (_w, _m, vs) in expected for (_n, _d, reason) in vs}
     assert reasons == {"no-uniform-successor", "parity-mismatch", "color-decrease"}
+
+
+def test_verify_matches_violation_oracle_on_rotated_cycles():
+    """Cycles up to length 4 enter their class product at every rotation offset.
+
+    At cycle bound 2 a cycle and its rotation give mirror-image offsets, so
+    only longer cycles tell a wrong rotation mapping from the right one.
+    """
+    rng = random.Random(47)
+    for k in range(20):
+        aut = oracles.random_complete_automaton(rng, 2 + rng.randrange(3), 2,
+                                                1 + rng.randrange(4), fanout=1 + k % 2)
+        expected = []
+        for w in enumerate_lassos(2, 2, 4):
+            violations = oracles.rerailing_violations(aut, w)
+            if violations:
+                expected.append((w, oracles.member_rerailing(aut, w), tuple(violations)))
+        got = [(v.lasso, v.member, v.violations) for v in verify_rerailing_bounded(aut, 2, 4)]
+        assert got == expected
+
+
+def test_verify_rejects_empty_bounds(hd5):
+    with pytest.raises(ValueError, match="lasso bounds"):
+        verify_rerailing_bounded(hd5, 2, 0)
+    with pytest.raises(ValueError, match="lasso bounds"):
+        verify_rerailing_bounded(hd5, -1, 2)
+    assert verify_rerailing_bounded(hd5, 0, 1) == []

@@ -126,6 +126,17 @@ def test_equiv_reports_counterexample(tmp_path, capsys):
     assert capsys.readouterr().out == "not equivalent\n;a\n"
 
 
+def test_equiv_rejects_unknown_semantics(capsys):
+    assert run_cli("equiv", "-a", CHAIN3, "-b", CHAIN3, "--sem-a", "chian",
+                   "--sem-b", "chain") == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'chian'" in err
+    assert "needs a" not in err
+    assert run_cli("equiv", "-a", CHAIN3, "-b", CHAIN3, "--sem-a", "chain",
+                   "--sem-b", "chian") == 1
+    assert "invalid choice: 'chian'" in capsys.readouterr().err
+
+
 def test_verify_reports_violation(tmp_path, capsys):
     bad = AutomatonStructure(Alphabet(("a",)), 3,
                              [(0, 0, 1, 0), (0, 0, 2, 0),

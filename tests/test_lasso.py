@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rerail.lasso import (LassoWord, bounded_equivalence, enumerate_lassos,
-                          format_lasso, member_cobuchi, member_parity_det,
-                          member_parity_exists, member_rerailing,
+from rerail import lasso as lasso_mod
+from rerail.lasso import (LassoProduct, LassoSweep, LassoWord, bounded_equivalence,
+                          enumerate_lassos, format_lasso, member_cobuchi,
+                          member_parity_det, member_parity_exists, member_rerailing,
                           membership_function, parse_lasso)
 from rerail.raf import Alphabet, AutomatonStructure
 
@@ -167,3 +168,154 @@ def test_bounded_equivalence_counterexample():
     reject = AutomatonStructure(one, 1, [(0, 0, 0, 1)], 0)
     witness = bounded_equivalence(accept, "rerailing", reject, "rerailing", 2, 2)
     assert witness == LassoWord((), (0,))
+
+
+def test_enumerate_lassos_rejects_empty_bounds():
+    with pytest.raises(ValueError, match="lasso bounds"):
+        enumerate_lassos(2, 2, 0)
+    with pytest.raises(ValueError, match="lasso bounds"):
+        enumerate_lassos(2, -1, 2)
+    assert list(enumerate_lassos(2, 0, 1)) == [LassoWord((), (0,)), LassoWord((), (1,))]
+
+
+def test_bounded_equivalence_rejects_empty_bounds(minimal5):
+    for (stem_bound, cycle_bound) in [(2, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="lasso bounds"):
+            bounded_equivalence(minimal5, "rerailing", minimal5, "parity-det",
+                                stem_bound, cycle_bound)
+
+
+def test_sweep_node_sets_match_one_lasso_products():
+    """Every node of every lasso gets the sets of its one-lasso product."""
+    rng = random.Random(41)
+    for k in range(40):
+        aut = oracles.random_complete_automaton(rng, 1 + rng.randrange(4),
+                                                2 + k % 2, 1 + rng.randrange(4))
+        if k % 4 == 3:
+            aut = _partial(rng, aut)
+        sweep = LassoSweep(aut)
+        for w in enumerate_lassos(len(aut.alphabet), 2, 4 - k % 2):
+            product = LassoProduct(aut, w)
+            analysis = product.analysis()
+            expected = sorted(zip(product.nodes, analysis.achievable, analysis.uniform))
+            assert sorted(sweep.node_sets(w)) == expected, (k, w)
+            assert sweep.colors(w) == analysis.achievable[0], (k, w)
+
+
+def _perturbed(rng, aut, extra):
+    """`aut` with one transition recolored and `extra` random transitions added."""
+    transitions = list(aut.transitions)
+    k = rng.randrange(len(transitions))
+    (q, a, d, _c) = transitions[k]
+    transitions[k] = (q, a, d, rng.randrange(aut.max_color + 2))
+    taken = {t[:3] for t in transitions}
+    for _ in range(extra):
+        edge = (rng.randrange(aut.state_count), rng.randrange(len(aut.alphabet)),
+                rng.randrange(aut.state_count))
+        if edge not in taken:
+            taken.add(edge)
+            transitions.append(edge + (rng.randrange(aut.max_color + 1),))
+    return AutomatonStructure(aut.alphabet, aut.state_count, transitions, aut.initial)
+
+
+def _partial(rng, aut):
+    """`aut` with about a quarter of its transitions removed."""
+    kept = [t for t in aut.transitions if rng.randrange(4)]
+    return AutomatonStructure(aut.alphabet, aut.state_count, kept or aut.transitions[:1],
+                              aut.initial)
+
+
+def _first_difference(fa, fb, n_symbols, stem_bound, cycle_bound):
+    for w in lasso_mod.enumerate_lassos(n_symbols, stem_bound, cycle_bound):
+        if fa(w) != fb(w):
+            return w
+    return None
+
+
+def test_bounded_equivalence_matches_oracles():
+    rng = random.Random(43)
+    outcomes = set()
+    for k in range(40):
+        nsym = 2 + k % 2
+        dpw = oracles.random_dpw(rng, 2 + rng.randrange(4), nsym, 1 + rng.randrange(4))
+        if k % 2:
+            a, b, sem_b = _perturbed(rng, dpw, 2), dpw, "parity-det"
+            oracle_b = oracles.member_parity_det
+        else:
+            a = oracles.random_complete_automaton(rng, 2 + rng.randrange(3), nsym,
+                                                  1 + rng.randrange(4))
+            b, sem_b, oracle_b = _perturbed(rng, a, 1), "rerailing", oracles.member_rerailing
+        expected = _first_difference(lambda w: oracles.member_rerailing(a, w),
+                                     lambda w: oracle_b(b, w), nsym, 2, 4)
+        assert bounded_equivalence(a, "rerailing", b, sem_b, 2, 4) == expected, k
+        outcomes.add((sem_b, expected is None))
+    assert len(outcomes) == 4
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the error it raised with the last lasso enumerated."""
+    seen = []
+    enumerate_lassos = lasso_mod.enumerate_lassos
+
+    def recording(*bounds):
+        for w in enumerate_lassos(*bounds):
+            seen.append(w)
+            yield w
+
+    lasso_mod.enumerate_lassos = recording
+    try:
+        return ("result", fn(*args))
+    except ValueError as exc:
+        return ("error", str(exc), seen[-1])
+    finally:
+        lasso_mod.enumerate_lassos = enumerate_lassos
+
+
+def test_bounded_equivalence_on_partial_automata_fails_where_members_fail():
+    rng = random.Random(44)
+    kinds = set()
+    for k in range(40):
+        full = oracles.random_complete_automaton(rng, 2 + rng.randrange(3), 2,
+                                                 1 + rng.randrange(4))
+        a = _partial(rng, full)
+        b = full if k % 2 else _partial(rng, full)
+
+        def reference():
+            return _first_difference(lambda w: member_rerailing(a, w),
+                                     lambda w: member_rerailing(b, w), 2, 2, 4)
+        expected = _outcome(reference)
+        got = _outcome(bounded_equivalence, a, "rerailing", b, "rerailing", 2, 4)
+        assert got == expected, k
+        if expected[0] == "error":
+            kinds.add("error")
+        elif expected[1] is None:
+            kinds.add("equivalent")
+        elif all(_has_run(x, w) for x in (a, b) for w in enumerate_lassos(2, 2, 4)):
+            kinds.add("witness")
+        else:
+            kinds.add("witness before an error")
+    assert kinds == {"error", "equivalent", "witness", "witness before an error"}
+
+
+def _has_run(aut, lasso):
+    try:
+        member_rerailing(aut, lasso)
+    except ValueError:
+        return False
+    return True
+
+
+def test_bounded_equivalence_color_semantics_match_members():
+    rng = random.Random(45)
+    for k in range(30):
+        a = oracles.random_cobuchi_automaton(rng, 1 + rng.randrange(4), 2)
+        b = _perturbed(rng, a, 1) if k % 3 else a
+        for (sem, member) in [("parity-exists", member_parity_exists),
+                              ("cobuchi", member_cobuchi)]:
+            if sem == "cobuchi" and set(b.colors) - {1, 2}:
+                with pytest.raises(ValueError, match="co-Buchi"):
+                    bounded_equivalence(a, sem, b, sem, 2, 3)
+                continue
+            expected = _first_difference(lambda w: member(a, w), lambda w: member(b, w),
+                                         2, 2, 3)
+            assert bounded_equivalence(a, sem, b, sem, 2, 3) == expected, (k, sem)
