@@ -145,11 +145,8 @@ def minimize_rerailing(aut):
 
 def check_color_homogeneous(aut):
     """Whether all outgoing transitions of each (state, symbol) share a color."""
-    for q in range(aut.state_count):
-        for x in range(len(aut.alphabet)):
-            if len({c for (_dst, c) in aut.successors(q, x)}) > 1:
-                return False
-    return True
+    moves = {(q, x, c) for (q, x, _dst, c) in aut.transitions}
+    return len(moves) == len({(q, x) for (q, x, _c) in moves})
 
 
 @dataclass(frozen=True)

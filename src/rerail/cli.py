@@ -27,11 +27,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("bounds must be >= 1")
-    return value
+def _at_least(least):
+    def bound(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError("bounds must be >= %d" % least)
+        return value
+    return bound
 
 
 def _read_text(path):
@@ -183,9 +185,8 @@ def _automaton_stats(aut, heading=None):
         print("max color: %d" % aut.max_color)
         print("colors: %s" % " ".join(str(c) for c in aut.colors))
         complete = not validate_complete(aut)
-        deterministic = complete and all(
-            len(aut.successors(q, x)) == 1
-            for q in range(aut.state_count) for x in range(len(aut.alphabet)))
+        # complete, so one transition per (state, symbol) exactly when deterministic
+        deterministic = complete and len(aut.transitions) == aut.state_count * len(aut.alphabet)
         print("complete: %s" % ("yes" if complete else "no"))
         print("deterministic: %s" % ("yes" if deterministic else "no"))
         print("color-homogeneous: %s"
@@ -247,14 +248,14 @@ def _build_parser():
     p.add_argument("-b", required=True)
     p.add_argument("--sem-a", default="rerailing", choices=SEMANTICS)
     p.add_argument("--sem-b", default="rerailing", choices=SEMANTICS)
-    p.add_argument("--bound-stem", type=_positive, default=4)
-    p.add_argument("--bound-cycle", type=_positive, default=4)
+    p.add_argument("--bound-stem", type=_at_least(0), default=4)
+    p.add_argument("--bound-cycle", type=_at_least(1), default=4)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("verify", help="check the rerailing property on bounded lassos")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--bound-stem", type=_positive, default=4)
-    p.add_argument("--bound-cycle", type=_positive, default=4)
+    p.add_argument("--bound-stem", type=_at_least(0), default=4)
+    p.add_argument("--bound-cycle", type=_at_least(1), default=4)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("realizability", help="decide realizability of a specification")

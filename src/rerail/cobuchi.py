@@ -232,9 +232,7 @@ class Rlta:
         return self.delta[state][symbol]
 
     def state_name(self, state):
-        if self.names is not None:
-            return self.names[state]
-        return str(state)
+        return str(state) if self.names is None else self.names[state]
 
     def states_along(self, lasso, count):
         """Tracker states before positions 0..count-1 of the lasso."""

@@ -61,9 +61,7 @@ class FloatingAutomaton:
         return sorted((src, sym, dst) for (src, sym), dst in self.delta.items())
 
     def state_name(self, state):
-        if self.names is not None:
-            return self.names[state]
-        return str(state)
+        return str(state) if self.names is None else self.names[state]
 
     def states_with_label(self, rlta_state):
         return [q for q in range(self.state_count) if self.labels[q] == rlta_state]
@@ -112,10 +110,8 @@ class FloatingChain:
 
 def level0_floating(rlta):
     """The tracker viewed as a total floating automaton accepting everything."""
-    delta = {}
-    for s in range(rlta.state_count):
-        for x in range(len(rlta.alphabet)):
-            delta[(s, x)] = rlta.step(s, x)
+    delta = {(s, x): rlta.step(s, x)
+             for s in range(rlta.state_count) for x in range(len(rlta.alphabet))}
     names = [rlta.state_name(s) for s in range(rlta.state_count)]
     return FloatingAutomaton(rlta.alphabet, rlta.state_count, delta,
                              list(range(rlta.state_count)), rlta, names=names)

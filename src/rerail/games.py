@@ -8,7 +8,10 @@ from __future__ import annotations
 
 
 class GameArena:
-    """Game graph with vertex owners (0 or 1), vertex colors, and edge lists."""
+    """Game graph with vertex owners (0 or 1), vertex colors, and edge lists.
+
+    `names` is a list of display names or a function from vertex to name.
+    """
 
     def __init__(self, owners, colors, edges, initial=0, names=None):
         self.owners = list(owners)
@@ -19,35 +22,34 @@ class GameArena:
         if not 0 <= initial < n:
             raise ValueError("initial vertex out of range")
         self.initial = initial
-        cleaned = []
+        self.edges = []
         for v, succ in enumerate(edges):
-            row = sorted(set(succ))
+            row = sorted(set(succ)) if len(succ) > 1 else list(succ)
             if not row:
                 raise ValueError("vertex %d has no successor (arena must be total)" % v)
-            for w in row:
-                if not 0 <= w < n:
-                    raise ValueError("edge target out of range: %d -> %d" % (v, w))
-            cleaned.append(row)
-        if len(cleaned) != n:
+            if row[0] < 0 or row[-1] >= n:
+                raise ValueError("edge target out of range: %d -> %d"
+                                 % (v, row[0] if row[0] < 0 else row[-1]))
+            self.edges.append(row)
+        if len(self.edges) != n:
             raise ValueError("edge list length mismatch")
-        self.edges = cleaned
-        for v in range(n):
+        if not set(self.owners) <= {0, 1} or min(self.colors) < 0:
+            v = next(v for v in range(n) if self.owners[v] not in (0, 1) or self.colors[v] < 0)
             if self.owners[v] not in (0, 1):
                 raise ValueError("vertex %d has owner %r" % (v, self.owners[v]))
-            if self.colors[v] < 0:
-                raise ValueError("vertex %d has negative color" % v)
-        self.names = list(names) if names is not None else None
-        if self.names is not None and len(self.names) != n:
-            raise ValueError("names must have one entry per vertex")
+            raise ValueError("vertex %d has negative color" % v)
+        if names is not None and not callable(names):
+            if len(names) != n:
+                raise ValueError("names must have one entry per vertex")
+            names = list(names).__getitem__
+        self._name = names
 
     @property
     def vertex_count(self):
         return len(self.owners)
 
     def vertex_name(self, v):
-        if self.names is not None:
-            return self.names[v]
-        return str(v)
+        return str(v) if self._name is None else self._name(v)
 
     def dump_table(self):
         """Human/machine readable table: one line per vertex."""
@@ -62,9 +64,9 @@ class GameArena:
 class ArenaBuilder:
     """Incremental arena construction over hashable vertex keys.
 
-    Vertex ids follow first insertion.  Every new vertex id is pushed onto
-    `todo`, so a construction can expand the arena as a worklist; edges are
-    appended to `edges[id]`.
+    Vertex ids follow first insertion.  Every vertex that `vertex` adds is
+    pushed onto `todo`, so a construction can expand the arena as a worklist;
+    edges are appended to `edges[id]`.
     """
 
     def __init__(self):
@@ -79,17 +81,22 @@ class ArenaBuilder:
         """Id of the vertex `key`, added with owner and color when new."""
         vid = self.ids.get(key)
         if vid is None:
-            vid = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.owners.append(owner)
-            self.colors.append(color)
-            self.edges.append([])
+            vid = self.ids[key] = self.fresh(key, owner, color)
             self.todo.append(vid)
         return vid
 
+    def fresh(self, key, owner, color):
+        """Id of a vertex `key` added without a lookup, for a key known to be new."""
+        self.keys.append(key)
+        self.owners.append(owner)
+        self.colors.append(color)
+        self.edges.append([])
+        return len(self.keys) - 1
+
     def arena(self, initial=0, name=None):
-        """The finished arena; `name(key)` gives display names when supplied."""
-        names = None if name is None else [name(key) for key in self.keys]
+        """The finished arena; `name(key)` gives display names, computed on demand."""
+        keys = self.keys
+        names = None if name is None else lambda v: name(keys[v])
         return GameArena(self.owners, self.colors, self.edges, initial, names)
 
 

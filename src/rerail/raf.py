@@ -149,12 +149,8 @@ class AutomatonStructure:
 
 def validate_complete(aut):
     """Return the (state, symbol index) pairs lacking any outgoing transition."""
-    missing = []
-    for q in range(aut.state_count):
-        for a in range(len(aut.alphabet)):
-            if not aut.successors(q, a):
-                missing.append((q, a))
-    return missing
+    return [(q, a) for q in range(aut.state_count) for a in range(len(aut.alphabet))
+            if not aut.successors(q, a)]
 
 
 def parse_automaton(text):
@@ -164,8 +160,7 @@ def parse_automaton(text):
     `name <k> "<display>"` lines and `trans <src> <sym> <dst> <color>` lines.
     `#` starts a comment.  Duplicate identical transitions are tolerated.
     """
-    body = _parse_raf_body(_numbered_lines(text), require_version="raf 1", with_colors=True)
-    return body
+    return _parse_raf_body(_numbered_lines(text), require_version="raf 1", with_colors=True)
 
 
 def serialize_automaton(aut):

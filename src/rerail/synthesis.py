@@ -13,7 +13,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .build import check_color_homogeneous
 from .games import ArenaBuilder, solve
 from .raf import Alphabet
 
@@ -57,38 +56,45 @@ def build_realizability_game(r, io):
     if r.alphabet != io.combined:
         raise ValueError("specification alphabet must be the combined "
                          "input/output alphabet (input-major, '<in>|<out>' names)")
-    if not check_color_homogeneous(r):
-        warnings.warn("specification is not color-homogeneous; the game is "
-                      "built anyway but the construction is only proven for "
-                      "color-homogeneous automata")
-    top = r.max_color
+    (top, nout, nsym) = (r.max_color, len(io.outputs), len(r.alphabet))
 
     def name(key):
         if key[0] == "q":
             return r.state_name(key[1])
         if key[0] == "y":
             return "%s / %s" % (r.state_name(key[1]), io.outputs.symbols[key[2]])
-        (_tag, members, c) = key
-        return "{%s}:%d" % (",".join(r.state_name(m) for m in sorted(members)), c)
+        (members, c) = key
+        return "{%s}:%d" % (",".join(r.state_name(m) for m in members), c)
 
     builder = ArenaBuilder()
-    vertex, edges = builder.vertex, builder.edges
+    fresh, ids, edges, successors = builder.fresh, builder.ids, builder.edges, r.successors
     for q in range(r.state_count):
-        vertex(("q", q), 0, top)          # state q is vertex q
+        fresh(("q", q), 0, top)           # state q is vertex q
+    homogeneous = True
     for q in range(r.state_count):
-        for yi in range(len(io.outputs)):
-            out_id = vertex(("y", q, yi), 1, top)
+        for yi in range(nout):
+            out_id = fresh(("y", q, yi), 1, top)
             edges[q].append(out_id)
-            for xi in range(len(io.inputs)):
-                classes = {}
-                for (dst, c) in r.successors(q, io.combined_index(xi, yi)):
-                    classes.setdefault(c, set()).add(dst)
-                for c in sorted(classes):
-                    members = frozenset(classes[c])
-                    class_id = vertex(("c", members, c), 0 if c % 2 else 1, c)
-                    if not edges[class_id]:
+            row = edges[out_id]
+            for x in range(yi, nsym, nout):       # the symbols (xi, yi), input-major
+                pairs = successors(q, x)          # sorted by target
+                if len(pairs) == 1:
+                    ((dst, c),) = pairs
+                    classes = (((dst,), c),)
+                else:                             # a class (members, color) per color
+                    colors = sorted({c for (_dst, c) in pairs})
+                    homogeneous = homogeneous and len(colors) < 2
+                    classes = [(tuple([d for (d, e) in pairs if e == c]), c) for c in colors]
+                for key in classes:
+                    class_id = ids.get(key)
+                    if class_id is None:
+                        (members, c) = key
+                        class_id = ids[key] = fresh(key, 0 if c % 2 else 1, c)
                         edges[class_id].extend(members)
-                    edges[out_id].append(class_id)
+                    row.append(class_id)
+    if not homogeneous:
+        warnings.warn("specification is not color-homogeneous; the game is built anyway "
+                      "but the construction is only proven for color-homogeneous automata")
     return builder.arena(initial=r.initial, name=name)
 
 

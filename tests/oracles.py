@@ -178,7 +178,7 @@ def member_parity_exists(aut, lasso):
 def member_parity_det(aut, lasso):
     colors = dominating_colors(aut, lasso)
     assert len(colors) == 1, "automaton is not deterministic"
-    return member_rerailing(aut, lasso)
+    return max(colors) % 2 == 0
 
 
 def member_cobuchi(aut, lasso):

@@ -226,8 +226,28 @@ def test_argparse_failures(capsys):
     capsys.readouterr()
     assert run_cli("membership", "-i", MINIMAL5) == 1
     capsys.readouterr()
-    assert run_cli("verify", "-i", MINIMAL5, "--bound-stem", "0") == 1
-    assert "bounds must be >= 1" in capsys.readouterr().err
+    for command in (("verify", "-i", MINIMAL5), ("equiv", "-a", MINIMAL5, "-b", MINIMAL5)):
+        assert run_cli(*command, "--bound-stem", "-1") == 1
+        assert "bounds must be >= 0" in capsys.readouterr().err
+        assert run_cli(*command, "--bound-cycle", "0") == 1
+        assert "bounds must be >= 1" in capsys.readouterr().err
+
+
+def test_stem_bound_zero(tmp_path, capsys):
+    out = str(tmp_path / "min.raf")
+    assert run_cli("build-min", "--chain", FLOCHAIN3, "-o", out) == 0
+    assert run_cli("verify", "-i", out, "--bound-stem", "0", "--bound-cycle", "2") == 0
+    assert capsys.readouterr().out == "rerailing property holds (stem<=0, cycle<=2)\n"
+    assert run_cli("equiv", "-a", MINIMAL5, "-b", out,
+                   "--bound-stem", "0", "--bound-cycle", "2") == 0
+    assert capsys.readouterr().out == "equivalent (within bounds)\n"
+    accept = AutomatonStructure(Alphabet(("a",)), 1, [(0, 0, 0, 0)], 0)
+    reject = AutomatonStructure(Alphabet(("a",)), 1, [(0, 0, 0, 1)], 0)
+    (tmp_path / "acc.raf").write_text(serialize_automaton(accept))
+    (tmp_path / "rej.raf").write_text(serialize_automaton(reject))
+    assert run_cli("equiv", "-a", str(tmp_path / "acc.raf"), "-b", str(tmp_path / "rej.raf"),
+                   "--bound-stem", "0", "--bound-cycle", "1") == 2
+    assert capsys.readouterr().out == "not equivalent\n;a\n"
 
 
 def test_module_entry_point():

@@ -25,17 +25,27 @@ def test_arena_basics():
 def test_arena_edges_sorted_deduped():
     arena = GameArena([0, 1], [0, 1], [[1, 0, 1], [0]])
     assert arena.edges[0] == [0, 1]
+    arena = GameArena([0, 1, 0], [0, 1, 2], [[2, 2], [1], [2, 0, 2]])
+    assert arena.edges == [[2], [1], [0, 2]]
 
 
-@pytest.mark.parametrize("owners,colors,edges", [
-    ([0, 1], [0], [[1], [0]]),          # length mismatch
-    ([0, 1], [0, 1], [[1], []]),        # dead end
-    ([0], [0], [[1]]),                  # target out of range
-    ([2], [0], [[0]]),                  # bad owner
-    ([0], [-1], [[0]]),                 # negative color
+@pytest.mark.parametrize("owners,colors,edges,message", [
+    ([0, 1], [0], [[1], [0]], "equal length"),
+    ([0, 1], [0, 1], [[1], []], "vertex 1 has no successor"),
+    ([0], [0], [[1]], "out of range: 0 -> 1"),
+    ([0, 0], [0, 0], [[1], [1, 2, 0]], "out of range: 1 -> 2"),
+    ([0, 0], [0, 0], [[1], [-1]], "out of range: 1 -> -1"),
+    ([0, 0], [0, 0], [[1, -1], [0]], "out of range: 0 -> -1"),
+    ([0, 0], [0, 0], [[1], [5], []], "out of range: 1 -> 5"),
+    ([0, 0], [0, 0], [[1]], "edge list length mismatch"),
+    ([0, 0], [0, 0], [[1], [0], [0]], "edge list length mismatch"),
+    ([2], [0], [[0]], "vertex 0 has owner 2"),
+    ([0], [-1], [[0]], "vertex 0 has negative color"),
+    ([0, 0, 5], [0, -1, 0], [[0], [0], [0]], "vertex 1 has negative color"),
+    ([0, 5, 0], [0, 0, -1], [[0], [0], [0]], "vertex 1 has owner 5"),
 ])
-def test_arena_rejects(owners, colors, edges):
-    with pytest.raises(ValueError):
+def test_arena_rejects(owners, colors, edges, message):
+    with pytest.raises(ValueError, match=message):
         GameArena(owners, colors, edges)
 
 
@@ -62,8 +72,8 @@ def test_arena_builder():
     arena = builder.arena(initial=b, name=lambda key: str(key).upper())
     assert (arena.owners, arena.colors, arena.edges) == ([0, 1], [2, 1], [[1], [0]])
     assert arena.initial == 1
-    assert arena.names == ["A", "('B', 1)"]
-    assert builder.arena().names is None
+    assert [arena.vertex_name(v) for v in (0, 1)] == ["A", "('B', 1)"]
+    assert builder.arena().vertex_name(1) == "1"
 
 
 def test_dump_table():

@@ -1,8 +1,10 @@
+import hashlib
 import random
+import warnings
 
 import pytest
 
-from rerail.build import minimize_rerailing
+from rerail.build import check_color_homogeneous, minimize_rerailing
 from rerail.games import solve
 from rerail.raf import Alphabet, AutomatonStructure
 from rerail.synthesis import (IoAlphabet, build_realizability_game,
@@ -151,3 +153,94 @@ def test_realizability_invariant_under_minimization():
         nondeterministic += len(moves) < len(small.transitions)
     assert verdicts == {True, False}
     assert nondeterministic > 0
+
+
+IO3 = IoAlphabet(Alphabet(("x0", "x1", "x2")), Alphabet(("y0", "y1", "y2")))
+
+
+def doubled(spec):
+    """Twin every state; each transition goes to both copies of its target.
+
+    The classes are two-member and shared by a state and its twin.
+    """
+    n = spec.state_count
+    transitions = []
+    for (s, x, d, c) in spec.transitions:
+        for src in (s, s + n):
+            transitions += [(src, x, d, c), (src, x, d + n, c)]
+    return AutomatonStructure(spec.alphabet, 2 * n, transitions, spec.initial)
+
+
+def random_nondeterministic_spec(rng, io, n_states, max_color, homogeneous):
+    """Complete spec with 1..3 successors per move; one color per move if homogeneous."""
+    transitions = []
+    for q in range(n_states):
+        for x in range(len(io.combined)):
+            color = rng.randint(0, max_color)
+            for dst in rng.sample(range(n_states), min(n_states, 1 + rng.randrange(3))):
+                transitions.append((q, x, dst, color if homogeneous
+                                    else rng.randint(0, max_color)))
+    return AutomatonStructure(io.combined, n_states, transitions, 0)
+
+
+def pinned_specs():
+    """28 seeded specs whose realizability arenas are pinned by digest."""
+    rng = random.Random(8080)
+    specs = []
+    for io in (RG_IO, IO3):
+        for n in (1, 2, 5, 9, 17):
+            specs.append((random_deterministic_spec(rng, io, n, rng.randint(0, 6)), io))
+        for n in (1, 3, 6, 11):
+            specs.append((doubled(random_deterministic_spec(rng, io, n, rng.randint(1, 5))), io))
+        for n in (2, 4, 7):
+            specs.append((random_nondeterministic_spec(rng, io, n, 4, True), io))
+    for n in (3, 6):
+        specs.append((random_nondeterministic_spec(rng, RG_IO, n, 3, False), RG_IO))
+    # the same class behind every input, and named states
+    specs.append((grant_infinitely_often(), RG_IO))
+    named = AutomatonStructure(RG_IO.combined, 2,
+                               [(q, x, 1 - q, 2) for q in range(2) for x in range(4)],
+                               0, state_names={0: "idle", 1: "busy"})
+    specs.append((named, RG_IO))
+    return specs
+
+
+PINNED_ARENA_SHA256 = "3e20aeab42d04b7226e4b9f7696067ec5c98eeae4daf1baf56c5329a1051ada6"
+
+
+def test_pinned_arenas_unchanged():
+    """The dump tables of the pinned specs' arenas, concatenated, keep one digest."""
+    tables = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for (spec, io) in pinned_specs():
+            tables.append(build_realizability_game(spec, io).dump_table())
+    digest = hashlib.sha256("".join(tables).encode("utf-8")).hexdigest()
+    assert len(tables) == 28
+    assert digest == PINNED_ARENA_SHA256
+
+
+def test_vertex_names_of_a_built_arena():
+    (named, io) = pinned_specs()[-1]
+    arena = build_realizability_game(named, io)
+    assert [arena.vertex_name(v) for v in range(arena.vertex_count)] == [
+        "idle", "busy", "idle / g", "{busy}:2", "idle / w", "busy / g", "{idle}:2",
+        "busy / w"]
+
+
+def test_warns_exactly_on_non_homogeneous_specs():
+    rng = random.Random(53)
+    seen = set()
+    for i in range(60):
+        io = IO3 if i % 3 == 0 else RG_IO
+        spec = random_nondeterministic_spec(rng, io, 1 + rng.randrange(5), 3, i % 2 == 0)
+        homogeneous = check_color_homogeneous(spec)
+        seen.add(homogeneous)
+        if homogeneous:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                build_realizability_game(spec, io)
+        else:
+            with pytest.warns(UserWarning, match="not color-homogeneous"):
+                build_realizability_game(spec, io)
+    assert seen == {True, False}
