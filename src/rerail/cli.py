@@ -68,23 +68,11 @@ def _load_automaton(path):
     return obj
 
 
-def _check_semantics_object(obj, semantics):
-    if semantics == "chain":
-        if not isinstance(obj, cobuchi.Chain):
-            raise ValueError("semantics 'chain' needs a 'cocoa 1' input file")
-    elif semantics == "floating":
-        if not isinstance(obj, floating.FloatingChain):
-            raise ValueError("semantics 'floating' needs a 'flochain 1' input file")
-    elif not isinstance(obj, AutomatonStructure):
-        raise ValueError("semantics %r needs a 'raf 1' input file" % semantics)
-
-
 def cmd_membership(args):
     obj = _load_any(args.input)
-    _check_semantics_object(obj, args.sem)
+    member = membership_function(obj, args.sem)
     word = parse_lasso(args.lasso, obj.alphabet)
-    verdict = membership_function(obj, args.sem)(word)
-    if verdict:
+    if member(word):
         print("accept")
         return 0
     print("reject")
@@ -132,8 +120,6 @@ def cmd_minimize(args):
 def cmd_equiv(args):
     a = _load_any(args.a)
     b = _load_any(args.b)
-    _check_semantics_object(a, args.sem_a)
-    _check_semantics_object(b, args.sem_b)
     witness = bounded_equivalence(a, args.sem_a, b, args.sem_b,
                                   args.bound_stem, args.bound_cycle)
     if witness is None:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
-from .lasso import member_cobuchi, enumerate_lassos
+from .lasso import accepting_level, enumerate_lassos, membership_function
 from .raf import (AutomatonStructure, RafError, equireach_relation, validate_complete,
                   _body_lines, _numbered_lines, _parse_raf_body)
 
@@ -64,10 +64,7 @@ class Chain:
 
 def chain_color(chain, lasso):
     """Greatest level index accepting the lasso, 0 when no level does."""
-    for i in range(len(chain.levels), 0, -1):
-        if member_cobuchi(chain.levels[i - 1], lasso):
-            return i
-    return 0
+    return accepting_level([membership_function(a, "cobuchi") for a in chain.levels], lasso)
 
 
 def chain_member(chain, lasso):
@@ -80,11 +77,12 @@ def chain_falling_violations(chain, stem_bound, cycle_bound):
     Returns (level, lasso) pairs where level i+1 accepts but level i does not,
     over all lassos within the bounds.  Exact inclusion is out of scope.
     """
+    members = [membership_function(a, "cobuchi") for a in chain.levels]
     violations = []
-    for i in range(1, len(chain.levels)):
-        lower, upper = chain.levels[i - 1], chain.levels[i]
+    for i in range(1, len(members)):
+        lower, upper = members[i - 1], members[i]
         for lasso in enumerate_lassos(len(chain.alphabet), stem_bound, cycle_bound):
-            if member_cobuchi(upper, lasso) and not member_cobuchi(lower, lasso):
+            if upper(lasso) and not lower(lasso):
                 violations.append((i + 1, lasso))
     return violations
 
@@ -233,15 +231,6 @@ class Rlta:
 
     def state_name(self, state):
         return str(state) if self.names is None else self.names[state]
-
-    def states_along(self, lasso, count):
-        """Tracker states before positions 0..count-1 of the lasso."""
-        out = [self.initial]
-        state = self.initial
-        for k in range(count - 1):
-            state = self.step(state, lasso.letter_at(k))
-            out.append(state)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Rlta):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cobuchi import Rlta, build_rlta_chain
+from .cobuchi import Chain, CoBuchiAutomaton, Rlta, build_rlta_chain, chain_color
+from .lasso import member_cobuchi
 from .raf import (AutomatonStructure, RafError, _body_lines, _numbered_lines,
-                  _parse_name_line, _parse_raf_body)
+                  _parse_name_line, _parse_raf_body, _parse_state_count)
 from .scc import scc_decomposition
 
 
@@ -199,60 +200,48 @@ def residualize_chain(chain):
                                 for a in chain.levels])
 
 
+def cobuchi_reading(f):
+    """The complete co-Buchi automaton accepting the floating language of `f`.
+
+    With T tracker states, states 0..T-1 wait on the tracker: state s moves
+    on x to the tracker's step with color 1 and, for every state q of `f`
+    labeled s with a safe move on x, to the floating copy of its target
+    with color 2.  Floating copy T + q follows the safe moves of `f` with
+    color 2 and, where `f` has none, falls back to the waiting state of its
+    label's tracker step with color 1.  Labels follow the tracker, so every
+    run tracks the prefix read.  A run seeing color 2 from some point on is
+    an infinite safe run from a state labeled with the tracker state of its
+    start, so 2 is an achievable dominating color exactly on the words `f`
+    accepts.
+    """
+    rlta = f.rlta
+    base = rlta.state_count
+    nsym = len(f.alphabet)
+    transitions = [(s, x, rlta.step(s, x), 1) for s in range(base) for x in range(nsym)]
+    for q, s in enumerate(f.labels):
+        for x in range(nsym):
+            dst = f.step(q, x)
+            if dst is None:
+                transitions.append((base + q, x, rlta.step(s, x), 1))
+            else:
+                transitions.append((s, x, base + dst, 2))
+                transitions.append((base + q, x, base + dst, 2))
+    return CoBuchiAutomaton(f.alphabet, base + f.state_count, transitions, rlta.initial)
+
+
+def cobuchi_chain(fchain):
+    """The chain of the co-Buchi readings of the floating levels."""
+    return Chain([cobuchi_reading(f) for f in fchain.levels], fchain.alphabet)
+
+
 def floating_member(f, lasso):
     """Acceptance from some position: an infinite run from a correctly labeled state."""
-    lasso = lasso.canonical()
-    length = len(lasso.stem) + len(lasso.cycle)
-
-    def next_pos(p):
-        p += 1
-        return len(lasso.stem) if p == length else p
-
-    live = {}
-
-    def is_live(node):
-        path = []
-        on_path = set()
-        while True:
-            if node in live:
-                verdict = live[node]
-                break
-            if node in on_path:
-                verdict = True
-                break
-            path.append(node)
-            on_path.add(node)
-            (q, p) = node
-            dst = f.step(q, lasso.letter_at(p))
-            if dst is None:
-                verdict = False
-                break
-            node = (dst, next_pos(p))
-        for seen in path:
-            live[seen] = verdict
-        return verdict
-
-    by_label = {}
-    for q in range(f.state_count):
-        by_label.setdefault(f.labels[q], []).append(q)
-    tracker_state = f.rlta.initial
-    pos = 0
-    visited = set()
-    while (pos, tracker_state) not in visited:
-        visited.add((pos, tracker_state))
-        for q in by_label.get(tracker_state, ()):
-            if is_live((q, pos)):
-                return True
-        tracker_state = f.rlta.step(tracker_state, lasso.letter_at(pos))
-        pos = next_pos(pos)
-    return False
+    return member_cobuchi(cobuchi_reading(f), lasso)
 
 
 def floating_chain_color(fchain, lasso):
-    for i in range(len(fchain.levels), 0, -1):
-        if floating_member(fchain.levels[i - 1], lasso):
-            return i
-    return 0
+    """Greatest level whose floating language holds the lasso, 0 when none does."""
+    return chain_color(cobuchi_chain(fchain), lasso)
 
 
 def floating_chain_member(fchain, lasso):
@@ -460,10 +449,7 @@ def _parse_floating_block(lines, start, alphabet, rlta):
         idx += 1
         rest = line[len(word):].strip()
         if word == "states":
-            try:
-                state_count = int(rest)
-            except ValueError:
-                raise RafError("bad state count %r" % rest, lineno) from None
+            state_count = _parse_state_count(rest, lineno)
         elif word == "name":
             state, display = _parse_name_line(rest, lineno)
             if state in names:

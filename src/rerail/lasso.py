@@ -7,11 +7,11 @@ with the lasso's positions.
 
 from __future__ import annotations
 
-import importlib
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .raf import AutomatonStructure
 from .scc import scc_decomposition
 
 
@@ -228,9 +228,9 @@ class _ProductAnalysis:
 
 
 class LassoSweep:
-    """Product analyses of one automaton shared across many canonical lassos.
+    """Product analyses of one automaton shared across many lassos.
 
-    Key fact: the verdict on a canonical lasso u.v^omega depends only on
+    Key fact: the verdict on a lasso u.v^omega depends only on
     R(u), the set of states reached by reading u, and on the analysis of the
     automaton x v product.  The lasso's cycle nodes are the nodes of that
     product reachable from R(u) at the first letter of v, a node's
@@ -248,9 +248,12 @@ class LassoSweep:
     that is a single color.
 
     R(u) per stem u, and the colors and cycle nodes per (v, R(u)), are
-    memoized.  Lassos must be canonical, as those of enumerate_lassos are;
-    on each, every node's sets equal those of LassoProduct(aut,
-    lasso).analysis().
+    memoized.  `colors` takes any spelling of a lasso: the runs over a word
+    do not depend on how it is split into stem and cycle, and a cycle enters
+    its class through its primitive root.  `node_sets` numbers positions
+    along the lasso, so it takes canonical lassos, as those of
+    enumerate_lassos are; on each, every node's sets equal those of
+    LassoProduct(aut, lasso).analysis().
     """
 
     def __init__(self, aut):
@@ -264,9 +267,10 @@ class LassoSweep:
     def _class_of(self, cycle):
         found = self._cycles.get(cycle)
         if found is None:
-            size = len(cycle)
-            shift = min(range(size), key=lambda i: cycle[i:] + cycle[:i])
-            word = cycle[shift:] + cycle[:shift]
+            root = LassoWord((), cycle).canonical().cycle    # primitive root, same word
+            size = len(root)
+            shift = min(range(size), key=lambda i: root[i:] + root[:i])
+            word = root[shift:] + root[:shift]
             analysed = self._classes.get(word)
             if analysed is None:
                 starts = [(q, k) for k in range(size) for q in range(self.aut.state_count)]
@@ -339,37 +343,26 @@ class LassoSweep:
             later = current
 
 
-def _run_colors(aut, lasso):
-    """Dominating colors of the runs of `aut` over `lasso` (node 0 of its product)."""
-    return LassoProduct(aut, lasso).analysis().achievable[0]
-
-
 # Verdicts of the semantics decided by the dominating colors of all runs.
 
-def _rerailing_verdict(aut, colors):
+def _rerailing_verdict(colors):
     if not colors:
         raise ValueError("no infinite run: automaton incomplete along the lasso")
     return max(colors) % 2 == 0
 
 
-def _parity_exists_verdict(aut, colors):
+def _parity_exists_verdict(colors):
     if not colors:
         raise ValueError("no infinite run: automaton incomplete along the lasso")
     return any(c % 2 == 0 for c in colors)
 
 
-def _cobuchi_verdict(aut, colors):
-    bad = {c for c in aut.colors if c not in (1, 2)}
-    if bad:
-        raise ValueError("co-Buchi automata use colors 1 and 2 only, found %s" % sorted(bad))
-    return 2 in colors
-
-
 _COLOR_VERDICTS = {
     "rerailing": _rerailing_verdict,
     "parity-exists": _parity_exists_verdict,
-    "cobuchi": _cobuchi_verdict,
+    "cobuchi": lambda colors: 2 in colors,
 }
+SEMANTICS = ("rerailing", "parity-exists", "parity-det", "cobuchi", "chain", "floating")
 
 
 def member_rerailing(aut, lasso):
@@ -378,12 +371,12 @@ def member_rerailing(aut, lasso):
     The word is accepted iff the maximum over the dominating colors of all its
     runs is even.
     """
-    return _rerailing_verdict(aut, _run_colors(aut, lasso))
+    return membership_function(aut, "rerailing")(lasso)
 
 
 def member_parity_exists(aut, lasso):
     """True iff some run's dominating color is even (nondeterministic min-parity)."""
-    return _parity_exists_verdict(aut, _run_colors(aut, lasso))
+    return membership_function(aut, "parity-exists")(lasso)
 
 
 def member_parity_det(aut, lasso):
@@ -413,39 +406,56 @@ def member_parity_det(aut, lasso):
 
 def member_cobuchi(aut, lasso):
     """Co-Buchi acceptance: some run eventually takes only color-2 transitions."""
-    return _cobuchi_verdict(aut, _run_colors(aut, lasso))
+    return membership_function(aut, "cobuchi")(lasso)
 
 
-# Semantics name -> (module, membership test).  The test is looked up on
-# use: cobuchi and floating import this module, so they load lazily.
-_MEMBERSHIP = {
-    "rerailing": ("lasso", "member_rerailing"),
-    "parity-exists": ("lasso", "member_parity_exists"),
-    "parity-det": ("lasso", "member_parity_det"),
-    "cobuchi": ("lasso", "member_cobuchi"),
-    "chain": ("cobuchi", "chain_member"),
-    "floating": ("floating", "floating_chain_member"),
-}
-SEMANTICS = tuple(_MEMBERSHIP)
+def accepting_level(members, lasso):
+    """Greatest 1-based index of a level membership function accepting `lasso`, else 0."""
+    for i in range(len(members), 0, -1):
+        if members[i - 1](lasso):
+            return i
+    return 0
 
 
 def membership_function(obj, semantics):
-    """Bind an object to one of the membership semantics by name."""
+    """Bind an object to one of the membership semantics by name.
+
+    Every semantics but parity-det is a function of the dominating colors of
+    all runs, so the bound function decides each lasso through one
+    LassoSweep of the automaton.  A chain gets one co-Buchi sweep per level
+    and takes the greatest accepting level; a floating chain is the chain of
+    the co-Buchi readings of its levels.  parity-det follows the one run of
+    a deterministic automaton with member_parity_det.  An object of the
+    wrong kind for the semantics is a ValueError.
+    """
+    # cobuchi and floating import this module, so they load here
+    from .cobuchi import Chain
+    from .floating import FloatingChain, cobuchi_chain
     if semantics not in SEMANTICS:
         raise ValueError("unknown semantics %r (expected one of %s)"
                          % (semantics, ", ".join(SEMANTICS)))
-    module, name = _MEMBERSHIP[semantics]
-    member = getattr(importlib.import_module("." + module, __package__), name)
-    return lambda w: member(obj, w)
-
-
-def _sweep_function(obj, semantics):
-    """Like membership_function, but decides the color semantics by one LassoSweep."""
-    verdict = _COLOR_VERDICTS.get(semantics)
-    if verdict is None:
-        return membership_function(obj, semantics)
+    kind, what = AutomatonStructure, "an automaton ('raf 1')"
+    if semantics == "chain":
+        kind, what = Chain, "a co-Buchi chain ('cocoa 1')"
+    elif semantics == "floating":
+        kind, what = FloatingChain, "a floating chain ('flochain 1')"
+    if not isinstance(obj, kind):
+        raise ValueError("semantics %r needs %s, got %s"
+                         % (semantics, what, type(obj).__name__))
+    if semantics == "parity-det":
+        return lambda w: member_parity_det(obj, w)
+    if semantics == "floating":
+        return membership_function(cobuchi_chain(obj), "chain")
+    if semantics == "chain":
+        members = [membership_function(a, "cobuchi") for a in obj.levels]
+        return lambda w: accepting_level(members, w) % 2 == 0
+    if semantics == "cobuchi":
+        bad = [c for c in obj.colors if c not in (1, 2)]
+        if bad:
+            raise ValueError("co-Buchi automata use colors 1 and 2 only, found %s" % bad)
+    verdict = _COLOR_VERDICTS[semantics]
     sweep = LassoSweep(obj)
-    return lambda w: verdict(obj, sweep.colors(w))
+    return lambda w: verdict(sweep.colors(w))
 
 
 def bounded_equivalence(a, sem_a, b, sem_b, stem_bound, cycle_bound):
@@ -456,8 +466,8 @@ def bounded_equivalence(a, sem_a, b, sem_b, stem_bound, cycle_bound):
     """
     if a.alphabet != b.alphabet:
         raise ValueError("operands use different alphabets")
-    fa = _sweep_function(a, sem_a)
-    fb = _sweep_function(b, sem_b)
+    fa = membership_function(a, sem_a)
+    fb = membership_function(b, sem_b)
     for lasso in enumerate_lassos(len(a.alphabet), stem_bound, cycle_bound):
         if fa(lasso) != fb(lasso):
             return lasso

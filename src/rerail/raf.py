@@ -11,6 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# Largest state count a text may declare: 64 times the largest automata of
+# the benchmark (4096 states), while the successor table of a two-letter
+# automaton this size still takes only about 100 MB.
+MAX_STATES = 1 << 18
+
+
 class RafError(ValueError):
     """Malformed automaton text; carries a 1-based line number when known."""
 
@@ -213,6 +219,17 @@ def _parse_name_line(rest, lineno):
     return state, display[1:-1]
 
 
+def _parse_state_count(rest, lineno):
+    """The count of a `states` line; above MAX_STATES it is refused before any allocation."""
+    try:
+        count = int(rest)
+    except ValueError:
+        raise RafError("bad state count %r" % rest, lineno) from None
+    if count > MAX_STATES:
+        raise RafError("state count %d above the limit %d" % (count, MAX_STATES), lineno)
+    return count
+
+
 def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=()):
     """Shared parser for automaton bodies; returns the automaton (and the
 
@@ -240,10 +257,7 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
                 raise RafError("duplicate alphabet line", lineno)
             alphabet = Alphabet(tuple(rest.split()))
         elif word == "states":
-            try:
-                state_count = int(rest)
-            except ValueError:
-                raise RafError("bad state count %r" % rest, lineno) from None
+            state_count = _parse_state_count(rest, lineno)
         elif word == "initial":
             try:
                 initial = int(rest)

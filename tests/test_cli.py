@@ -221,6 +221,15 @@ def test_unknown_format_header(tmp_path, capsys):
     assert "unrecognized format" in capsys.readouterr().err
 
 
+def test_oversized_state_count(tmp_path, capsys):
+    path = tmp_path / "huge.raf"
+    path.write_text("raf 1\nalphabet a b\nstates 100000000000\ninitial 0\n")
+    assert run_cli("stats", "-i", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: state count 100000000000 above the limit")
+    assert "Traceback" not in err
+
+
 def test_argparse_failures(capsys):
     assert run_cli("no-such-command") == 1
     capsys.readouterr()

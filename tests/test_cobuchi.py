@@ -178,8 +178,6 @@ def test_rlta_step_and_states_along():
     tracker = Rlta(AB, 2, [[1, 0], [0, 1]], 0, names=["even", "odd"])
     assert tracker.step(0, 0) == 1
     assert tracker.state_name(1) == "odd"
-    w = LassoWord((0,), (1,))
-    assert tracker.states_along(w, 5) == [0, 1, 1, 1, 1]
     assert tracker == Rlta(AB, 2, [[1, 0], [0, 1]], 0)
     assert tracker != Rlta(AB, 2, [[1, 1], [0, 1]], 0)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rerail.cobuchi import (CoBuchiAutomaton, Rlta, chain_color,
+from rerail.cobuchi import (CoBuchiAutomaton, Rlta, chain_color, decompose_rerailing,
                             residual_tracking_single)
 from rerail.floating import (FloatingAutomaton, FloatingChain, empty_floating,
                              floating_chain_color, floating_member,
@@ -96,6 +96,12 @@ def test_floating_member_matches_oracle(uniform_flochain):
     for f in uniform_flochain.levels:
         for w in enumerate_lassos(4, 2, 2):
             assert floating_member(f, w) == oracles.floating_member(f, w)
+    rng = random.Random(5)
+    for k in range(60):
+        dpw = oracles.random_dpw(rng, 2 + k % 5, 2 + k % 2, 1 + k % 4)
+        for f in residualize_chain(decompose_rerailing(dpw)).levels:
+            for w in enumerate_lassos(len(dpw.alphabet), 2, 3):
+                assert floating_member(f, w) == oracles.floating_member(f, w), (k, w)
 
 
 def test_chain_level_zero(uniform_flochain):
@@ -331,6 +337,9 @@ def test_floating_chain_roundtrip(uniform_flochain):
      "duplicate name for state 0"),
     ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n"
      "floating 1\nstates 1\nlabel 0 0\nlabel 0 0\n", "duplicate label for state 0"),
+    ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n"
+     "floating 1\nstates 100000000000\nlabel 0 0\n",
+     "line 8: state count 100000000000 above the limit"),
 ])
 def test_parse_floating_chain_errors(text, hint):
     with pytest.raises(RafError) as err:

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rerail import lasso as lasso_mod
+from rerail.cobuchi import Chain, CoBuchiAutomaton, decompose_rerailing
+from rerail.floating import FloatingAutomaton, FloatingChain, residualize_chain
 from rerail.lasso import (LassoProduct, LassoSweep, LassoWord, bounded_equivalence,
                           enumerate_lassos, format_lasso, member_cobuchi,
                           member_parity_det, member_parity_exists, member_rerailing,
@@ -156,6 +158,12 @@ def test_membership_function_dispatch(minimal5, uniform_chain, uniform_flochain)
     assert fn_chain(w) == fn_float(w)
     with pytest.raises(ValueError):
         membership_function(minimal5, "no-such-semantics")
+    with pytest.raises(ValueError, match="'rerailing' needs an automaton"):
+        membership_function(uniform_chain, "rerailing")
+    with pytest.raises(ValueError, match="'chain' needs a co-Buchi chain"):
+        membership_function(minimal5, "chain")
+    with pytest.raises(ValueError, match="'chain' needs a co-Buchi chain"):
+        bounded_equivalence(minimal5, "chain", minimal5, "rerailing", 2, 2)
 
 
 def test_bounded_equivalence_reflexive(minimal5):
@@ -250,6 +258,52 @@ def test_bounded_equivalence_matches_oracles():
         assert bounded_equivalence(a, "rerailing", b, sem_b, 2, 4) == expected, k
         outcomes.add((sem_b, expected is None))
     assert len(outcomes) == 4
+
+
+def _flipped_level(rng, level):
+    """A co-Buchi level with the color of one transition flipped."""
+    transitions = list(level.transitions)
+    k = rng.randrange(len(transitions))
+    (q, a, d, c) = transitions[k]
+    transitions[k] = (q, a, d, 3 - c)
+    return CoBuchiAutomaton(level.alphabet, level.state_count, transitions, level.initial)
+
+
+def _pruned_level(rng, f):
+    """A floating level with one safe transition removed."""
+    delta = dict(f.delta)
+    if delta:
+        del delta[sorted(delta)[rng.randrange(len(delta))]]
+    return FloatingAutomaton(f.alphabet, f.state_count, delta, f.labels, f.rlta)
+
+
+def test_bounded_equivalence_chain_semantics_match_oracles():
+    rng = random.Random(46)
+    found = [0, 0]          # perturbed chains, perturbed floating chains told apart
+    for k in range(24):
+        nsym = 2 + k % 2
+        dpw = oracles.random_dpw(rng, 2 + k % 4, nsym, 1 + k % 4)
+        chain = decompose_rerailing(dpw)
+        fchain = residualize_chain(chain)
+        assert bounded_equivalence(chain, "chain", fchain, "floating", 2, 3) is None, k
+        levels = list(chain.levels)
+        j = rng.randrange(len(levels))
+        levels[j] = _flipped_level(rng, levels[j])
+        other = Chain(levels)
+        expected = _first_difference(lambda w: oracles.chain_color(chain, w) % 2,
+                                     lambda w: oracles.chain_color(other, w) % 2, nsym, 2, 3)
+        assert bounded_equivalence(chain, "chain", other, "chain", 2, 3) == expected, k
+        levels = list(fchain.levels)
+        j = rng.randrange(len(levels))
+        levels[j] = _pruned_level(rng, levels[j])
+        other = FloatingChain(fchain.rlta, levels)
+        expected_f = _first_difference(lambda w: oracles.floating_chain_color(fchain, w) % 2,
+                                       lambda w: oracles.floating_chain_color(other, w) % 2,
+                                       nsym, 2, 3)
+        assert bounded_equivalence(fchain, "floating", other, "floating", 2, 3) == expected_f, k
+        found[0] += expected is not None
+        found[1] += expected_f is not None
+    assert min(found) >= 8
 
 
 def _outcome(fn, *args):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rerail.raf import (Alphabet, AutomatonStructure, RafError,
+from rerail.raf import (MAX_STATES, Alphabet, AutomatonStructure, RafError,
                         UnreachableStatesError, equireach_relation,
                         parse_automaton, serialize_automaton, validate_complete)
 
@@ -109,6 +109,8 @@ trans 1 b 1 1
      "missing state 3"),
     ('raf 1\nalphabet a\nstates 1\ninitial 0\nname -1 "x"\ntrans 0 a 0 0\n',
      "missing state -1"),
+    ("raf 1\nalphabet a b\nstates 100000000000\ninitial 0\ntrans 0 a 0 0\n",
+     "line 3: state count 100000000000 above the limit %d" % MAX_STATES),
 ])
 def test_parse_errors(text, hint):
     with pytest.raises(RafError) as err:
