@@ -10,13 +10,13 @@ the minimization pipeline.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
 from .lasso import accepting_level, enumerate_lassos, membership_function
 from .raf import (AutomatonStructure, RafError, equireach_relation, validate_complete,
                   _body_lines, _numbered_lines, _parse_raf_body)
+from .scc import reachable
 
 
 class CoBuchiAutomaton(AutomatonStructure):
@@ -99,20 +99,20 @@ def parse_chain(text):
     lines = _numbered_lines(text)
     if not lines or lines[0][1] != "cocoa 1":
         raise RafError("expected 'cocoa 1' header", lines[0][0] if lines else None)
-    if len(lines) < 2 or not lines[1][1].startswith("count"):
-        raise RafError("expected 'count <n>' after header")
-    try:
-        count = int(lines[1][1].split()[1])
-    except (IndexError, ValueError):
-        raise RafError("bad count line", lines[1][0]) from None
+    lineno, line = lines[1] if len(lines) > 1 else (None, "")
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "count" or not parts[1].isdecimal() or int(parts[1]) < 1:
+        raise RafError("expected 'count <n>' with n >= 1 after header", lineno)
+    count = int(parts[1])
     idx = 2
     levels = []
     for want in range(1, count + 1):
-        if idx >= len(lines) or not lines[idx][1].startswith("automaton"):
-            raise RafError("expected 'automaton %d' block" % want)
-        parts = lines[idx][1].split()
-        if len(parts) != 2 or parts[1] != str(want):
-            raise RafError("chain blocks must be numbered consecutively from 1", lines[idx][0])
+        lineno, line = lines[idx] if idx < len(lines) else (None, "")
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "automaton":
+            raise RafError("expected 'automaton %d' block" % want, lineno)
+        if parts[1] != str(want):
+            raise RafError("chain blocks must be numbered consecutively from 1", lineno)
         idx += 1
         aut, idx = _parse_raf_body(lines, require_version=None, with_colors=True,
                                    start=idx, stop_words=("automaton",))
@@ -171,14 +171,12 @@ def inclusion_game(a, b):
     if a.alphabet != b.alphabet:
         raise ValueError("inclusion needs a common alphabet")
     builder = ArenaBuilder()
-    vertex, ids, keys, edges = builder.vertex, builder.ids, builder.keys, builder.edges
+    vertex, ids, edges = builder.vertex, builder.ids, builder.edges
     for pa in range(a.state_count):
         for pb in range(b.state_count):
             for e in (0, 1, 2):
                 vertex(("s", pa, pb, e), 1, e)
-    while builder.todo:
-        vid = builder.todo.pop()
-        key = keys[vid]
+    for vid, key in enumerate(builder.keys):      # `vertex` appends to the keys walked
         if key[0] == "s":
             (_tag, pa, pb, _e) = key
             for x in range(nsym):
@@ -331,9 +329,7 @@ def _rij_game(ai, ai1, aj, aj1, nsym, starts, twin_step):
     for (qi, qi1, qj, qj1) in starts:
         for z in (0, 1, 2):
             vertex(("s", qi, qi1, qj, qj1, z), 0, 0 if z == 2 else 1)
-    while builder.todo:
-        vid = builder.todo.pop()
-        key = keys[vid]
+    for vid, key in enumerate(keys):              # `vertex` appends to the keys walked
         out = edges[vid]
         if key[0] == "s":
             (_t, qi, qi1, qj, qj1, z) = key
@@ -367,7 +363,7 @@ def compute_Rij(chain, trackers, i, j, domain=None):
     while player 1 resolves levels i+1 and j+1; a counter z demands a
     rejecting (i+1)-move, then a rejecting (j+1)-move, and pays out color 0
     when both were seen.  Winning positions are mapped through the trackers
-    and closed under predecessors by a worklist.  By definition R_ji is R_ij
+    and closed under predecessors by `reachable`.  By definition R_ji is R_ij
     with its two tuple halves swapped, which is why `build_rlta_chain` only
     asks for i < j.
 
@@ -420,13 +416,7 @@ def compute_Rij(chain, trackers, i, j, domain=None):
         for x in range(nsym):
             step = (di[t[0]][x], di1[t[1]][x], dj[t[2]][x], dj1[t[3]][x])
             preds.setdefault(step, []).append(t)
-    work = list(rel)
-    while work:
-        for t in preds.get(work.pop(), ()):
-            if t not in rel:
-                rel.add(t)
-                work.append(t)
-    return RijRelation(i, j, frozenset(rel))
+    return RijRelation(i, j, frozenset(reachable(rel, lambda t: preds.get(t, ()))))
 
 
 def build_rlta_chain(chain):
@@ -461,15 +451,7 @@ def build_rlta_chain(chain):
 
     initial = (0,) + tuple(state_map[level.initial]
                            for (_tracker, state_map), level in zip(trackers, chain.levels)) + (0,)
-    product = {initial}
-    work = [initial]
-    while work:
-        t = work.pop()
-        for x in range(nsym):
-            t2 = step(t, x)
-            if t2 not in product:
-                product.add(t2)
-                work.append(t2)
+    product = reachable([initial], lambda t: [step(t, x) for x in range(nsym)])
     pairs = [{(t[k], t[k + 1]) for t in product} for k in range(n + 1)]
     relations = [compute_Rij(chain, trackers, i, j,
                              {a + b for a in pairs[i] for b in pairs[j]})
@@ -484,23 +466,17 @@ def build_rlta_chain(chain):
         return False
 
     states = [initial]
-    delta = {}
-    todo = deque([0])
-    while todo:
-        s = todo.popleft()
-        t = states[s]
+    table = []
+    for t in states:                    # new states are appended while walked
+        row = []
         for x in range(nsym):
             t2 = step(t, x)
-            target = None
-            for cand, t3 in enumerate(states):
-                if not separated(t2, t3):
-                    target = cand
-                    break
+            target = next((cand for cand, t3 in enumerate(states)
+                           if not separated(t2, t3)), None)
             if target is None:
+                target = len(states)
                 states.append(t2)
-                target = len(states) - 1
-                todo.append(target)
-            delta[(s, x)] = target
-    table = [[delta[(s, x)] for x in range(nsym)] for s in range(len(states))]
+            row.append(target)
+        table.append(row)
     rlta = Rlta(chain.alphabet, len(states), table, 0)
     return rlta, tuple(t[1:-1] for t in states)

@@ -10,13 +10,11 @@ automata are the building blocks of the rerailing-automaton construction.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .cobuchi import Chain, CoBuchiAutomaton, Rlta, build_rlta_chain, chain_color
 from .lasso import member_cobuchi
 from .raf import (AutomatonStructure, RafError, _body_lines, _numbered_lines,
                   _parse_name_line, _parse_raf_body, _parse_state_count)
-from .scc import scc_decomposition
+from .scc import reachable, scc_decomposition
 
 
 class FloatingAutomaton:
@@ -63,9 +61,6 @@ class FloatingAutomaton:
 
     def state_name(self, state):
         return str(state) if self.names is None else self.names[state]
-
-    def states_with_label(self, rlta_state):
-        return [q for q in range(self.state_count) if self.labels[q] == rlta_state]
 
     def adjacency(self):
         adj = [[] for _ in range(self.state_count)]
@@ -135,20 +130,12 @@ def residualize(a, rlta):
     pairs grouped by tracker state, which keeps the floating language because
     the safe language of a set is the union of its members' safe languages.
     """
-    pairs = []
-    seen = {(a.initial, rlta.initial)}
-    todo = deque(seen)
-    while todo:
-        (q, s) = todo.popleft()
-        pairs.append((q, s))
-        for x in range(len(a.alphabet)):
-            s2 = rlta.step(s, x)
-            for q2 in a.successor_states(q, x):
-                if (q2, s2) not in seen:
-                    seen.add((q2, s2))
-                    todo.append((q2, s2))
+    nsym = len(a.alphabet)
+    pairs = reachable([(a.initial, rlta.initial)],
+                      lambda qs: [(q2, rlta.step(qs[1], x)) for x in range(nsym)
+                                  for q2 in a.successor_states(qs[0], x)])
     deterministic = all(len(a.accepting_successors(q, x)) <= 1
-                        for (q, _s) in pairs for x in range(len(a.alphabet)))
+                        for (q, _s) in pairs for x in range(nsym))
     if deterministic:
         order = [(frozenset({q}), s) for (q, s) in pairs]
     else:
@@ -158,12 +145,8 @@ def residualize(a, rlta):
         order = [(frozenset(per_tracker[s]), s) for s in sorted(per_tracker)]
     ids = {key: i for i, key in enumerate(order)}
     delta = {}
-    queue = deque(order)
-    while queue:
-        key = queue.popleft()
-        (members, s) = key
-        src = ids[key]
-        for x in range(len(a.alphabet)):
+    for src, (members, s) in enumerate(order):    # children are appended while walked
+        for x in range(nsym):
             targets = {q2 for q in members for q2 in a.accepting_successors(q, x)}
             if not targets:
                 continue
@@ -171,7 +154,6 @@ def residualize(a, rlta):
             if child not in ids:
                 ids[child] = len(order)
                 order.append(child)
-                queue.append(child)
             delta[(src, x)] = ids[child]
     labels = [s for (_members, s) in order]
     names = [_residual_name("+".join(a.state_name(q) for q in sorted(members)),
@@ -249,10 +231,9 @@ def floating_chain_member(fchain, lasso):
 
 
 def _safe_subset_raw(delta1, q, delta2, q2, nsym):
-    seen = {(q, q2)}
-    todo = deque(seen)
-    while todo:
-        (a, b) = todo.popleft()
+    pairs = [(q, q2)]
+    seen = set(pairs)
+    for (a, b) in pairs:                # the list grows while it is walked
         for x in range(nsym):
             d1 = delta1.get((a, x))
             if d1 is None:
@@ -262,7 +243,7 @@ def _safe_subset_raw(delta1, q, delta2, q2, nsym):
                 return False
             if (d1, d2) not in seen:
                 seen.add((d1, d2))
-                todo.append((d1, d2))
+                pairs.append((d1, d2))
     return True
 
 
@@ -403,13 +384,11 @@ def max_accepting_sccs(f):
     dec = scc_decomposition(f.state_count, f.adjacency())
     result = []
     for comp in sorted(dec.nontrivial):
-        members = tuple(sorted(q for q in range(f.state_count)
-                               if dec.component_of[q] == comp))
+        members = tuple(dec.components[comp])
         inside = set(members)
         trans = tuple(sorted((src, x, dst) for (src, x), dst in f.delta.items()
                              if src in inside and dst in inside))
         result.append((members, trans))
-    result.sort(key=lambda pair: pair[0][0])
     return result
 
 
@@ -449,6 +428,8 @@ def _parse_floating_block(lines, start, alphabet, rlta):
         idx += 1
         rest = line[len(word):].strip()
         if word == "states":
+            if state_count is not None:
+                raise RafError("duplicate states line", lineno)
             state_count = _parse_state_count(rest, lineno)
         elif word == "name":
             state, display = _parse_name_line(rest, lineno)

@@ -64,9 +64,9 @@ class GameArena:
 class ArenaBuilder:
     """Incremental arena construction over hashable vertex keys.
 
-    Vertex ids follow first insertion.  Every vertex that `vertex` adds is
-    pushed onto `todo`, so a construction can expand the arena as a worklist;
-    edges are appended to `edges[id]`.
+    Vertex ids follow first insertion and `keys[id]` is the key of a vertex,
+    so a construction expands the arena by walking `keys` while `vertex`
+    appends to it; edges are appended to `edges[id]`.
     """
 
     def __init__(self):
@@ -75,14 +75,12 @@ class ArenaBuilder:
         self.owners = []
         self.colors = []
         self.edges = []
-        self.todo = []
 
     def vertex(self, key, owner, color):
         """Id of the vertex `key`, added with owner and color when new."""
         vid = self.ids.get(key)
         if vid is None:
             vid = self.ids[key] = self.fresh(key, owner, color)
-            self.todo.append(vid)
         return vid
 
     def fresh(self, key, owner, color):

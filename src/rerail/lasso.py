@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .raf import AutomatonStructure
-from .scc import scc_decomposition
+from .scc import reachable, scc_decomposition
 
 
 @dataclass(frozen=True)
@@ -310,17 +310,12 @@ class LassoSweep:
         key = (cycle, reached)
         cycle_nodes = self._cycle_nodes.get(key)
         if cycle_nodes is None:
-            seen = {base + q for q in reached}
-            stack = list(seen)
-            while stack:
-                for (child, _c) in product.adjacency[stack.pop()]:
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append(child)
+            adjacency = product.adjacency
             size = len(cycle)
             cycle_nodes = self._cycle_nodes[key] = [
                 (product.nodes[i][0], (product.nodes[i][1] - entry) % size, i)
-                for i in seen]
+                for i in reachable([base + q for q in reached],
+                                   lambda node: [child for (child, _c) in adjacency[node]])]
         m = len(stem)
         for (q, j, i) in cycle_nodes:
             yield (q, m + j), achievable[i], uniform[i]
@@ -380,8 +375,11 @@ def member_parity_exists(aut, lasso):
 
 
 def member_parity_det(aut, lasso):
-    """Dominating color parity of the unique run of a deterministic automaton."""
-    lasso = lasso.canonical()
+    """Dominating color parity of the unique run of a deterministic automaton.
+
+    The run is followed until a (state, position) pair repeats, which finds
+    its loop on any spelling of the lasso.
+    """
     period_start = len(lasso.stem)
     letters = lasso.stem + lasso.cycle
     length = len(letters)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .scc import reachable
+
 
 # Largest state count a text may declare: 64 times the largest automata of
 # the benchmark (4096 states), while the successor table of a two-letter
@@ -129,16 +131,9 @@ class AutomatonStructure:
         return str(state)
 
     def reachable_states(self):
-        seen = {self.initial}
-        todo = [self.initial]
-        while todo:
-            q = todo.pop()
-            for row in self._succ[q]:
-                for (dst, _c) in row:
-                    if dst not in seen:
-                        seen.add(dst)
-                        todo.append(dst)
-        return seen
+        succ = self._succ
+        return set(reachable([self.initial],
+                             lambda q: [dst for row in succ[q] for (dst, _c) in row]))
 
     def __eq__(self, other):
         if not isinstance(other, AutomatonStructure):
@@ -245,6 +240,7 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
     initial = None
     names = {}
     colors = {}
+    given = set()
     while idx < len(lines):
         lineno, line = lines[idx]
         word = line.split(None, 1)[0]
@@ -252,9 +248,11 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
             break
         idx += 1
         rest = line[len(word):].strip()
+        if word in ("alphabet", "states", "initial"):
+            if word in given:
+                raise RafError("duplicate %s line" % word, lineno)
+            given.add(word)
         if word == "alphabet":
-            if alphabet is not None:
-                raise RafError("duplicate alphabet line", lineno)
             alphabet = Alphabet(tuple(rest.split()))
         elif word == "states":
             state_count = _parse_state_count(rest, lineno)
@@ -315,18 +313,10 @@ def equireach_relation(aut):
     UnreachableStatesError when some state is never reached at all.
     """
     nsym = len(aut.alphabet)
-    start = (aut.initial, aut.initial)
-    seen = {start}
-    todo = [start]
-    while todo:
-        (p, q) = todo.pop()
-        for a in range(nsym):
-            for p2 in aut.successor_states(p, a):
-                for q2 in aut.successor_states(q, a):
-                    pair = (p2, q2)
-                    if pair not in seen:
-                        seen.add(pair)
-                        todo.append(pair)
+    succ = aut.successor_states
+    seen = reachable([(aut.initial, aut.initial)],
+                     lambda pq: [(p2, q2) for a in range(nsym)
+                                 for p2 in succ(pq[0], a) for q2 in succ(pq[1], a)])
     covered = {p for (p, _q) in seen}
     missing = [q for q in range(aut.state_count) if q not in covered]
     if missing:

@@ -1,6 +1,22 @@
-"""Strongly connected component decomposition (iterative Tarjan)."""
+"""Graph walks: reachability and strongly connected components (iterative Tarjan)."""
 
 from __future__ import annotations
+
+
+def reachable(starts, successors):
+    """Every node reachable from `starts`, in breadth-first discovery order.
+
+    Nodes are hashable and `successors(node)` gives an iterable of a node's
+    successors.  The distinct starts come first, in their given order.
+    """
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for node in order:              # the list grows while it is walked
+        for succ in successors(node):
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+    return order
 
 
 class SccDecomposition:

@@ -110,6 +110,17 @@ def test_chain_roundtrip(uniform_chain):
      "trailing"),
     ("cocoa 1\ncount 1\nautomaton 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 3\n",
      "co-Buchi"),
+    ("cocoa 1\n", "expected 'count <n>'"),
+    ("cocoa 1\ncountdown 1\n", "line 2: expected 'count <n>' with n >= 1"),
+    ("cocoa 1\ncount 1 2\n", "line 2: expected 'count <n>' with n >= 1"),
+    ("cocoa 1\ncount 0\n", "line 2: expected 'count <n>' with n >= 1"),
+    ("cocoa 1\ncount -1\n", "line 2: expected 'count <n>' with n >= 1"),
+    ("cocoa 1\ncount 1\nautomatonX 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",
+     "line 3: expected 'automaton 1' block"),
+    ("cocoa 1\ncount 1\nautomaton 1 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",
+     "line 3: expected 'automaton 1' block"),
+    ("cocoa 1\ncount 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",
+     "line 3: expected 'automaton 1' block"),
 ])
 def test_parse_chain_errors(text, hint):
     with pytest.raises(RafError) as err:

@@ -63,7 +63,6 @@ def test_accessors():
     g = eventually_only(AB, "a")
     assert g.step(0, 1) is None
     assert g.transitions() == [(0, 0, 0)]
-    assert g.states_with_label(0) == [0]
     assert g.adjacency() == [[0]]
     assert g != f
     assert g == eventually_only(AB, "a")
@@ -340,6 +339,10 @@ def test_floating_chain_roundtrip(uniform_flochain):
     ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n"
      "floating 1\nstates 100000000000\nlabel 0 0\n",
      "line 8: state count 100000000000 above the limit"),
+    ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n"
+     "floating 1\nstates 1\nstates 2\nlabel 0 0\n", "line 9: duplicate states line"),
+    ("flochain 1\nrlta\nalphabet a\nstates 1\nstates 2\ninitial 0\ntrans 0 a 0\n",
+     "line 5: duplicate states line"),
 ])
 def test_parse_floating_chain_errors(text, hint):
     with pytest.raises(RafError) as err:

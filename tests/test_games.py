@@ -65,10 +65,8 @@ def test_arena_builder():
     b = builder.vertex(("b", 1), 1, 1)
     assert (a, b) == (0, 1)
     assert builder.vertex("a", 1, 5) == a          # repeated key: same id, unchanged
-    assert builder.todo == [0, 1]
-    builder.edges[builder.todo.pop()].append(a)
-    builder.edges[builder.todo.pop()].append(b)
-    assert builder.todo == []
+    builder.edges[b].append(a)
+    builder.edges[a].append(b)
     arena = builder.arena(initial=b, name=lambda key: str(key).upper())
     assert (arena.owners, arena.colors, arena.edges) == ([0, 1], [2, 1], [[1], [0]])
     assert arena.initial == 1

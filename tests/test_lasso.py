@@ -129,6 +129,10 @@ def test_membership_against_oracles_deterministic():
         w = oracles.random_lasso(rng, len(aut.alphabet), 3, 3)
         assert member_parity_det(aut, w) == oracles.member_parity_det(aut, w)
         assert member_parity_det(aut, w) == member_rerailing(aut, w)
+        # other spellings of the same word: cycle repeated, unrolled, rotated
+        for other in (LassoWord(w.stem, w.cycle * 2), LassoWord(w.stem + w.cycle, w.cycle),
+                      LassoWord(w.stem + w.cycle[:1], w.cycle[1:] + w.cycle[:1])):
+            assert member_parity_det(aut, other) == oracles.member_parity_det(aut, w), other
 
 
 def test_oracle_routes_agree_on_tiny_products():

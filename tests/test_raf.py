@@ -111,6 +111,11 @@ trans 1 b 1 1
      "missing state -1"),
     ("raf 1\nalphabet a b\nstates 100000000000\ninitial 0\ntrans 0 a 0 0\n",
      "line 3: state count 100000000000 above the limit %d" % MAX_STATES),
+    ("raf 1\nalphabet a\nstates 1\nstates 2\ninitial 0\ntrans 0 a 0 0\n",
+     "line 4: duplicate states line"),
+    ("raf 1\nalphabet a\nstates 2\ninitial 0\ninitial 1\ntrans 0 a 0 0\n",
+     "line 5: duplicate initial line"),
+    ("raf 1\nalphabet a\nalphabet b\nstates 1\ninitial 0\n", "line 3: duplicate alphabet line"),
 ])
 def test_parse_errors(text, hint):
     with pytest.raises(RafError) as err:
