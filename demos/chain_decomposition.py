@@ -8,10 +8,9 @@ none), and the word belongs to the language iff that color is even.  The
 chain is the representation the minimization pipeline works on.
 """
 
-from rerail import (Alphabet, AutomatonStructure, chain_color, chain_member,
-                    decompose_rerailing, enumerate_lassos, format_lasso,
-                    member_cobuchi, member_parity_det, parse_lasso,
-                    serialize_chain)
+from rerail import (Alphabet, AutomatonStructure, decompose_rerailing,
+                    enumerate_lassos, format_lasso, member_parity_det,
+                    membership_function, parse_lasso, serialize_chain)
 
 
 def main():
@@ -28,16 +27,21 @@ def main():
     print()
     print(serialize_chain(chain))
 
+    # One membership function per level and one for the whole chain, each
+    # bound once and then asked about many words.
+    members = [membership_function(lvl, "cobuchi") for lvl in chain.levels]
+    in_chain = membership_function(chain, "chain")
     print("Per-word chain colors (greatest accepting level; member iff even):")
     for text in (";a", ";b", ";a.b", "a;b", "b.b;a"):
         w = parse_lasso(text, ab)
-        levels = [member_cobuchi(lvl, w) for lvl in chain.levels]
+        levels = [member(w) for member in members]
+        color = max((i for i, accepts in enumerate(levels, start=1) if accepts), default=0)
         print("  %-8s levels accepting %s -> color %d, member %s"
-              % (text, levels, chain_color(chain, w), chain_member(chain, w)))
+              % (text, levels, color, in_chain(w)))
     print()
 
     diffs = [w for w in enumerate_lassos(2, 4, 4)
-             if chain_member(chain, w) != member_parity_det(dpw, w)]
+             if in_chain(w) != member_parity_det(dpw, w)]
     print("Chain language vs. the parity automaton on all lassos with stem and")
     print("cycle up to 4: %d disagreements" % len(diffs))
     for w in diffs[:3]:
@@ -46,7 +50,7 @@ def main():
     # The level languages fall weakly: whenever some level accepts, all
     # lower levels accept too.
     for w in enumerate_lassos(2, 3, 3):
-        accepting = [member_cobuchi(lvl, w) for lvl in chain.levels]
+        accepting = [member(w) for member in members]
         trimmed = [x for x in accepting if x]
         assert accepting[:len(trimmed)] == trimmed, (w, accepting)
     print("Level languages confirmed weakly falling on all 3/3 lassos.")

@@ -8,8 +8,8 @@ universal language, so the joint tracker is a single state and the minimal
 rerailing automaton built from the chain has one state as well.
 """
 
-from rerail import (build_minimal, build_rlta_chain, chain_member,
-                    enumerate_lassos, member_rerailing, parse_chain,
+from rerail import (build_minimal, build_rlta_chain, enumerate_lassos,
+                    member_rerailing, membership_function, parse_chain,
                     residual_tracking_single, residualize_chain)
 
 CHAIN_TEXT = """\
@@ -56,7 +56,8 @@ def main():
     print("Why: a word starting with a gets chain color 2, anything else")
     print("color 0 - both even, so every word is in the language and all")
     print("prefixes share one residual.")
-    assert all(chain_member(chain, w) for w in enumerate_lassos(2, 3, 3))
+    in_chain = membership_function(chain, "chain")
+    assert all(in_chain(w) for w in enumerate_lassos(2, 3, 3))
     print("Universality confirmed on all lassos with stem and cycle up to 3.")
     print()
 

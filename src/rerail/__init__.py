@@ -13,11 +13,9 @@ decides realizability of a specification split into inputs and outputs.
 from .build import (RerailingVerdict, build_minimal, check_color_homogeneous,
                     minimize_rerailing, verify_rerailing_bounded)
 from .cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain,
-                      chain_color, chain_member, decompose_rerailing,
-                      inclusion_hd_cobuchi, parse_chain,
+                      decompose_rerailing, inclusion_table, parse_chain,
                       residual_tracking_single, serialize_chain)
-from .floating import (FloatingAutomaton, FloatingChain, floating_chain_color,
-                       floating_chain_member, minimize_floating,
+from .floating import (FloatingAutomaton, FloatingChain, minimize_floating,
                        parse_floating_chain, residualize, residualize_chain,
                        serialize_floating_chain)
 from .games import GameArena, solve
@@ -36,13 +34,10 @@ __all__ = [
     "member_rerailing", "member_parity_exists", "member_parity_det",
     "member_cobuchi", "membership_function", "bounded_equivalence",
     "GameArena", "solve",
-    "CoBuchiAutomaton", "Chain", "chain_color", "chain_member",
-    "decompose_rerailing", "parse_chain", "serialize_chain",
-    "Rlta", "residual_tracking_single", "build_rlta_chain",
-    "inclusion_hd_cobuchi",
+    "CoBuchiAutomaton", "Chain", "decompose_rerailing", "parse_chain", "serialize_chain",
+    "Rlta", "residual_tracking_single", "build_rlta_chain", "inclusion_table",
     "FloatingAutomaton", "FloatingChain", "residualize", "residualize_chain",
-    "minimize_floating", "floating_chain_color", "floating_chain_member",
-    "parse_floating_chain", "serialize_floating_chain",
+    "minimize_floating", "parse_floating_chain", "serialize_floating_chain",
     "build_minimal", "minimize_rerailing", "check_color_homogeneous",
     "RerailingVerdict", "verify_rerailing_bounded",
     "IoAlphabet", "build_realizability_game", "realizability",

@@ -161,9 +161,6 @@ class RerailingVerdict:
     member: bool
     violations: tuple
 
-    def __bool__(self):
-        return not self.violations
-
 
 def _node_violations(achievable, uniform, member):
     """(d, reason) for each achievable color d that no uniform color of the

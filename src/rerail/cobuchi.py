@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
-from .lasso import accepting_level, enumerate_lassos, membership_function
-from .raf import (AutomatonStructure, RafError, equireach_relation, validate_complete,
-                  _body_lines, _numbered_lines, _parse_raf_body)
+from .lasso import enumerate_lassos, membership_function
+from .raf import (Alphabet, AutomatonStructure, RafError, equireach_relation,
+                  validate_complete, _body_lines, _numbered_lines, _parse_raf_body)
 from .scc import reachable
 
 
@@ -62,15 +62,6 @@ class Chain:
         return self.levels[i - 1]
 
 
-def chain_color(chain, lasso):
-    """Greatest level index accepting the lasso, 0 when no level does."""
-    return accepting_level([membership_function(a, "cobuchi") for a in chain.levels], lasso)
-
-
-def chain_member(chain, lasso):
-    return chain_color(chain, lasso) % 2 == 0
-
-
 def chain_falling_violations(chain, stem_bound, cycle_bound):
     """Advisory check that each level's language contains the next one's.
 
@@ -88,7 +79,10 @@ def chain_falling_violations(chain, stem_bound, cycle_bound):
 
 
 def serialize_chain(chain):
+    """The `cocoa 1` text of a chain; one with no levels keeps its alphabet line."""
     out = ["cocoa 1", "count %d" % len(chain.levels)]
+    if not chain.levels:
+        out.append("alphabet " + " ".join(chain.alphabet.symbols))
     for idx, level in enumerate(chain.levels, start=1):
         out.append("automaton %d" % idx)
         out.extend(_body_lines(level))
@@ -101,10 +95,15 @@ def parse_chain(text):
         raise RafError("expected 'cocoa 1' header", lines[0][0] if lines else None)
     lineno, line = lines[1] if len(lines) > 1 else (None, "")
     parts = line.split()
-    if len(parts) != 2 or parts[0] != "count" or not parts[1].isdecimal() or int(parts[1]) < 1:
-        raise RafError("expected 'count <n>' with n >= 1 after header", lineno)
-    count = int(parts[1])
+    count = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else None
     idx = 2
+    alphabet = None                     # a chain with no levels names its alphabet
+    if count == 0 and len(lines) > 2 and lines[2][1].split()[0] == "alphabet":
+        alphabet = Alphabet(tuple(lines[2][1].split()[1:]))
+        idx = 3
+    if parts[:1] != ["count"] or count is None or (count == 0 and alphabet is None):
+        raise RafError("expected 'count <n>' with n >= 1, or 'count 0' followed by an "
+                       "'alphabet' line, after header", lineno)
     levels = []
     for want in range(1, count + 1):
         lineno, line = lines[idx] if idx < len(lines) else (None, "")
@@ -122,7 +121,7 @@ def parse_chain(text):
             raise RafError("automaton %d: %s" % (want, exc)) from None
     if idx != len(lines):
         raise RafError("trailing content after %d chain blocks" % count, lines[idx][0])
-    return Chain(levels)
+    return Chain(levels, alphabet)
 
 
 def decompose_rerailing(aut):
@@ -132,6 +131,13 @@ def decompose_rerailing(aut):
     >= i: transitions of color >= i stay as accepting copies, lower-colored
     ones become rejecting moves onto every state jointly reachable with the
     original target.
+
+    Each level keys its transitions by (src, sym, dst), and an accepting
+    copy wins over a rejecting mate-move of the same triple.  The level
+    language is unchanged: a run taking the rejecting copy can take the
+    accepting one instead, on the same states, so every accepting run
+    survives.  Only color-inhomogeneous inputs give a triple both copies;
+    a color-homogeneous (src, sym) has one color, at least i or below it.
     """
     missing = validate_complete(aut)
     if missing:
@@ -142,30 +148,29 @@ def decompose_rerailing(aut):
         mates[q].append(p)
     levels = []
     for i in range(1, aut.max_color + 1):
-        transitions = set()
+        colors = {}
         for (src, sym, dst, color) in aut.transitions:
             if color >= i:
-                transitions.add((src, sym, dst, 2))
+                colors[(src, sym, dst)] = 2
             else:
                 for mate in mates[dst]:
-                    transitions.add((src, sym, mate, 1))
+                    colors.setdefault((src, sym, mate), 1)
         levels.append(CoBuchiAutomaton(aut.alphabet, aut.state_count,
-                                       sorted(transitions), aut.initial,
-                                       aut.state_names))
+                                       [key + (c,) for key, c in colors.items()],
+                                       aut.initial, aut.state_names))
     return Chain(levels, aut.alphabet)
 
 
-def inclusion_game(a, b):
-    """One letter-game arena answering language inclusion for all state pairs.
+def inclusion_table(a, b):
+    """All pairs (p, q) with L(a from p) contained in L(b from q); b history-deterministic.
 
-    The spoiler (player 1) spells a word together with a run of `a`; the
-    duplicator (player 0) answers with a run of `b`, which must be accepting
-    whenever the spoiler's run is.  A round contributes color 0 when the
-    spoiler's move was rejecting, else 1 when the duplicator's was, else 2;
-    the round color sits on the next spoiler vertex.
-
-    Returns (arena, entries) with entries[(p, q)] the vertex asking
-    L(a from p) <= L(b from q).
+    One letter game answers every pair.  The spoiler (player 1) spells a word
+    together with a run of `a`; the duplicator (player 0) answers with a run
+    of `b`, which must be accepting whenever the spoiler's run is.  A round
+    contributes color 0 when the spoiler's move was rejecting, else 1 when
+    the duplicator's was, else 2; the round color sits on the next spoiler
+    vertex.  (p, q) is in the table iff the duplicator wins from the spoiler
+    vertex (p, q) of round color 2.
     """
     nsym = len(a.alphabet)
     if a.alphabet != b.alphabet:
@@ -187,21 +192,9 @@ def inclusion_game(a, b):
             for (pb2, cb) in b.successors(pb, x):
                 e2 = 0 if ra else (1 if cb == 1 else 2)
                 edges[vid].append(ids[("s", pa2, pb2, e2)])
-    entries = {(pa, pb): ids[("s", pa, pb, 2)]
-               for pa in range(a.state_count) for pb in range(b.state_count)}
-    return builder.arena(), entries
-
-
-def inclusion_table(a, b):
-    """All pairs (p, q) with L(a from p) contained in L(b from q); b history-deterministic."""
-    arena, entries = inclusion_game(a, b)
-    w0, _w1 = solve(arena)
-    return frozenset(pair for pair, vid in entries.items() if vid in w0)
-
-
-def inclusion_hd_cobuchi(a, p, b, q):
-    """Language inclusion L(a from p) <= L(b from q) via the letter game."""
-    return (p, q) in inclusion_table(a, b)
+    w0, _w1 = solve(builder.arena())
+    return frozenset((pa, pb) for pa in range(a.state_count) for pb in range(b.state_count)
+                     if ids[("s", pa, pb, 2)] in w0)
 
 
 class Rlta:

@@ -10,8 +10,7 @@ automata are the building blocks of the rerailing-automaton construction.
 
 from __future__ import annotations
 
-from .cobuchi import Chain, CoBuchiAutomaton, Rlta, build_rlta_chain, chain_color
-from .lasso import member_cobuchi
+from .cobuchi import CoBuchiAutomaton, Rlta, build_rlta_chain
 from .raf import (AutomatonStructure, RafError, _body_lines, _numbered_lines,
                   _parse_name_line, _parse_raf_body, _parse_state_count)
 from .scc import reachable, scc_decomposition
@@ -209,25 +208,6 @@ def cobuchi_reading(f):
                 transitions.append((s, x, base + dst, 2))
                 transitions.append((base + q, x, base + dst, 2))
     return CoBuchiAutomaton(f.alphabet, base + f.state_count, transitions, rlta.initial)
-
-
-def cobuchi_chain(fchain):
-    """The chain of the co-Buchi readings of the floating levels."""
-    return Chain([cobuchi_reading(f) for f in fchain.levels], fchain.alphabet)
-
-
-def floating_member(f, lasso):
-    """Acceptance from some position: an infinite run from a correctly labeled state."""
-    return member_cobuchi(cobuchi_reading(f), lasso)
-
-
-def floating_chain_color(fchain, lasso):
-    """Greatest level whose floating language holds the lasso, 0 when none does."""
-    return chain_color(cobuchi_chain(fchain), lasso)
-
-
-def floating_chain_member(fchain, lasso):
-    return floating_chain_color(fchain, lasso) % 2 == 0
 
 
 def _safe_subset_raw(delta1, q, delta2, q2, nsym):

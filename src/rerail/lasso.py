@@ -407,14 +407,6 @@ def member_cobuchi(aut, lasso):
     return membership_function(aut, "cobuchi")(lasso)
 
 
-def accepting_level(members, lasso):
-    """Greatest 1-based index of a level membership function accepting `lasso`, else 0."""
-    for i in range(len(members), 0, -1):
-        if members[i - 1](lasso):
-            return i
-    return 0
-
-
 def membership_function(obj, semantics):
     """Bind an object to one of the membership semantics by name.
 
@@ -428,7 +420,7 @@ def membership_function(obj, semantics):
     """
     # cobuchi and floating import this module, so they load here
     from .cobuchi import Chain
-    from .floating import FloatingChain, cobuchi_chain
+    from .floating import FloatingChain, cobuchi_reading
     if semantics not in SEMANTICS:
         raise ValueError("unknown semantics %r (expected one of %s)"
                          % (semantics, ", ".join(SEMANTICS)))
@@ -443,10 +435,13 @@ def membership_function(obj, semantics):
     if semantics == "parity-det":
         return lambda w: member_parity_det(obj, w)
     if semantics == "floating":
-        return membership_function(cobuchi_chain(obj), "chain")
+        readings = Chain([cobuchi_reading(f) for f in obj.levels], obj.alphabet)
+        return membership_function(readings, "chain")
     if semantics == "chain":
-        members = [membership_function(a, "cobuchi") for a in obj.levels]
-        return lambda w: accepting_level(members, w) % 2 == 0
+        # greatest accepting level first; no level accepting is color 0
+        members = [(i, membership_function(a, "cobuchi"))
+                   for i, a in enumerate(obj.levels, start=1)][::-1]
+        return lambda w: next((i for (i, member) in members if member(w)), 0) % 2 == 0
     if semantics == "cobuchi":
         bad = [c for c in obj.colors if c not in (1, 2)]
         if bad:

@@ -7,6 +7,7 @@ import pytest
 from rerail.build import minimize_rerailing
 from rerail.cobuchi import parse_chain
 from rerail.floating import parse_floating_chain
+from rerail.lasso import membership_function
 from rerail.raf import parse_automaton
 
 import oracles
@@ -21,6 +22,20 @@ def data_path(name):
 def load_text(name):
     with open(data_path(name), "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+@pytest.fixture(scope="session")
+def level_color():
+    """Binder of the chain color over co-Buchi levels, one "cobuchi" binder per level.
+
+    level_color(automata) is the function giving a lasso its greatest 1-based
+    accepting level, 0 when no level accepts it.
+    """
+    def bind(automata):
+        members = [(i, membership_function(a, "cobuchi"))
+                   for i, a in enumerate(automata, start=1)]
+        return lambda w: max((i for (i, member) in members if member(w)), default=0)
+    return bind
 
 
 @pytest.fixture(scope="session")

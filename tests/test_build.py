@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from rerail.build import (BuildState, RerailingVerdict, build_minimal,
-                          check_color_homogeneous, minimize_rerailing,
-                          recurse_build, verify_rerailing_bounded)
+from rerail.build import (BuildState, build_minimal, check_color_homogeneous,
+                          minimize_rerailing, recurse_build, verify_rerailing_bounded)
 from rerail.cobuchi import Rlta
-from rerail.floating import (floating_chain_color, floating_chain_member,
-                             level0_floating)
+from rerail.floating import level0_floating
 from rerail.lasso import (LassoWord, bounded_equivalence, enumerate_lassos,
-                          member_rerailing)
+                          member_rerailing, membership_function)
 from rerail.raf import (Alphabet, AutomatonStructure, parse_automaton,
                         validate_complete)
 
 import oracles
+from conftest import load_text
 
 A1 = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
@@ -83,8 +82,9 @@ def test_build_minimal_three_level_chain(uniform_flochain):
 
 def test_build_minimal_language(uniform_flochain):
     aut = build_minimal(uniform_flochain)
+    in_flochain = membership_function(uniform_flochain, "floating")
     for w in enumerate_lassos(4, 2, 2):
-        assert member_rerailing(aut, w) == floating_chain_member(uniform_flochain, w)
+        assert member_rerailing(aut, w) == in_flochain(w)
 
 
 def test_built_vs_drawn_variant(uniform_flochain, minimal5):
@@ -95,7 +95,7 @@ def test_built_vs_drawn_variant(uniform_flochain, minimal5):
     assert bounded_equivalence(aut, "rerailing", minimal5, "rerailing", 2, 2) is None
     diff = bounded_equivalence(aut, "rerailing", minimal5, "rerailing", 3, 3)
     assert diff == LassoWord((), (0, 1, 2))
-    chain_says = floating_chain_color(uniform_flochain, diff) % 2 == 0
+    chain_says = membership_function(uniform_flochain, "floating")(diff)
     assert member_rerailing(aut, diff) == chain_says
 
 
@@ -242,11 +242,13 @@ def test_minimize_requires_complete():
         verify_rerailing_bounded(partial, 2, 2)
 
 
-def test_verdict_truthiness():
-    good = RerailingVerdict(None, True, ())
-    bad = RerailingVerdict(None, True, (((0, 0), 1, "parity-mismatch"),))
-    assert good
-    assert not bad
+def test_minimize_color_inhomogeneous_input():
+    aut = parse_automaton(load_text("inhomogeneous3.raf"))
+    assert not check_color_homogeneous(aut)
+    small = minimize_rerailing(aut)
+    assert small.state_count <= 3
+    assert verify_rerailing_bounded(small, 5, 5) == []
+    assert bounded_equivalence(small, "rerailing", aut, "rerailing", 6, 6) is None
 
 
 def test_verify_passes_on_construction_output(hd5, uniform_flochain):
@@ -260,7 +262,6 @@ def test_verify_reports_parity_mismatch():
     failures = verify_rerailing_bounded(aut, 1, 1)
     assert len(failures) == 1
     verdict = failures[0]
-    assert not verdict
     assert verdict.member
     assert ((2, 0), 1, "parity-mismatch") in verdict.violations
 

@@ -209,6 +209,26 @@ def test_stats_chain_and_flochain(capsys):
     assert out[1] == "levels: 3"
 
 
+def test_zero_level_chain_round_trip(tmp_path, capsys):
+    # All colors 0: a universal language, decomposed into a chain with no levels.
+    source = tmp_path / "zero.raf"
+    source.write_text("raf 1\nalphabet a b\nstates 1\ninitial 0\n"
+                      "trans 0 a 0 0\ntrans 0 b 0 0\n")
+    chain = tmp_path / "zero.chain"
+    assert run_cli("decompose", "-i", str(source), "-o", str(chain)) == 0
+    assert capsys.readouterr().out == "levels: 0\n"
+    assert chain.read_text() == "cocoa 1\ncount 0\nalphabet a b\n"
+    assert run_cli("stats", "-i", str(chain)) == 0
+    assert capsys.readouterr().out == "levels: 0\n"
+    assert run_cli("rlta", "--chain", str(chain)) == 0
+    assert capsys.readouterr().out == "rlta states: 1\n"
+    built = tmp_path / "built.raf"
+    assert run_cli("build-min", "--chain", str(chain), "-o", str(built)) == 0
+    assert run_cli("equiv", "-a", str(built), "-b", str(source),
+                   "--bound-stem", "3", "--bound-cycle", "3") == 0
+    assert capsys.readouterr().out == "equivalent (within bounds)\n"
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     assert run_cli("stats", "-i", str(tmp_path / "nope.raf")) == 1
     assert "error:" in capsys.readouterr().err

@@ -5,14 +5,14 @@ import pytest
 
 from rerail import build, cobuchi
 from rerail.cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain,
-                            chain_color, chain_falling_violations, chain_member,
-                            compute_Rij, decompose_rerailing,
-                            inclusion_hd_cobuchi, inclusion_table, parse_chain,
-                            residual_tracking_single, serialize_chain)
-from rerail.lasso import LassoWord, enumerate_lassos, parse_lasso
-from rerail.raf import Alphabet, AutomatonStructure, RafError
+                            chain_falling_violations, compute_Rij, decompose_rerailing,
+                            inclusion_table, parse_chain, residual_tracking_single,
+                            serialize_chain)
+from rerail.lasso import LassoWord, enumerate_lassos, membership_function, parse_lasso
+from rerail.raf import Alphabet, AutomatonStructure, RafError, parse_automaton
 
 import oracles
+from conftest import load_text
 
 AB = Alphabet(("a", "b"))
 ABCD = Alphabet(("a", "b", "c", "d"))
@@ -60,7 +60,9 @@ def test_chain_needs_shared_alphabet():
     assert len(Chain([], alphabet=AB)) == 0
 
 
-def test_chain_colors_frozen(uniform_chain):
+def test_chain_colors_frozen(uniform_chain, level_color):
+    color_of = level_color(uniform_chain.levels)
+    in_chain = membership_function(uniform_chain, "chain")
     expected = {
         ";c": 3, ";d": 3, "d;c": 3,
         ";a": 2, ";b": 2, ";b.c": 2,
@@ -69,13 +71,14 @@ def test_chain_colors_frozen(uniform_chain):
     }
     for text, color in expected.items():
         w = parse_lasso(text, ABCD)
-        assert chain_color(uniform_chain, w) == color
-        assert chain_member(uniform_chain, w) == (color % 2 == 0)
+        assert color_of(w) == color
+        assert in_chain(w) == (color % 2 == 0)
 
 
-def test_chain_color_matches_oracle(uniform_chain):
+def test_chain_color_matches_oracle(uniform_chain, level_color):
+    color_of = level_color(uniform_chain.levels)
     for w in enumerate_lassos(4, 2, 2):
-        assert chain_color(uniform_chain, w) == oracles.chain_color(uniform_chain, w)
+        assert color_of(w) == oracles.chain_color(uniform_chain, w)
 
 
 def test_falling_violations_absent(uniform_chain):
@@ -95,6 +98,10 @@ def test_chain_roundtrip(uniform_chain):
     again = parse_chain(text)
     assert serialize_chain(again) == text
     assert len(again) == 3
+    empty = serialize_chain(Chain([], alphabet=AB))
+    assert empty == "cocoa 1\ncount 0\nalphabet a b\n"
+    again = parse_chain(empty)
+    assert len(again) == 0 and again.alphabet == AB
 
 
 @pytest.mark.parametrize("text,hint", [
@@ -115,6 +122,8 @@ def test_chain_roundtrip(uniform_chain):
     ("cocoa 1\ncount 1 2\n", "line 2: expected 'count <n>' with n >= 1"),
     ("cocoa 1\ncount 0\n", "line 2: expected 'count <n>' with n >= 1"),
     ("cocoa 1\ncount -1\n", "line 2: expected 'count <n>' with n >= 1"),
+    ("cocoa 1\ncount 0\nstates 1\n", "line 2: expected 'count <n>' with n >= 1"),
+    ("cocoa 1\ncount 0\nalphabet a\nalphabet a\n", "line 4: trailing content"),
     ("cocoa 1\ncount 1\nautomatonX 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",
      "line 3: expected 'automaton 1' block"),
     ("cocoa 1\ncount 1\nautomaton 1 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",
@@ -137,16 +146,29 @@ def test_decompose_shape(minimal5):
         assert level.state_count == minimal5.state_count
 
 
+def test_decompose_color_inhomogeneous_levels(level_color):
+    # State 2 on b reaches state 0 with color 1 and state 1 with color 0, and
+    # 0 is a mate of 1, so level 1 gets (2, b, 0) both as an accepting copy and
+    # as a rejecting mate-move; the accepting copy is kept.
+    aut = parse_automaton(load_text("inhomogeneous3.raf"))
+    chain = decompose_rerailing(aut)
+    assert (2, 1, 0, 2) in chain.level(1).transitions
+    assert (2, 1, 0, 1) not in chain.level(1).transitions
+    color_of = level_color(chain.levels)
+    for w in enumerate_lassos(2, 4, 4):
+        assert color_of(w) == max(oracles.dominating_colors(aut, w))
+
+
 def test_decompose_requires_complete():
     partial = AutomatonStructure(AB, 1, [(0, 0, 0, 2)], 0)
     with pytest.raises(ValueError):
         decompose_rerailing(partial)
 
 
-def test_decompose_color_is_max_dominating(minimal5):
-    chain = decompose_rerailing(minimal5)
+def test_decompose_color_is_max_dominating(minimal5, level_color):
+    color_of = level_color(decompose_rerailing(minimal5).levels)
     for w in enumerate_lassos(4, 2, 2):
-        assert chain_color(chain, w) == max(oracles.dominating_colors(minimal5, w))
+        assert color_of(w) == max(oracles.dominating_colors(minimal5, w))
 
 
 def test_decompose_preserves_deterministic_languages():
@@ -155,8 +177,9 @@ def test_decompose_preserves_deterministic_languages():
         aut = oracles.random_dpw(rng, 1 + rng.randrange(5), 2, 4)
         chain = decompose_rerailing(aut)
         assert len(chain) == aut.max_color
+        in_chain = membership_function(chain, "chain")
         for w in enumerate_lassos(2, 3, 3):
-            assert chain_member(chain, w) == oracles.member_parity_det(aut, w)
+            assert in_chain(w) == oracles.member_parity_det(aut, w)
 
 
 def test_residual_tracker_alternates(hd5):
@@ -319,9 +342,9 @@ def test_rij_arenas_stay_small_at_twenty_states(monkeypatch):
 
 def test_inclusion_tiny():
     u, e = universal(), empty_language()
-    assert inclusion_hd_cobuchi(e, 0, u, 0)
-    assert inclusion_hd_cobuchi(u, 0, u, 0)
-    assert not inclusion_hd_cobuchi(u, 0, e, 0)
+    assert (0, 0) in inclusion_table(e, u)
+    assert (0, 0) in inclusion_table(u, u)
+    assert (0, 0) not in inclusion_table(u, e)
 
 
 def test_inclusion_classes_on_hd_example(hd5):
@@ -341,7 +364,7 @@ def test_inclusion_sound_against_bounded_search():
         b = CoBuchiAutomaton(det.alphabet, det.state_count,
                              [(s, x, d, c + 1) for (s, x, d, c) in det.transitions],
                              det.initial)
-        assert inclusion_hd_cobuchi(b, b.initial, b, b.initial)
-        if inclusion_hd_cobuchi(a, a.initial, b, b.initial):
+        assert (b.initial, b.initial) in inclusion_table(b, b)
+        if (a.initial, b.initial) in inclusion_table(a, b):
             for w in enumerate_lassos(2, 3, 3):
                 assert (not oracles.member_cobuchi(a, w)) or oracles.member_cobuchi(b, w)

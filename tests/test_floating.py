@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from rerail.cobuchi import (CoBuchiAutomaton, Rlta, chain_color, decompose_rerailing,
+from rerail.cobuchi import (CoBuchiAutomaton, Rlta, decompose_rerailing,
                             residual_tracking_single)
-from rerail.floating import (FloatingAutomaton, FloatingChain, empty_floating,
-                             floating_chain_color, floating_member,
-                             level0_floating, max_accepting_sccs,
+from rerail.floating import (FloatingAutomaton, FloatingChain, cobuchi_reading,
+                             empty_floating, level0_floating, max_accepting_sccs,
                              minimize_floating, parse_floating_chain,
                              product_floating, residualize, residualize_chain,
                              restrict_floating, safe_subset,
                              serialize_floating_chain, union_floating)
-from rerail.lasso import enumerate_lassos, parse_lasso
+from rerail.lasso import enumerate_lassos, membership_function, parse_lasso
 from rerail.raf import Alphabet, RafError
 
 import oracles
@@ -22,6 +21,11 @@ ABCD = Alphabet(("a", "b", "c", "d"))
 
 def trivial_rlta(alphabet):
     return Rlta(alphabet, 1, [[0] * len(alphabet)], 0)
+
+
+def bind_floating(f):
+    """Membership in the floating language of `f`, bound once."""
+    return membership_function(cobuchi_reading(f), "cobuchi")
 
 
 def eventually_only(alphabet, symbols):
@@ -72,35 +76,39 @@ def test_level0_accepts_everything():
     rlta = trivial_rlta(AB)
     base = level0_floating(rlta)
     assert base.state_count == 1
+    member = bind_floating(base)
     for w in enumerate_lassos(2, 2, 2):
-        assert floating_member(base, w)
+        assert member(w)
 
 
 def test_empty_floating_rejects_everything():
     f = empty_floating(trivial_rlta(AB))
     assert f.state_count == 0
+    member = bind_floating(f)
     for w in enumerate_lassos(2, 2, 2):
-        assert not floating_member(f, w)
+        assert not member(w)
 
 
 def test_floating_member_waits_for_a_position():
-    f = eventually_only(AB, "a")
-    assert floating_member(f, parse_lasso("b;a", AB))
-    assert floating_member(f, parse_lasso(";a", AB))
-    assert not floating_member(f, parse_lasso(";b", AB))
-    assert not floating_member(f, parse_lasso(";a.b", AB))
+    member = bind_floating(eventually_only(AB, "a"))
+    assert member(parse_lasso("b;a", AB))
+    assert member(parse_lasso(";a", AB))
+    assert not member(parse_lasso(";b", AB))
+    assert not member(parse_lasso(";a.b", AB))
 
 
 def test_floating_member_matches_oracle(uniform_flochain):
     for f in uniform_flochain.levels:
+        member = bind_floating(f)
         for w in enumerate_lassos(4, 2, 2):
-            assert floating_member(f, w) == oracles.floating_member(f, w)
+            assert member(w) == oracles.floating_member(f, w)
     rng = random.Random(5)
     for k in range(60):
         dpw = oracles.random_dpw(rng, 2 + k % 5, 2 + k % 2, 1 + k % 4)
         for f in residualize_chain(decompose_rerailing(dpw)).levels:
+            member = bind_floating(f)
             for w in enumerate_lassos(len(dpw.alphabet), 2, 3):
-                assert floating_member(f, w) == oracles.floating_member(f, w), (k, w)
+                assert member(w) == oracles.floating_member(f, w), (k, w)
 
 
 def test_chain_level_zero(uniform_flochain):
@@ -140,18 +148,22 @@ def test_residualize_groups_nondeterministic_accepting():
     assert f.state_count == 1
     assert f.names == ["0+1"]
     assert f.transitions() == [(0, 0, 0)]
+    member = bind_floating(f)
     for w in enumerate_lassos(2, 2, 2):
-        assert floating_member(f, w) == oracles.member_cobuchi(aut, w)
+        assert member(w) == oracles.member_cobuchi(aut, w)
 
 
-def test_residualize_chain_language(uniform_chain, uniform_flochain):
+def test_residualize_chain_language(uniform_chain, uniform_flochain, level_color):
     fchain = residualize_chain(uniform_chain)
     assert fchain.rlta.state_count == 1
     assert len(fchain) == 3
+    color_of = level_color(uniform_chain.levels)
+    residualized = level_color([cobuchi_reading(f) for f in fchain.levels])
+    parsed = level_color([cobuchi_reading(f) for f in uniform_flochain.levels])
     for w in enumerate_lassos(4, 2, 2):
-        color = chain_color(uniform_chain, w)
-        assert floating_chain_color(fchain, w) == color
-        assert floating_chain_color(uniform_flochain, w) == color
+        color = color_of(w)
+        assert residualized(w) == color
+        assert parsed(w) == color
 
 
 def test_safe_subset_on_residuals(hd5):
@@ -223,8 +235,9 @@ def test_minimize_dominated_state_behind_bridge():
     out = minimize_floating(f)
     assert out.state_count == 2
     assert out.transitions() == [(0, 0, 0), (1, 1, 1)]
+    member_out, member_f = bind_floating(out), bind_floating(f)
     for w in enumerate_lassos(2, 3, 3):
-        assert floating_member(out, w) == floating_member(f, w)
+        assert member_out(w) == member_f(w)
 
 
 def test_minimize_random_residuals_and_products():
@@ -260,9 +273,9 @@ def test_product_intersects(uniform_flochain):
     assert both.state_count == f2.state_count * f3.state_count
     assert both.marking == [q1 for q1 in range(f2.state_count)
                             for _ in range(f3.state_count)]
+    member_both, member2, member3 = (bind_floating(f) for f in (both, f2, f3))
     for w in enumerate_lassos(4, 2, 2):
-        assert floating_member(both, w) == (
-            floating_member(f2, w) and floating_member(f3, w))
+        assert member_both(w) == (member2(w) and member3(w))
 
 
 def test_product_requires_shared_tracker():
@@ -275,9 +288,9 @@ def test_union_accepts_either(uniform_flochain):
     either = union_floating(f1, f3)
     assert either.state_count == f1.state_count + f3.state_count
     assert either.labels == list(f1.labels) + list(f3.labels)
+    member_either, member1, member3 = (bind_floating(f) for f in (either, f1, f3))
     for w in enumerate_lassos(4, 2, 2):
-        assert floating_member(either, w) == (
-            floating_member(f1, w) or floating_member(f3, w))
+        assert member_either(w) == (member1(w) or member3(w))
 
 
 def test_union_marking_mismatch():
