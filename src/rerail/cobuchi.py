@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
 from .lasso import enumerate_lassos, membership_function
-from .raf import (Alphabet, AutomatonStructure, RafError, equireach_relation,
-                  validate_complete, _body_lines, _numbered_lines, _parse_raf_body)
+from .raf import (AutomatonStructure, RafError, UnreachableStatesError, equireach_relation,
+                  validate_complete, _body_lines, _numbered_lines, _parse_alphabet,
+                  _parse_raf_body)
 from .scc import reachable
 
 
@@ -99,7 +100,7 @@ def parse_chain(text):
     idx = 2
     alphabet = None                     # a chain with no levels names its alphabet
     if count == 0 and len(lines) > 2 and lines[2][1].split()[0] == "alphabet":
-        alphabet = Alphabet(tuple(lines[2][1].split()[1:]))
+        alphabet = _parse_alphabet(lines[2][1].split()[1:], lines[2][0])
         idx = 3
     if parts[:1] != ["count"] or count is None or (count == 0 and alphabet is None):
         raise RafError("expected 'count <n>' with n >= 1, or 'count 0' followed by an "
@@ -130,7 +131,9 @@ def decompose_rerailing(aut):
     Level i accepts exactly the words having some run with dominating color
     >= i: transitions of color >= i stay as accepting copies, lower-colored
     ones become rejecting moves onto every state jointly reachable with the
-    original target.
+    original target.  Unreachable states, which no run from the initial
+    state visits, are dropped first (they need not be complete), and the
+    others renumbered in order.
 
     Each level keys its transitions by (src, sym, dst), and an accepting
     copy wins over a rejecting mate-move of the same triple.  The level
@@ -139,10 +142,19 @@ def decompose_rerailing(aut):
     survives.  Only color-inhomogeneous inputs give a triple both copies;
     a color-homogeneous (src, sym) has one color, at least i or below it.
     """
-    missing = validate_complete(aut)
+    try:
+        relation, keep = equireach_relation(aut), None
+    except UnreachableStatesError:        # keep the reachable states, in order
+        keep = {q: k for k, q in enumerate(sorted(aut.reachable_states()))}
+    missing = [(q, x) for (q, x) in validate_complete(aut) if keep is None or q in keep]
     if missing:
         raise ValueError("input automaton incomplete at %s" % (missing[:5],))
-    relation = equireach_relation(aut)
+    if keep is not None:
+        names = {keep[q]: name for q, name in (aut.state_names or {}).items() if q in keep}
+        aut = AutomatonStructure(aut.alphabet, len(keep),
+                                 [(keep[s], x, keep[d], c) for (s, x, d, c) in aut.transitions
+                                  if s in keep], keep[aut.initial], names or None)
+        relation = equireach_relation(aut)
     mates = [[] for _ in range(aut.state_count)]
     for (p, q) in sorted(relation):
         mates[q].append(p)

@@ -6,10 +6,15 @@ is even.  Arenas must be total: every vertex needs at least one successor.
 
 from __future__ import annotations
 
+from operator import itemgetter, lt
+
 
 class GameArena:
     """Game graph with vertex owners (0 or 1), vertex colors, and edge lists.
 
+    `edges[v]` is the strictly increasing successor list of v.  The arena
+    adopts every row given as a strictly increasing list (the caller must not
+    change it afterwards) and copies any other row sorted and deduplicated.
     `names` is a list of display names or a function from vertex to name.
     """
 
@@ -22,16 +27,19 @@ class GameArena:
         if not 0 <= initial < n:
             raise ValueError("initial vertex out of range")
         self.initial = initial
-        self.edges = []
-        for v, succ in enumerate(edges):
-            row = sorted(set(succ)) if len(succ) > 1 else list(succ)
-            if not row:
-                raise ValueError("vertex %d has no successor (arena must be total)" % v)
-            if row[0] < 0 or row[-1] >= n:
-                raise ValueError("edge target out of range: %d -> %d"
-                                 % (v, row[0] if row[0] < 0 else row[-1]))
-            self.edges.append(row)
-        if len(self.edges) != n:
+        # pairs, the common rows, are checked for order without a slice
+        self.edges = rows = [
+            row if type(row) is list and (len(row) < 2 or (
+                row[0] < row[1] if len(row) == 2 else all(map(lt, row, row[1:]))))
+            else sorted(set(row)) for row in edges]
+        if (len(rows) != n or not all(rows) or min(map(itemgetter(0), rows)) < 0
+                or max(map(itemgetter(-1), rows)) >= n):
+            for v, row in enumerate(rows):          # report the first bad vertex
+                if not row:
+                    raise ValueError("vertex %d has no successor (arena must be total)" % v)
+                if row[0] < 0 or row[-1] >= n:
+                    raise ValueError("edge target out of range: %d -> %d"
+                                     % (v, row[0] if row[0] < 0 else row[-1]))
             raise ValueError("edge list length mismatch")
         if not set(self.owners) <= {0, 1} or min(self.colors) < 0:
             v = next(v for v in range(n) if self.owners[v] not in (0, 1) or self.colors[v] < 0)
@@ -92,7 +100,7 @@ class ArenaBuilder:
         return len(self.keys) - 1
 
     def arena(self, initial=0, name=None):
-        """The finished arena; `name(key)` gives display names, computed on demand."""
+        """The finished arena, adopting sorted rows; `name(key)` names vertices on demand."""
         keys = self.keys
         names = None if name is None else lambda v: name(keys[v])
         return GameArena(self.owners, self.colors, self.edges, initial, names)
@@ -107,42 +115,47 @@ def solve(arena):
     p-attractor of that color) is pushed as a new frame, and its second one
     continues in the same frame after removing the opponent's attractor.
     A subgame whose colors all have one parity goes to that player at once.
+
+    An attractor walks its queue as a growing list, in any order, since it is
+    a fixed point.  An opponent vertex joins when its last live successor
+    does; one with a single successor joins at once, and one with more keeps
+    a count of live successors not yet attracted.
     """
     n = arena.vertex_count
     owners = arena.owners
     colors = arena.colors
     edges = arena.edges
     preds = [[] for _ in range(n)]
-    for v in range(n):
-        for w in edges[v]:
+    for v, row in enumerate(edges):
+        for w in row:
             preds[w].append(v)
 
     def attractor(targets, player, alive):
         attr = set(targets)
         counts = {}
-        queue = sorted(targets)
-        while queue:
-            u = queue.pop()
+        queue = list(attr)
+        for u in queue:
             for v in preds[u]:
-                if v not in alive or v in attr:
+                if v in attr or v not in alive:
                     continue
-                if owners[v] == player:
-                    attr.add(v)
-                    queue.append(v)
-                else:
-                    if v not in counts:
-                        counts[v] = sum(1 for w in edges[v] if w in alive)
-                    counts[v] -= 1
-                    if counts[v] == 0:
-                        attr.add(v)
-                        queue.append(v)
+                if owners[v] != player:
+                    row = edges[v]
+                    if len(row) > 1:
+                        k = counts.get(v)
+                        if k is None:
+                            k = sum(map(alive.__contains__, row))
+                        counts[v] = k = k - 1
+                        if k:
+                            continue
+                attr.add(v)
+                queue.append(v)
         return attr
 
     frames = []
     sub, won = set(range(n)), [set(), set()]
     while True:
         while sub:
-            present = {colors[v] for v in sub}
+            present = set(map(colors.__getitem__, sub))
             c = min(present)
             p = c & 1
             if all(d & 1 == p for d in present):

@@ -214,6 +214,14 @@ def _parse_name_line(rest, lineno):
     return state, display[1:-1]
 
 
+def _parse_alphabet(symbols, lineno):
+    """The alphabet of an `alphabet` line's symbols; a bad one is a RafError naming the line."""
+    try:
+        return Alphabet(tuple(symbols))
+    except ValueError as exc:
+        raise RafError(str(exc), lineno) from None
+
+
 def _parse_state_count(rest, lineno):
     """The count of a `states` line; above MAX_STATES it is refused before any allocation."""
     try:
@@ -253,7 +261,7 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
                 raise RafError("duplicate %s line" % word, lineno)
             given.add(word)
         if word == "alphabet":
-            alphabet = Alphabet(tuple(rest.split()))
+            alphabet = _parse_alphabet(rest.split(), lineno)
         elif word == "states":
             state_count = _parse_state_count(rest, lineno)
         elif word == "initial":

@@ -4,7 +4,7 @@ import pytest
 
 from rerail.build import (BuildState, build_minimal, check_color_homogeneous,
                           minimize_rerailing, recurse_build, verify_rerailing_bounded)
-from rerail.cobuchi import Rlta
+from rerail.cobuchi import Rlta, decompose_rerailing
 from rerail.floating import level0_floating
 from rerail.lasso import (LassoWord, bounded_equivalence, enumerate_lassos,
                           member_rerailing, membership_function)
@@ -249,6 +249,34 @@ def test_minimize_color_inhomogeneous_input():
     assert small.state_count <= 3
     assert verify_rerailing_bounded(small, 5, 5) == []
     assert bounded_equivalence(small, "rerailing", aut, "rerailing", 6, 6) is None
+
+
+def test_minimize_trims_unreachable_states():
+    """Unreachable states are dropped before decomposing, not refused."""
+    example = parse_automaton("raf 1\nalphabet a b\nstates 2\ninitial 0\ntrans 0 a 0 0\n"
+                              "trans 0 b 0 1\ntrans 1 a 1 0\ntrans 1 b 1 0\n")
+    inputs = [example]
+    rng = random.Random(11)
+    for _ in range(400):
+        aut = oracles.random_complete_automaton(rng, 2 + rng.randrange(4), 2,
+                                                1 + rng.randrange(4))
+        if (len(aut.reachable_states()) < aut.state_count
+                and not verify_rerailing_bounded(aut, 4, 4)):
+            inputs.append(aut)
+    assert len(inputs) == 25
+    for aut in inputs:
+        small = minimize_rerailing(aut)
+        assert bounded_equivalence(small, "rerailing", aut, "rerailing", 4, 4) is None
+    assert minimize_rerailing(example).state_count == 1
+    partial = AutomatonStructure(AB, 3, [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 2, 0), (2, 1, 2, 1)],
+                                 0, state_names={0: "kept", 2: "dropped"})
+    (level,) = decompose_rerailing(partial).levels      # states 1 and 2 lack moves
+    assert (level.state_count, level.state_names) == (1, {0: "kept"})
+    small = minimize_rerailing(partial)
+    assert bounded_equivalence(small, "rerailing", example, "rerailing", 4, 4) is None
+    with pytest.raises(ValueError, match=r"incomplete at \[\(1, 1\)\]"):
+        minimize_rerailing(AutomatonStructure(AB, 2, [(0, 0, 1, 0), (0, 1, 0, 1),
+                                                      (1, 0, 1, 0)], 0))
 
 
 def test_verify_passes_on_construction_output(hd5, uniform_flochain):

@@ -124,6 +124,9 @@ def test_chain_roundtrip(uniform_chain):
     ("cocoa 1\ncount -1\n", "line 2: expected 'count <n>' with n >= 1"),
     ("cocoa 1\ncount 0\nstates 1\n", "line 2: expected 'count <n>' with n >= 1"),
     ("cocoa 1\ncount 0\nalphabet a\nalphabet a\n", "line 4: trailing content"),
+    ("cocoa 1\ncount 0\nalphabet a a\n", "line 3: duplicate symbol 'a'"),
+    ("cocoa 1\ncount 1\nautomaton 1\nalphabet b b\nstates 1\ninitial 0\n",
+     "line 4: duplicate symbol 'b'"),
     ("cocoa 1\ncount 1\nautomatonX 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",
      "line 3: expected 'automaton 1' block"),
     ("cocoa 1\ncount 1\nautomaton 1 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",

@@ -29,6 +29,24 @@ def test_arena_edges_sorted_deduped():
     assert arena.edges == [[2], [1], [0, 2]]
 
 
+def test_arena_adopts_sorted_list_rows():
+    builder = ArenaBuilder()
+    for key in range(4):
+        builder.vertex(key, key % 2, key)
+    builder.edges[0].extend([1, 3])
+    builder.edges[1].extend([2, 0, 2])
+    builder.edges[2].extend([3, 3])
+    builder.edges[3].append(0)
+    arena = builder.arena()
+    assert arena.edges == [[1, 3], [0, 2], [3], [0]]
+    assert arena.edges[0] is builder.edges[0]
+    assert arena.edges[3] is builder.edges[3]
+    assert builder.edges[1] == [2, 0, 2]            # a row needing a copy stays untouched
+    arena = GameArena([0, 1], [0, 1], [(0, 1), (1,)])
+    assert arena.edges == [[0, 1], [1]]
+    assert all(type(row) is list for row in arena.edges)
+
+
 @pytest.mark.parametrize("owners,colors,edges,message", [
     ([0, 1], [0], [[1], [0]], "equal length"),
     ([0, 1], [0, 1], [[1], []], "vertex 1 has no successor"),
@@ -128,6 +146,20 @@ def test_solve_matches_strategy_enumeration():
         assert w0 | w1 == set(range(arena.vertex_count))
         assert not (w0 & w1)
         assert w0 == oracles.solve_by_strategies(arena)
+
+
+def test_solve_unsorted_duplicate_rows_as_normalized_twin():
+    rng = random.Random(23)
+    for _ in range(60):
+        twin = oracles.random_arena(rng, 2 + rng.randrange(30), rng.randrange(5))
+        rows = []
+        for row in twin.edges:
+            row = row + rng.sample(row, rng.randint(0, len(row)))
+            rng.shuffle(row)
+            rows.append(row)
+        arena = GameArena(twin.owners, twin.colors, rows)
+        assert arena.edges == twin.edges
+        assert solve(arena) == solve(twin)
 
 
 def test_winning_region_is_a_trap():

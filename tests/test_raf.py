@@ -116,6 +116,8 @@ trans 1 b 1 1
     ("raf 1\nalphabet a\nstates 2\ninitial 0\ninitial 1\ntrans 0 a 0 0\n",
      "line 5: duplicate initial line"),
     ("raf 1\nalphabet a\nalphabet b\nstates 1\ninitial 0\n", "line 3: duplicate alphabet line"),
+    ("raf 1\nalphabet a a\nstates 1\ninitial 0\ntrans 0 a 0 0\n", "line 2: duplicate symbol 'a'"),
+    ("raf 1\nalphabet\nstates 1\ninitial 0\n", "line 2: alphabet must not be empty"),
 ])
 def test_parse_errors(text, hint):
     with pytest.raises(RafError) as err:
@@ -126,7 +128,8 @@ def test_parse_errors(text, hint):
 @pytest.mark.parametrize("text,line", [
     ("raf 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 z 0 1\n", 5),
     ("raf 1\nalphabet a\nstates 2\ninitial 0\ntrans 0 a 1 1\ntrans 0 a 1 2\n", 6),
-], ids=["unknown-symbol", "conflicting-colors"])
+    ("raf 1\n# symbols\nalphabet a a\nstates 1\ninitial 0\n", 3),
+], ids=["unknown-symbol", "conflicting-colors", "duplicate-symbol"])
 def test_raf_error_carries_line_number(text, line):
     with pytest.raises(RafError) as err:
         parse_automaton(text)

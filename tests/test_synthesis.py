@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import warnings
@@ -218,6 +219,37 @@ def test_pinned_arenas_unchanged():
     digest = hashlib.sha256("".join(tables).encode("utf-8")).hexdigest()
     assert len(tables) == 28
     assert digest == PINNED_ARENA_SHA256
+
+
+PINNED_WINNING_SHA256 = "fcd8dfd95551979ed2b0ac17b2429d8d279c404540b8e576eca3647f095b77a8"
+
+
+def test_pinned_winning_regions_unchanged():
+    """The player-0 regions of the pinned specs' arenas, one sorted line each, keep one digest."""
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for (spec, io) in pinned_specs():
+            w0, _w1 = solve(build_realizability_game(spec, io))
+            lines.append(" ".join(map(str, sorted(w0))))
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == PINNED_WINNING_SHA256
+
+
+def test_gc_state_left_alone(monkeypatch):
+    """Realizability and minimization never switch or tune the cyclic collector."""
+    def refuse(*_args):
+        raise AssertionError("the library changed the garbage collector's state")
+
+    for name in ("disable", "enable", "freeze", "unfreeze", "set_threshold"):
+        monkeypatch.setattr(gc, name, refuse)
+    state = (gc.isenabled(), gc.get_threshold())
+    rng = random.Random(54)
+    for _ in range(5):
+        spec = random_reachable_spec(rng, RG_IO, 2 + rng.randrange(4), 1 + rng.randrange(3))
+        realizability(spec, RG_IO)
+        realizability(minimize_rerailing(spec), RG_IO)
+    assert (gc.isenabled(), gc.get_threshold()) == state
 
 
 def test_vertex_names_of_a_built_arena():
