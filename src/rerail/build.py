@@ -40,7 +40,7 @@ class BuildState:
         serial = 1
         while candidate in self.state_index:
             serial += 1
-            candidate = "%s#%d" % (base, serial)
+            candidate = "%s~%d" % (base, serial)
         index = len(self.names)
         self.names.append(candidate)
         self.state_index[candidate] = index

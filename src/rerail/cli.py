@@ -16,8 +16,8 @@ from . import cobuchi, floating, synthesis
 from .games import solve
 from .lasso import (SEMANTICS, bounded_equivalence, format_lasso, membership_function,
                     parse_lasso)
-from .raf import (Alphabet, AutomatonStructure, RafError, _numbered_lines,
-                  parse_automaton, serialize_automaton, validate_complete)
+from .raf import (Alphabet, AutomatonStructure, RafError, parse_automaton,
+                  serialize_automaton, validate_complete)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,18 +47,22 @@ def _write_text(path, text):
 
 
 def _load_any(path):
+    """The object in a file, read by the parser its first non-comment line names."""
     text = _read_text(path)
-    lines = _numbered_lines(text)
-    if not lines:
+    for raw in text.splitlines():
+        header = raw.partition("#")[0].strip()
+        if header:
+            break
+    else:
         raise RafError("empty input file %s" % path)
-    head = lines[0][1].split()[0]
+    head = header.split()[0]
     if head == "raf":
         return parse_automaton(text)
     if head == "cocoa":
         return cobuchi.parse_chain(text)
     if head == "flochain":
         return floating.parse_floating_chain(text)
-    raise RafError("unrecognized format header %r in %s" % (lines[0][1], path))
+    raise RafError("unrecognized format header %r in %s" % (header, path))
 
 
 def _load_automaton(path):

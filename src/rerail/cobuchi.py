@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .games import ArenaBuilder, solve
 from .lasso import enumerate_lassos, membership_function
 from .raf import (AutomatonStructure, RafError, UnreachableStatesError, equireach_relation,
-                  validate_complete, _body_lines, _numbered_lines, _parse_alphabet,
-                  _parse_raf_body)
+                  validate_complete, _body_lines, _check_name, _numbered_lines,
+                  _parse_alphabet, _parse_raf_body)
 from .scc import reachable
 
 
@@ -113,13 +113,10 @@ def parse_chain(text):
             raise RafError("expected 'automaton %d' block" % want, lineno)
         if parts[1] != str(want):
             raise RafError("chain blocks must be numbered consecutively from 1", lineno)
-        idx += 1
-        aut, idx = _parse_raf_body(lines, require_version=None, with_colors=True,
-                                   start=idx, stop_words=("automaton",))
-        try:
-            levels.append(CoBuchiAutomaton.from_structure(aut))
-        except ValueError as exc:
-            raise RafError("automaton %d: %s" % (want, exc)) from None
+        level, idx = _parse_raf_body(lines, require_version=None, with_colors=True,
+                                     start=idx + 1, stop_words=("automaton",),
+                                     cls=CoBuchiAutomaton, label="automaton %d: " % want)
+        levels.append(level)
     if idx != len(lines):
         raise RafError("trailing content after %d chain blocks" % count, lines[idx][0])
     return Chain(levels, alphabet)
@@ -228,6 +225,8 @@ class Rlta:
             raise ValueError("initial state out of range")
         self.initial = initial
         self.names = list(names) if names is not None else None
+        for name in self.names or ():
+            _check_name(name)
 
     def step(self, state, symbol):
         return self.delta[state][symbol]

@@ -11,8 +11,8 @@ automata are the building blocks of the rerailing-automaton construction.
 from __future__ import annotations
 
 from .cobuchi import CoBuchiAutomaton, Rlta, build_rlta_chain
-from .raf import (AutomatonStructure, RafError, _body_lines, _numbered_lines,
-                  _parse_name_line, _parse_raf_body, _parse_state_count)
+from .raf import (AutomatonStructure, RafError, _blame, _body_lines, _check_name,
+                  _numbered_lines, _parse_name_line, _parse_raf_body, _parse_state_count)
 from .scc import reachable, scc_decomposition
 
 
@@ -37,6 +37,8 @@ class FloatingAutomaton:
             raise ValueError("need one marking per state when marked")
         if self.names is not None and len(self.names) != state_count:
             raise ValueError("need one name per state when named")
+        for name in self.names or ():
+            _check_name(name)
         mark_step = {}
         for (src, sym), dst in self.delta.items():
             if not (0 <= src < state_count and 0 <= dst < state_count
@@ -402,10 +404,25 @@ def _parse_floating_block(lines, start, alphabet, rlta):
     delta = {}
     while idx < len(lines):
         lineno, line = lines[idx]
-        word = line.split(None, 1)[0]
+        parts = line.split()
+        word = parts[0]
         if word == "floating":
             break
         idx += 1
+        if word == "trans":
+            if len(parts) != 4:
+                raise RafError("trans needs 3 fields", lineno)
+            try:
+                src, dst = int(parts[1]), int(parts[3])
+            except ValueError:
+                raise RafError("bad transition fields %r" % line[5:].strip(), lineno) from None
+            sym = alphabet.positions.get(parts[2])
+            if sym is None:
+                raise RafError("unknown symbol %r" % parts[2], lineno)
+            if delta.setdefault((src, sym), dst) != dst:
+                raise RafError("conflicting targets for state %d on %s"
+                               % (src, parts[2]), lineno)
+            continue
         rest = line[len(word):].strip()
         if word == "states":
             if state_count is not None:
@@ -417,31 +434,15 @@ def _parse_floating_block(lines, start, alphabet, rlta):
                 raise RafError("duplicate name for state %d" % state, lineno)
             names[state] = display
         elif word == "label":
-            parts = rest.split()
-            if len(parts) != 2:
+            if len(parts) != 3:
                 raise RafError("label needs a state and a tracker state", lineno)
             try:
-                state, label = int(parts[0]), int(parts[1])
+                state, label = int(parts[1]), int(parts[2])
             except ValueError:
                 raise RafError("bad label fields %r" % rest, lineno) from None
             if state in labels:
                 raise RafError("duplicate label for state %d" % state, lineno)
             labels[state] = label
-        elif word == "trans":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise RafError("trans needs 3 fields", lineno)
-            try:
-                src, dst = int(parts[0]), int(parts[2])
-            except ValueError:
-                raise RafError("bad transition fields %r" % rest, lineno) from None
-            try:
-                sym = alphabet.index(parts[1])
-            except ValueError:
-                raise RafError("unknown symbol %r" % parts[1], lineno) from None
-            if delta.setdefault((src, sym), dst) != dst:
-                raise RafError("conflicting targets for state %d on %s"
-                               % (src, parts[1]), lineno)
         else:
             raise RafError("unknown directive %r" % word, lineno)
     if state_count is None:
@@ -449,7 +450,8 @@ def _parse_floating_block(lines, start, alphabet, rlta):
     for what, table in (("name", names), ("label", labels)):
         stray = sorted(q for q in table if not 0 <= q < state_count)
         if stray:
-            raise RafError("%s given for missing state %d" % (what, stray[0]))
+            raise RafError("%s given for missing state %d" % (what, stray[0]),
+                           _blame(lines[start:idx], ((what, lambda f: int(f[0]) == stray[0]),)))
     missing = [q for q in range(state_count) if q not in labels]
     if missing:
         raise RafError("floating states missing labels: %s" % missing[:5])
@@ -461,7 +463,17 @@ def _parse_floating_block(lines, start, alphabet, rlta):
                               [labels[q] for q in range(state_count)], rlta,
                               names=name_list)
     except ValueError as exc:
-        raise RafError(str(exc)) from None
+        bad = next((q for q in range(state_count)
+                    if not 0 <= labels[q] < rlta.state_count), None)
+
+        def breaks(f):
+            src, dst = int(f[0]), int(f[2])
+            return (not (0 <= src < state_count and 0 <= dst < state_count)
+                    or labels[dst] != rlta.step(labels[src], alphabet.positions[f[1]]))
+        lineno = _blame(lines[start:idx], (("states", lambda f: state_count < 0),
+                                           ("label", lambda f: int(f[0]) == bad),
+                                           ("trans", breaks)))
+        raise RafError(str(exc), lineno) from None
     return f, idx
 
 

@@ -8,7 +8,7 @@ rerailing automaton, a parity automaton, or a co-Buchi automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scc import reachable
 
@@ -39,21 +39,30 @@ class UnreachableStatesError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered tuple of distinct symbol names; the order is canonical."""
+    """Ordered tuple of distinct symbol names; the order is canonical.
+
+    `positions` maps each symbol to its index.  No symbol may hold `#`,
+    which starts a comment in the text formats, or `.` and `;`, which
+    separate the symbols and the stem of a lasso.
+    """
 
     symbols: tuple
+    positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValueError("alphabet must not be empty")
-        seen = set()
+        positions = {}
         for sym in self.symbols:
             if not sym or any(ch.isspace() for ch in sym):
                 raise ValueError("bad symbol name %r" % (sym,))
-            if sym in seen:
+            if any(ch in "#.;" for ch in sym):
+                raise ValueError("symbol %r holds a reserved character (# . ;)" % (sym,))
+            if sym in positions:
                 raise ValueError("duplicate symbol %r" % (sym,))
-            seen.add(sym)
+            positions[sym] = len(positions)
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self):
         return len(self.symbols)
@@ -63,8 +72,8 @@ class Alphabet:
 
     def index(self, symbol):
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self.positions[symbol]
+        except KeyError:
             raise ValueError("symbol %r not in alphabet" % (symbol,)) from None
 
 
@@ -84,28 +93,30 @@ class AutomatonStructure:
         self.alphabet = alphabet
         self.state_count = state_count
         self.initial = initial
+        nsym = len(alphabet)
+        transitions = list(transitions)         # walked again when a check fails
         seen = {}
+        setdefault = seen.setdefault
         for (src, sym, dst, color) in transitions:
-            if not 0 <= src < state_count or not 0 <= dst < state_count:
-                raise ValueError("transition endpoint out of range: %r" % ((src, sym, dst, color),))
-            if not 0 <= sym < len(alphabet):
-                raise ValueError("symbol index out of range: %r" % ((src, sym, dst, color),))
-            if color < 0:
-                raise ValueError("negative color: %r" % ((src, sym, dst, color),))
-            key = (src, sym, dst)
-            if key in seen and seen[key] != color:
-                raise ValueError("conflicting colors for transition %r" % (key,))
-            seen[key] = color
-        self.transitions = tuple(sorted((s, a, d, c) for (s, a, d), c in seen.items()))
+            if setdefault((src, sym, dst), color) != color:
+                _raise_first_fault(transitions, state_count, nsym)
+        srcs, syms, dsts = tuple(zip(*seen)) or ((), (), ())
+        ends = srcs + dsts
+        if ends and (min(ends) < 0 or max(ends) >= state_count or min(syms) < 0
+                     or max(syms) >= nsym or min(seen.values()) < 0):
+            _raise_first_fault(transitions, state_count, nsym)
+        self.transitions = tuple(sorted(zip(srcs, syms, dsts, seen.values())))
         if state_names is not None:
             state_names = dict(state_names)
             stray = sorted(q for q in state_names if not 0 <= q < state_count)
             if stray:
                 raise ValueError("name given for missing state %d" % stray[0])
+            for name in state_names.values():
+                _check_name(name)
             if len(set(state_names.values())) != len(state_names):
                 raise ValueError("state display names must be unique")
         self.state_names = state_names
-        succ = [[[] for _ in range(len(alphabet))] for _ in range(state_count)]
+        succ = [[[] for _ in range(nsym)] for _ in range(state_count)]
         for (src, sym, dst, color) in self.transitions:
             succ[src][sym].append((dst, color))
         self._succ = succ
@@ -148,10 +159,30 @@ class AutomatonStructure:
             self.state_count, len(self.transitions), self.initial)
 
 
+def _check_name(name):
+    """Refuse a state name that a `name` line cannot carry: `#` or a line break."""
+    if "#" in name or name.splitlines() not in ([], [name]):
+        raise ValueError("state name %r holds '#' or a line break" % (name,))
+
+
+def _raise_first_fault(transitions, state_count, nsym):
+    """Raise the error of the first transition out of range or in conflict, in order."""
+    seen = {}
+    for (src, sym, dst, color) in transitions:
+        if not 0 <= src < state_count or not 0 <= dst < state_count:
+            raise ValueError("transition endpoint out of range: %r" % ((src, sym, dst, color),))
+        if not 0 <= sym < nsym:
+            raise ValueError("symbol index out of range: %r" % ((src, sym, dst, color),))
+        if color < 0:
+            raise ValueError("negative color: %r" % ((src, sym, dst, color),))
+        if seen.setdefault((src, sym, dst), color) != color:
+            raise ValueError("conflicting colors for transition %r" % ((src, sym, dst),))
+
+
 def validate_complete(aut):
     """Return the (state, symbol index) pairs lacking any outgoing transition."""
-    return [(q, a) for q in range(aut.state_count) for a in range(len(aut.alphabet))
-            if not aut.successors(q, a)]
+    return [(q, a) for q, row in enumerate(aut._succ) for a, targets in enumerate(row)
+            if not targets]
 
 
 def parse_automaton(text):
@@ -192,12 +223,26 @@ def _body_lines(aut, with_colors=True):
 
 
 def _numbered_lines(text):
-    result = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            result.append((lineno, line))
-    return result
+    """The (1-based number, content) of each line left non-blank once its comment is cut."""
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.partition("#")[0] for raw in raws]
+    return [(lineno, line) for lineno, raw in enumerate(raws, start=1) if (line := raw.strip())]
+
+
+def _blame(body, checks):
+    """The number of the first `body` line that the first failing check fails, or None.
+
+    `checks` are (directive, fails) pairs in the order a constructor makes
+    them; `fails` gets the fields of a line after its directive.  Run only
+    once a construction failed, so that a valid text pays nothing.
+    """
+    for word, fails in checks:
+        for lineno, line in body:
+            fields = line.split()
+            if fields[0] == word and fails(fields[1:]):
+                return lineno
+    return None
 
 
 def _parse_name_line(rest, lineno):
@@ -233,25 +278,51 @@ def _parse_state_count(rest, lineno):
     return count
 
 
-def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=()):
-    """Shared parser for automaton bodies; returns the automaton (and the
+def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=(),
+                    cls=AutomatonStructure, label=""):
+    """Shared parser for automaton bodies, built as `cls` once the body is read.
 
-    position after the body when stop_words are given)."""
+    Returns the automaton, and the position after the body when stop_words
+    are given.  A construction error names the line it blames; an error no
+    line holds alone, such as a subclass's, is prefixed with `label`.
+    """
     idx = start
     if require_version is not None:
         if idx >= len(lines) or lines[idx][1] != require_version:
             lineno = lines[idx][0] if idx < len(lines) else None
             raise RafError("expected %r header" % require_version, lineno)
         idx += 1
+    body = idx
     alphabet = None
     state_count = None
     initial = None
     names = {}
     colors = {}
     given = set()
+    width = 5 if with_colors else 4
     while idx < len(lines):
         lineno, line = lines[idx]
-        word = line.split(None, 1)[0]
+        parts = line.split()
+        word = parts[0]
+        if word == "trans":
+            idx += 1
+            if len(parts) != width:
+                raise RafError("trans needs %d fields" % (width - 1), lineno)
+            if alphabet is None:
+                raise RafError("trans before alphabet", lineno)
+            try:
+                src = int(parts[1])
+                dst = int(parts[3])
+                color = int(parts[4]) if with_colors else 0
+            except ValueError:
+                raise RafError("bad transition fields %r" % line[5:].strip(), lineno) from None
+            sym = alphabet.positions.get(parts[2])
+            if sym is None:
+                raise RafError("unknown symbol %r" % parts[2], lineno)
+            key = (src, sym, dst)
+            if colors.setdefault(key, color) != color:
+                raise RafError("conflicting colors for transition %r" % (key,), lineno)
+            continue
         if word in stop_words:
             break
         idx += 1
@@ -261,7 +332,7 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
                 raise RafError("duplicate %s line" % word, lineno)
             given.add(word)
         if word == "alphabet":
-            alphabet = _parse_alphabet(rest.split(), lineno)
+            alphabet = _parse_alphabet(parts[1:], lineno)
         elif word == "states":
             state_count = _parse_state_count(rest, lineno)
         elif word == "initial":
@@ -274,26 +345,6 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
             if state in names:
                 raise RafError("duplicate name for state %d" % state, lineno)
             names[state] = display
-        elif word == "trans":
-            parts = rest.split()
-            want = 4 if with_colors else 3
-            if len(parts) != want:
-                raise RafError("trans needs %d fields" % want, lineno)
-            if alphabet is None:
-                raise RafError("trans before alphabet", lineno)
-            try:
-                src = int(parts[0])
-                dst = int(parts[2])
-                color = int(parts[3]) if with_colors else 0
-            except ValueError:
-                raise RafError("bad transition fields %r" % rest, lineno) from None
-            try:
-                sym = alphabet.index(parts[1])
-            except ValueError:
-                raise RafError("unknown symbol %r" % parts[1], lineno) from None
-            key = (src, sym, dst)
-            if colors.setdefault(key, color) != color:
-                raise RafError("conflicting colors for transition %r" % (key,), lineno)
         else:
             raise RafError("unknown directive %r" % word, lineno)
     if alphabet is None:
@@ -303,11 +354,18 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=())
     if initial is None:
         raise RafError("missing initial state")
     try:
-        aut = AutomatonStructure(alphabet, state_count,
-                                 [key + (c,) for key, c in colors.items()], initial,
-                                 state_names=names or None)
+        aut = cls(alphabet, state_count, [key + (c,) for key, c in colors.items()], initial,
+                  state_names=names or None)
     except ValueError as exc:
-        raise RafError(str(exc)) from None
+        def out(q):
+            return not 0 <= int(q) < state_count
+        stray = min((q for q in names if out(q)), default=None)
+        lineno = _blame(lines[body:idx], (
+            ("states", lambda f: state_count <= 0),
+            ("initial", lambda f: out(initial)),
+            ("trans", lambda f: out(f[0]) or out(f[2]) or with_colors and int(f[3]) < 0),
+            ("name", lambda f: int(f[0]) == stray)))
+        raise RafError((label if lineno is None else "") + str(exc), lineno) from None
     if stop_words:
         return aut, idx
     return aut

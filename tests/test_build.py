@@ -36,7 +36,7 @@ def test_build_state_naming():
     assert acc.new_state("x") == 1
     assert acc.new_state("x") == 2
     assert acc.new_state("x") == 3
-    assert acc.names[1:] == ["x", "x#2", "x#3"]
+    assert acc.names[1:] == ["x", "x~2", "x~3"]
 
 
 def test_build_state_transitions():

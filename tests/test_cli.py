@@ -1,10 +1,18 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rerail
+from rerail import cli as cli_mod
+from rerail import cobuchi as cobuchi_mod
+from rerail import floating as floating_mod
+from rerail import raf as raf_mod
 from rerail.cli import main
 from rerail.cobuchi import parse_chain
 from rerail.floating import parse_floating_chain
@@ -291,3 +299,95 @@ def test_module_entry_point():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert proc.returncode == 0
     assert proc.stdout == "accept\n"
+
+
+def test_header_after_comments_is_found(tmp_path, capsys):
+    path = tmp_path / "commented.raf"
+    path.write_text("# a comment\n\n   # another\nraf 1 # version\nalphabet a\nstates 1\n"
+                    "initial 0\ntrans 0 a 0 0\n")
+    assert run_cli("stats", "-i", str(path)) == 0
+    assert capsys.readouterr().out.startswith("states: 1\n")
+    (tmp_path / "blank.raf").write_text("\n# only comments\n\n")
+    assert run_cli("stats", "-i", str(tmp_path / "blank.raf")) == 1
+    assert "empty input file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [MINIMAL5, CHAIN3, FLOCHAIN3])
+def test_load_tokenizes_a_file_once(monkeypatch, path):
+    calls = []
+    numbered_lines = raf_mod._numbered_lines
+
+    def counting(text):
+        calls.append(len(text))
+        return numbered_lines(text)
+
+    for module in (cli_mod, raf_mod, cobuchi_mod, floating_mod):
+        monkeypatch.setattr(module, "_numbered_lines", counting, raising=False)
+    cli_mod._load_any(path)
+    assert len(calls) == 1
+
+
+FUZZ_SEEDS = {"raf": MINIMAL5, "cocoa": CHAIN3, "flochain": FLOCHAIN3}
+FUZZ_TOKENS = ["0", "1", "7", "-1", "99999999", "1.5", "٣", "a", "z", "a.b", "#", '"',
+               "", "raf", "cocoa", "flochain", "count", "automaton", "floating", "rlta",
+               "alphabet", "states", "initial", "name", "label", "trans"]
+FUZZ_EDIT = st.tuples(st.sampled_from(["drop", "copy", "swap", "token", "insert", "char"]),
+                      st.integers(0, 999), st.integers(0, 999), st.sampled_from(FUZZ_TOKENS))
+
+
+def _mutate(text, edits):
+    """Apply line-level and token-level edits to a text."""
+    lines = text.splitlines()
+    for (op, i, j, token) in edits:
+        if not lines:
+            lines = [token]
+        i %= len(lines)
+        words = lines[i].split(" ")
+        if op == "drop":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(j % (len(lines) + 1), lines[i])
+        elif op == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            words[j % len(words)] = token
+            lines[i] = " ".join(words)
+        elif op == "insert":
+            words.insert(j % (len(words) + 1), token)
+            lines[i] = " ".join(words)
+        else:
+            k = j % (len(lines[i]) + 1)
+            lines[i] = lines[i][:k] + token[:1] + lines[i][k + 1:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_SEEDS)), st.lists(FUZZ_EDIT, min_size=1, max_size=4))
+def test_fuzzed_texts_fail_cleanly(fuzz_path, fmt, edits):
+    """A mutated text either reads or raises ValueError (RafError among them);
+    the CLI then exits 0 or 1, never with a traceback."""
+    with open(FUZZ_SEEDS[fmt], encoding="utf-8") as handle:
+        text = _mutate(handle.read(), edits)
+    parse = {"raf": parse_automaton, "cocoa": parse_chain,
+             "flochain": parse_floating_chain}[fmt]
+    try:
+        parse(text)
+    except ValueError:
+        pass
+    fuzz_path.write_text(text, encoding="utf-8")
+    try:
+        cli_mod._load_any(str(fuzz_path))
+        loaded = True
+    except ValueError:
+        loaded = False
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_cli("stats", "-i", str(fuzz_path))
+    assert code == (0 if loaded else 1)
+    assert "Traceback" not in err.getvalue()

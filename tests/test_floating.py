@@ -35,6 +35,18 @@ def eventually_only(alphabet, symbols):
     return FloatingAutomaton(alphabet, 1, delta, [0], rlta)
 
 
+
+@pytest.mark.parametrize("name", ["q#1", "a\nb"])
+def test_names_a_flochain_cannot_carry_are_refused(name):
+    with pytest.raises(ValueError, match="holds '#' or a line break"):
+        Rlta(AB, 1, [[0, 0]], 0, names=[name])
+    with pytest.raises(ValueError, match="holds '#' or a line break"):
+        FloatingAutomaton(AB, 1, {(0, 0): 0}, [0], trivial_rlta(AB), names=[name])
+    rlta = Rlta(AB, 1, [[0, 0]], 0, names=["t 1"])
+    f = FloatingAutomaton(AB, 1, {(0, 0): 0}, [0], rlta, names=['"q"'])
+    text = serialize_floating_chain(FloatingChain(rlta, [f]))
+    assert serialize_floating_chain(parse_floating_chain(text)) == text
+
 def test_validation_label_count():
     with pytest.raises(ValueError):
         FloatingAutomaton(AB, 2, {}, [0], trivial_rlta(AB))

@@ -1,7 +1,13 @@
 import random
+import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rerail.cobuchi import CoBuchiAutomaton, parse_chain, serialize_chain
+from rerail.floating import parse_floating_chain
 from rerail.raf import (MAX_STATES, Alphabet, AutomatonStructure, RafError,
                         UnreachableStatesError, equireach_relation,
                         parse_automaton, serialize_automaton, validate_complete)
@@ -54,6 +60,20 @@ def test_structure_validation():
     # same transition listed twice with one color is fine
     aut = small([(0, 0, 1, 1), (0, 0, 1, 1), (1, 0, 0, 1)])
     assert len(aut.transitions) == 2
+
+
+@pytest.mark.parametrize("transitions,message", [
+    ([(0, 0, 5, 1), (0, 0, 1, 1), (0, 0, 1, 2)], "transition endpoint out of range: (0, 0, 5, 1)"),
+    ([(0, 0, 1, 1), (0, 0, 1, 2), (0, 7, 1, 1)], "conflicting colors for transition (0, 0, 1)"),
+    ([(0, 0, 1, 1), (0, 0, 1, -1)], "negative color: (0, 0, 1, -1)"),
+    ([(0, 0, 1, 1), (0, 0, 1, 1), (1, 5, 0, 1), (-1, 0, 0, 0)],
+     "symbol index out of range: (1, 5, 0, 1)"),
+    ([(1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 1, 3)], "conflicting colors for transition (1, 1, 1)"),
+])
+def test_structure_reports_first_fault(transitions, message):
+    with pytest.raises(ValueError) as err:
+        small(transitions)
+    assert str(err.value) == message
 
 
 def test_duplicate_display_names_rejected():
@@ -161,3 +181,402 @@ def test_equireach_reports_unreachable():
 
 def test_serialization_is_deterministic(hd5):
     assert serialize_automaton(hd5) == serialize_automaton(hd5)
+
+
+# Malformed texts of the three formats, each with the line number and
+# message of the RafError it raises.  The format is the id's first word.
+# Entries that break several rules at once pin the order of the checks.
+H = "raf 1\nalphabet a b\nstates 2\ninitial 0\n"
+T = "trans 0 a 1 1\ntrans 0 b 0 1\ntrans 1 a 1 2\ntrans 1 b 0 1\n"
+LH = "alphabet a b\nstates 1\ninitial 0\n"
+L1 = LH + "trans 0 a 0 2\ntrans 0 b 0 1\n"
+C1 = "cocoa 1\ncount 1\nautomaton 1\n"
+C2 = "cocoa 1\ncount 2\nautomaton 1\n" + L1 + "automaton 2\n"
+R1 = "flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\n"
+R = ("flochain 1\nrlta\nalphabet a b\nstates 2\ninitial 0\n"
+     "trans 0 a 1\ntrans 0 b 0\ntrans 1 a 1\ntrans 1 b 0\n")
+F = R + "floating 1\n"
+FB = "states 2\nlabel 0 0\nlabel 1 1\n"
+COUNT_EXPECTED = ("expected 'count <n>' with n >= 1, or 'count 0' followed by an 'alphabet' "
+                  "line, after header")
+PARSERS = {"raf": parse_automaton, "cocoa": parse_chain, "flochain": parse_floating_chain}
+
+MALFORMED = [
+    ("raf-empty", "",
+     None, "expected 'raf 1' header"),
+    ("raf-comment-only", "# nothing\n\n",
+     None, "expected 'raf 1' header"),
+    ("raf-bad-version", "raf 2\nalphabet a\nstates 1\ninitial 0\n",
+     1, "expected 'raf 1' header"),
+    ("raf-header-late", "alphabet a\nraf 1\n",
+     1, "expected 'raf 1' header"),
+    ("raf-missing-alphabet", "raf 1\nstates 1\ninitial 0\n",
+     None, "missing alphabet"),
+    ("raf-missing-states", "raf 1\nalphabet a\ninitial 0\n",
+     None, "missing state count"),
+    ("raf-missing-initial", "raf 1\nalphabet a\nstates 1\n",
+     None, "missing initial state"),
+    ("raf-unknown-directive", H + "bogus 1\n",
+     5, "unknown directive 'bogus'"),
+    ("raf-unknown-directive-before-trans", "raf 1\ncolors 3\n" + T,
+     2, "unknown directive 'colors'"),
+    ("raf-alphabet-empty", "raf 1\nalphabet\nstates 1\ninitial 0\n",
+     2, "alphabet must not be empty"),
+    ("raf-alphabet-duplicate-symbol", "raf 1\nalphabet a b a\nstates 1\ninitial 0\n",
+     2, "duplicate symbol 'a'"),
+    ("raf-alphabet-twice", "raf 1\nalphabet a\nalphabet b\nstates 1\ninitial 0\n",
+     3, "duplicate alphabet line"),
+    ("raf-states-word", "raf 1\nalphabet a\nstates two\ninitial 0\n",
+     3, "bad state count 'two'"),
+    ("raf-states-empty", "raf 1\nalphabet a\nstates\ninitial 0\n",
+     3, "bad state count ''"),
+    ("raf-states-above-limit", "raf 1\nalphabet a b\nstates 100000000000\ninitial 0\n",
+     3, "state count 100000000000 above the limit 262144"),
+    ("raf-states-twice", "raf 1\nalphabet a\nstates 1\nstates 2\ninitial 0\n",
+     4, "duplicate states line"),
+    ("raf-states-zero", "raf 1\nalphabet a\nstates 0\ninitial 0\n",
+     3, "state_count must be positive"),
+    ("raf-states-negative", "raf 1\nalphabet a\nstates -2\ninitial 0\n",
+     3, "state_count must be positive"),
+    ("raf-initial-word", "raf 1\nalphabet a\nstates 1\ninitial zero\n",
+     4, "bad initial state 'zero'"),
+    ("raf-initial-twice", "raf 1\nalphabet a\nstates 2\ninitial 0\ninitial 1\n",
+     5, "duplicate initial line"),
+    ("raf-initial-out-of-range", "raf 1\nalphabet a b\nstates 2\ninitial 5\n" + T,
+     4, "initial state 5 out of range"),
+    ("raf-initial-negative", "raf 1\nalphabet a b\nstates 2\ninitial -1\n" + T,
+     4, "initial state -1 out of range"),
+    ("raf-name-no-display", H + "name 0\n",
+     5, "name needs a state and a quoted display string"),
+    ("raf-name-bad-state", H + 'name zero "x"\n',
+     5, "bad state index 'zero'"),
+    ("raf-name-unquoted", H + "name 0 unquoted\n",
+     5, "display name must be double-quoted"),
+    ("raf-name-half-quoted", H + 'name 0 "x\n',
+     5, "display name must be double-quoted"),
+    ("raf-name-lone-quote", H + 'name 0 "\n',
+     5, "display name must be double-quoted"),
+    ("raf-name-hash", H + 'name 0 "a#b"\n' + T,
+     5, "display name must be double-quoted"),
+    ("raf-name-twice", H + 'name 0 "x"\nname 0 "y"\n' + T,
+     6, "duplicate name for state 0"),
+    ("raf-name-missing-state", H + T + 'name 3 "x"\n',
+     9, "name given for missing state 3"),
+    ("raf-name-negative-state", H + 'name -1 "x"\n' + T,
+     5, "name given for missing state -1"),
+    ("raf-name-two-strays", H + 'name 5 "x"\nname 3 "y"\n' + T,
+     6, "name given for missing state 3"),
+    ("raf-name-display-repeated", H + 'name 0 "x"\nname 1 "x"\n' + T,
+     None, "state display names must be unique"),
+    ("raf-trans-three-fields", H + "trans 0 a 1\n",
+     5, "trans needs 4 fields"),
+    ("raf-trans-five-fields", H + "trans 0 a 1 1 1\n",
+     5, "trans needs 4 fields"),
+    ("raf-trans-before-alphabet", "raf 1\nstates 2\ninitial 0\ntrans 0 a 1 1\n",
+     4, "trans before alphabet"),
+    ("raf-trans-bad-src", H + "trans x a 1 1\n",
+     5, "bad transition fields 'x a 1 1'"),
+    ("raf-trans-bad-dst", H + "trans 0 a y 1\n",
+     5, "bad transition fields '0 a y 1'"),
+    ("raf-trans-bad-color", H + "trans 0 a 1 z\n",
+     5, "bad transition fields '0 a 1 z'"),
+    ("raf-trans-unknown-symbol", H + "trans 0 c 1 1\n",
+     5, "unknown symbol 'c'"),
+    ("raf-trans-conflict", H + T + "trans 0 a 1 2\n",
+     9, "conflicting colors for transition (0, 0, 1)"),
+    ("raf-trans-repeat-ok-then-conflict", H + T + "trans 0 a 1 1\ntrans 0 a 1 3\n",
+     10, "conflicting colors for transition (0, 0, 1)"),
+    ("raf-trans-dst-out-of-range", H + "trans 0 a 1 1\ntrans 0 b 7 1\n",
+     6, "transition endpoint out of range: (0, 1, 7, 1)"),
+    ("raf-trans-src-out-of-range", H + T + "trans 2 a 0 1\n",
+     9, "transition endpoint out of range: (2, 0, 0, 1)"),
+    ("raf-trans-negative-src", H + "trans -1 a 0 1\n" + T,
+     5, "transition endpoint out of range: (-1, 0, 0, 1)"),
+    ("raf-trans-negative-color", H + T + "trans 0 a 0 -1\n",
+     9, "negative color: (0, 0, 0, -1)"),
+    ("raf-multi-count-and-before-alphabet", "raf 1\ntrans 0 a 1\nalphabet a\n",
+     2, "trans needs 4 fields"),
+    ("raf-multi-before-alphabet-and-bad-src", "raf 1\ntrans x a 1 1\nalphabet a\n",
+     2, "trans before alphabet"),
+    ("raf-multi-bad-src-and-unknown-symbol", H + "trans x c 1 1\n",
+     5, "bad transition fields 'x c 1 1'"),
+    ("raf-multi-bad-color-and-unknown-symbol", H + "trans 0 c 1 z\n",
+     5, "bad transition fields '0 c 1 z'"),
+    ("raf-multi-unknown-symbol-and-out-of-range", H + "trans 9 c 9 1\n",
+     5, "unknown symbol 'c'"),
+    ("raf-multi-conflict-then-directive", H + T + "trans 0 a 1 2\nbogus\n",
+     9, "conflicting colors for transition (0, 0, 1)"),
+    ("raf-multi-out-of-range-then-conflict", H + "trans 0 a 9 1\n" + T + "trans 0 a 1 2\n",
+     10, "conflicting colors for transition (0, 0, 1)"),
+    ("raf-multi-initial-and-endpoint", "raf 1\nalphabet a b\ntrans 0 a 9 1\nstates 2\ninitial 4\n",
+     5, "initial state 4 out of range"),
+    ("raf-multi-endpoint-and-stray-name", H + 'name 4 "x"\ntrans 0 a 1 1\ntrans 0 b 5 -1\n',
+     7, "transition endpoint out of range: (0, 1, 5, -1)"),
+    ("raf-multi-negative-color-before-endpoint", H + "trans 0 a 1 -3\ntrans 0 b 5 1\n",
+     5, "negative color: (0, 0, 1, -3)"),
+    ("raf-multi-states-zero-and-initial", "raf 1\nalphabet a\ninitial 3\nstates 0\n",
+     4, "state_count must be positive"),
+    ("raf-multi-duplicate-and-missing", "raf 1\nalphabet a\nalphabet a\n",
+     3, "duplicate alphabet line"),
+    ("raf-multi-comment-shifts-lines", "# head\nraf 1 # version\n\nalphabet a b\n\n"
+      "states 2\ninitial 0\n# body\ntrans 0 a 3 1 # far\n",
+     9, "transition endpoint out of range: (0, 0, 3, 1)"),
+    ("cocoa-empty", "",
+     None, "expected 'cocoa 1' header"),
+    ("cocoa-bad-header", "cocoa 2\ncount 1\n",
+     1, "expected 'cocoa 1' header"),
+    ("cocoa-no-count", "cocoa 1\n",
+     None, COUNT_EXPECTED),
+    ("cocoa-count-word", "cocoa 1\ncount one\n",
+     2, COUNT_EXPECTED),
+    ("cocoa-count-negative", "cocoa 1\ncount -1\n",
+     2, COUNT_EXPECTED),
+    ("cocoa-count-fields", "cocoa 1\ncount 1 2\n",
+     2, COUNT_EXPECTED),
+    ("cocoa-count-zero-no-alphabet", "cocoa 1\ncount 0\n",
+     2, COUNT_EXPECTED),
+    ("cocoa-count-zero-bad-alphabet", "cocoa 1\ncount 0\nalphabet a a\n",
+     3, "duplicate symbol 'a'"),
+    ("cocoa-count-zero-trailing", "cocoa 1\ncount 0\nalphabet a\nstates 1\n",
+     4, "trailing content after 0 chain blocks"),
+    ("cocoa-count-one-with-alphabet", "cocoa 1\ncount 1\nalphabet a\n",
+     3, "expected 'automaton 1' block"),
+    ("cocoa-missing-block", "cocoa 1\ncount 1\n",
+     None, "expected 'automaton 1' block"),
+    ("cocoa-block-misnumbered", "cocoa 1\ncount 1\nautomaton 2\n" + L1,
+     3, "chain blocks must be numbered consecutively from 1"),
+    ("cocoa-block-word", "cocoa 1\ncount 1\nlevel 1\n" + L1,
+     3, "expected 'automaton 1' block"),
+    ("cocoa-second-block-missing", "cocoa 1\ncount 2\nautomaton 1\n" + L1,
+     None, "expected 'automaton 2' block"),
+    ("cocoa-trailing", C1 + L1 + "automaton 2\n" + L1,
+     9, "trailing content after 1 chain blocks"),
+    ("cocoa-level-missing-alphabet", C1 + "states 1\ninitial 0\n",
+     None, "missing alphabet"),
+    ("cocoa-level-header-inside", C1 + "raf 1\n" + L1,
+     4, "unknown directive 'raf'"),
+    ("cocoa-level-color-zero", C1 + LH + "trans 0 a 0 0\ntrans 0 b 0 1\n",
+     None, "automaton 1: co-Buchi colors must be 1 or 2, found [0]"),
+    ("cocoa-level-color-three", C2 + LH + "trans 0 a 0 3\ntrans 0 b 0 1\n",
+     None, "automaton 2: co-Buchi colors must be 1 or 2, found [3]"),
+    ("cocoa-level-incomplete", C2 + LH + "trans 0 a 0 2\n",
+     None, "automaton 2: co-Buchi automaton incomplete at [(0, 1)]"),
+    ("cocoa-level-unknown-symbol", C2 + LH + "trans 0 c 0 2\n",
+     13, "unknown symbol 'c'"),
+    ("cocoa-level-conflict", C1 + L1 + "trans 0 a 0 1\n",
+     9, "conflicting colors for transition (0, 0, 0)"),
+    ("cocoa-level-dst-out-of-range", C2 + LH + "trans 0 a 0 2\ntrans 0 b 4 2\n",
+     14, "transition endpoint out of range: (0, 1, 4, 2)"),
+    ("cocoa-level-initial-out-of-range", C1 + L1.replace("initial 0", "initial 1"),
+     6, "initial state 1 out of range"),
+    ("cocoa-level-states-zero", C1 + "alphabet a b\nstates 0\ninitial 0\n",
+     5, "state_count must be positive"),
+    ("cocoa-level-stray-name", C1 + L1 + 'name 1 "x"\n',
+     9, "name given for missing state 1"),
+    ("cocoa-level-display-repeated",
+     C1 + 'alphabet a\nstates 2\ninitial 0\nname 0 "x"\nname 1 "x"\n'
+     + "trans 0 a 1 2\ntrans 1 a 0 2\n",
+     None, "automaton 1: state display names must be unique"),
+    ("cocoa-multi-color-and-incomplete", C1 + LH + "trans 0 a 0 0\n",
+     None, "automaton 1: co-Buchi colors must be 1 or 2, found [0]"),
+    ("cocoa-multi-incomplete-and-later-directive", C2 + LH + "trans 0 a 0 2\nbogus\n",
+     14, "unknown directive 'bogus'"),
+    ("cocoa-multi-first-level-incomplete-second-bad",
+     "cocoa 1\ncount 2\nautomaton 1\n" + LH + "trans 0 a 0 2\nautomaton 2\nbogus\n",
+     None, "automaton 1: co-Buchi automaton incomplete at [(0, 1)]"),
+    ("cocoa-multi-endpoint-and-color", C1 + LH + "trans 0 a 0 7\ntrans 0 b 3 2\n",
+     8, "transition endpoint out of range: (0, 1, 3, 2)"),
+    ("flochain-empty", "",
+     None, "expected 'flochain 1' header"),
+    ("flochain-bad-header", "flochain 2\nrlta\n",
+     1, "expected 'flochain 1' header"),
+    ("flochain-no-rlta", "flochain 1\nfloating 1\n",
+     None, "expected 'rlta' block after header"),
+    ("flochain-rlta-colored-trans", R1 + "trans 0 a 0 1\n",
+     6, "trans needs 3 fields"),
+    ("flochain-rlta-missing-alphabet", "flochain 1\nrlta\nstates 1\ninitial 0\n",
+     None, "missing alphabet"),
+    ("flochain-rlta-unknown-symbol", R1 + "trans 0 b 0\n",
+     6, "unknown symbol 'b'"),
+    ("flochain-rlta-bad-fields", R1 + "trans 0 a q\n",
+     6, "bad transition fields '0 a q'"),
+    ("flochain-rlta-dst-out-of-range", R1 + "trans 0 a 2\n",
+     6, "transition endpoint out of range: (0, 0, 2, 0)"),
+    ("flochain-rlta-initial-out-of-range", R1.replace("initial 0", "initial 1") + "trans 0 a 0\n",
+     5, "initial state 1 out of range"),
+    ("flochain-rlta-stray-name", R1 + "name 2 \"x\"\ntrans 0 a 0\n",
+     6, "name given for missing state 2"),
+    ("flochain-rlta-nondeterministic",
+     R1.replace("states 1", "states 2") + "trans 0 a 0\ntrans 0 a 1\ntrans 1 a 1\n",
+     None, "tracker must be deterministic and complete; state 0 symbol a has 2 successors"),
+    ("flochain-rlta-incomplete", R1.replace("alphabet a", "alphabet a b") + "trans 0 a 0\n",
+     None, "tracker must be deterministic and complete; state 0 symbol b has 0 successors"),
+    ("flochain-block-misnumbered", R + "floating 2\n" + FB,
+     10, "floating blocks must be numbered consecutively from 1"),
+    ("flochain-block-word", R + "level 1\n" + FB,
+     10, "unknown directive 'level'"),
+    ("flochain-block-missing-states", F + "label 0 0\n",
+     None, "floating block missing state count"),
+    ("flochain-block-states-twice", F + FB + "states 2\n",
+     14, "duplicate states line"),
+    ("flochain-block-states-word", F + "states many\n",
+     11, "bad state count 'many'"),
+    ("flochain-block-states-above-limit", F + "states 999999999\n",
+     11, "state count 999999999 above the limit 262144"),
+    ("flochain-block-unknown-directive", F + FB + "initial 0\n",
+     14, "unknown directive 'initial'"),
+    ("flochain-block-name-twice", F + FB + 'name 0 "x"\nname 0 "y"\n',
+     15, "duplicate name for state 0"),
+    ("flochain-block-name-unquoted", F + FB + "name 0 x\n",
+     14, "display name must be double-quoted"),
+    ("flochain-block-label-fields", F + "states 1\nlabel 0\n",
+     12, "label needs a state and a tracker state"),
+    ("flochain-block-label-word", F + "states 1\nlabel 0 zero\n",
+     12, "bad label fields '0 zero'"),
+    ("flochain-block-label-twice", F + FB + "label 0 1\n",
+     14, "duplicate label for state 0"),
+    ("flochain-block-trans-fields", F + FB + "trans 0 a 1 2\n",
+     14, "trans needs 3 fields"),
+    ("flochain-block-trans-bad-fields", F + FB + "trans 0 a one\n",
+     14, "bad transition fields '0 a one'"),
+    ("flochain-block-trans-unknown-symbol", F + FB + "trans 0 c 1\n",
+     14, "unknown symbol 'c'"),
+    ("flochain-block-trans-conflict", F + FB + "trans 0 a 1\ntrans 0 a 0\n",
+     15, "conflicting targets for state 0 on a"),
+    ("flochain-block-missing-labels", F + "states 3\nlabel 1 0\n",
+     None, "floating states missing labels: [0, 2]"),
+    ("flochain-block-stray-name", F + FB + 'name 0 "x"\nname 4 "y"\n',
+     15, "name given for missing state 4"),
+    ("flochain-block-stray-label", F + FB + "label 6 0\nlabel 5 1\n",
+     15, "label given for missing state 5"),
+    ("flochain-block-label-outside-tracker", F + "states 2\nlabel 0 0\nlabel 1 7\n",
+     13, "residual label 7 outside the tracker"),
+    ("flochain-block-trans-out-of-range", F + FB + "trans 0 a 1\ntrans 1 a 3\n",
+     15, "transition (1, 0, 3) out of range"),
+    ("flochain-block-trans-breaks-labels", F + FB + "trans 0 a 1\ntrans 0 b 1\n",
+     15, "label of state 1 breaks tracker compatibility on symbol b"),
+    ("flochain-block-states-negative", F + "states -1\ntrans 0 a 0\n",
+     11, "need one residual label per state"),
+    ("flochain-multi-breaks-then-out-of-range", F + FB + "trans 0 b 1\ntrans 1 a 3\n",
+     14, "label of state 1 breaks tracker compatibility on symbol b"),
+    ("flochain-multi-out-of-range-then-label", F + "states 2\ntrans 0 a 5\nlabel 0 0\nlabel 1 9\n",
+     14, "residual label 9 outside the tracker"),
+    ("flochain-multi-second-block",
+     F + FB + "trans 0 a 1\nfloating 2\nstates 1\nlabel 0 0\ntrans 0 a 0\n",
+     18, "label of state 0 breaks tracker compatibility on symbol a"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,line,message",
+                         [(case[0].split("-")[0],) + case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_text_error(fmt, text, line, message):
+    with pytest.raises(RafError) as err:
+        PARSERS[fmt](text)
+    assert err.value.line == line
+    assert str(err.value) == ("" if line is None else "line %d: " % line) + message
+
+
+@pytest.mark.parametrize("symbol", ["a#b", "a.b", "a;b", "#", ";"])
+def test_alphabet_refuses_reserved_characters(symbol):
+    with pytest.raises(ValueError, match=re.escape(repr(symbol))):
+        Alphabet((symbol, "c"))
+
+
+@pytest.mark.parametrize("name", ["x#2", "#", "a\nb", "a\r", "tail\u2028"])
+def test_state_names_refuse_what_a_name_line_cannot_carry(name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        small([(0, 0, 1, 1)], names={0: name})
+
+
+def test_reserved_symbol_in_text_names_its_line():
+    with pytest.raises(RafError) as err:
+        parse_automaton("raf 1\nalphabet a.b c\nstates 1\ninitial 0\n")
+    assert str(err.value) == "line 2: symbol 'a.b' holds a reserved character (# . ;)"
+
+
+def test_cocoa_levels_are_built_once(monkeypatch, uniform_chain):
+    text = serialize_chain(uniform_chain)
+    built = []
+    init = AutomatonStructure.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AutomatonStructure, "__init__", counting_init)
+    chain = parse_chain(text)
+    assert len(chain) == 3
+    assert built == [CoBuchiAutomaton] * 3
+
+
+SYMBOL = st.text(string.ascii_letters + string.digits + "_|-+'\"@", min_size=1, max_size=3)
+# Names a `name` line carries: no `#` and no line break of str.splitlines.
+NAME = st.text(st.characters(blacklist_characters="#",
+                             blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=5)
+
+
+def _noisy_text(rng, header, trans_lines):
+    """A raf text of these lines in a shuffled order, with comments, blank lines and spacing.
+
+    The alphabet line (header[0]) stays ahead of every trans line.
+    """
+    body = header[1:] + trans_lines
+    rng.shuffle(body)
+    first_trans = min([body.index(t) for t in trans_lines], default=len(body))
+    body.insert(rng.randint(0, first_trans), header[0])
+    out = ["# generated", "raf 1"]
+    for line in body:
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "# note", "\t# indented note"]))
+        line = line.replace(" ", rng.choice([" ", "  ", "\t"]), 1)
+        out.append(line + rng.choice(["", "", " # trailing", "  "]))
+    return "\n".join(out) + rng.choice(["", "\n", "\n\n"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_matches_direct_construction(data):
+    symbols = data.draw(st.lists(SYMBOL, min_size=1, max_size=3, unique=True))
+    n = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    colors = {}
+    for _ in range(rng.randrange(12)):
+        key = (rng.randrange(n), rng.randrange(len(symbols)), rng.randrange(n))
+        colors.setdefault(key, rng.randrange(5))
+    transitions = [key + (c,) for key, c in colors.items()]
+    names = data.draw(st.dictionaries(st.integers(0, n - 1), NAME, max_size=n)
+                      .filter(lambda d: len(set(d.values())) == len(d)))
+    initial = rng.randrange(n)
+    direct = AutomatonStructure(Alphabet(symbols), n, transitions, initial, names or None)
+    header = ["alphabet " + " ".join(symbols), "states %d" % n, "initial %d" % initial]
+    header += ['name %d "%s"' % (q, name) for q, name in names.items()]
+    trans = ["trans %d %s %d %d" % (s, symbols[x], d, c) for (s, x, d, c) in transitions]
+    trans += rng.sample(trans, rng.randint(0, len(trans)))       # repeated identical lines
+    parsed = parse_automaton(_noisy_text(rng, header, trans))
+    assert parsed == direct
+    assert parsed.state_names == direct.state_names
+    text = serialize_automaton(direct)
+    assert serialize_automaton(parsed) == text
+    assert serialize_automaton(parse_automaton(text)) == text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3),
+       st.lists(st.text(max_size=4), max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_every_accepted_automaton_round_trips(symbols, names, seed):
+    rng = random.Random(seed)
+    n = max(1, len(names))
+    transitions = {(rng.randrange(n), rng.randrange(len(symbols)), rng.randrange(n)):
+                   rng.randrange(4) for _ in range(rng.randrange(8))}
+    try:
+        aut = AutomatonStructure(Alphabet(symbols), n,
+                                 [key + (c,) for key, c in transitions.items()], 0,
+                                 dict(enumerate(names)))
+    except ValueError:
+        return                          # refused at construction: nothing to write
+    text = serialize_automaton(aut)
+    again = parse_automaton(text)
+    assert again == aut
+    assert (again.state_names or {}) == aut.state_names
+    assert serialize_automaton(again) == text
