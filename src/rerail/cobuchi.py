@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
 from .lasso import enumerate_lassos, membership_function
-from .raf import (AutomatonStructure, RafError, UnreachableStatesError, equireach_relation,
-                  validate_complete, _body_lines, _check_name, _numbered_lines,
-                  _parse_alphabet, _parse_raf_body)
+from .raf import (AutomatonStructure, RafError, equireach_relation, validate_complete,
+                  _body_lines, _check_name, _numbered_lines, _parse_alphabet, _parse_raf_body)
 from .scc import reachable
 
 
@@ -113,9 +112,14 @@ def parse_chain(text):
             raise RafError("expected 'automaton %d' block" % want, lineno)
         if parts[1] != str(want):
             raise RafError("chain blocks must be numbered consecutively from 1", lineno)
+        body = idx + 1
         level, idx = _parse_raf_body(lines, require_version=None, with_colors=True,
-                                     start=idx + 1, stop_words=("automaton",),
+                                     start=body, stop_words=("automaton",),
                                      cls=CoBuchiAutomaton, label="automaton %d: " % want)
+        if levels and level.alphabet != levels[0].alphabet:
+            raise RafError("automaton %d: alphabet %s differs from automaton 1's, %s"
+                           % (want, " ".join(level.alphabet), " ".join(levels[0].alphabet)),
+                           next(n for n, line in lines[body:idx] if line.split()[0] == "alphabet"))
         levels.append(level)
     if idx != len(lines):
         raise RafError("trailing content after %d chain blocks" % count, lines[idx][0])
@@ -139,19 +143,17 @@ def decompose_rerailing(aut):
     survives.  Only color-inhomogeneous inputs give a triple both copies;
     a color-homogeneous (src, sym) has one color, at least i or below it.
     """
-    try:
-        relation, keep = equireach_relation(aut), None
-    except UnreachableStatesError:        # keep the reachable states, in order
-        keep = {q: k for k, q in enumerate(sorted(aut.reachable_states()))}
-    missing = [(q, x) for (q, x) in validate_complete(aut) if keep is None or q in keep]
+    reach = aut.reachable_states()
+    missing = [(q, x) for (q, x) in validate_complete(aut) if q in reach]
     if missing:
         raise ValueError("input automaton incomplete at %s" % (missing[:5],))
-    if keep is not None:
+    if len(reach) < aut.state_count:      # keep the reachable states, in order
+        keep = {q: k for k, q in enumerate(sorted(reach))}
         names = {keep[q]: name for q, name in (aut.state_names or {}).items() if q in keep}
         aut = AutomatonStructure(aut.alphabet, len(keep),
                                  [(keep[s], x, keep[d], c) for (s, x, d, c) in aut.transitions
                                   if s in keep], keep[aut.initial], names or None)
-        relation = equireach_relation(aut)
+    relation = equireach_relation(aut)
     mates = [[] for _ in range(aut.state_count)]
     for (p, q) in sorted(relation):
         mates[q].append(p)
@@ -170,40 +172,96 @@ def decompose_rerailing(aut):
     return Chain(levels, aut.alphabet)
 
 
+def _one_state_level(alphabet, color):
+    """The one-state level whose moves all have `color`: universal for 2, empty for 1."""
+    return CoBuchiAutomaton(alphabet, 1, [(0, x, 0, color) for x in range(len(alphabet))], 0)
+
+
+def _letter_game(ai, ai1, aj, aj1, starts, twin_step=None):
+    """The state tuples (qi, qi1, qj, qj1) of `starts` from which player 0 wins
+    the letter game on four levels over one alphabet.
+
+    Player 0 spells a word with runs of `ai` and `aj`; player 1 answers
+    online with runs of `ai1` and `aj1`.  At a round start
+    (qi, qi1, qj, qj1, z) player 0 picks a symbol and any move of each of
+    its two automata, reaching a player-1 vertex colored 1 when one of
+    those moves is rejecting; player 1 then moves `ai1` and `aj1`.  The
+    counter z waits for a rejecting `ai1` move (z = 0), then for a
+    rejecting `aj1` move (z = 1); a round start with z = 2 pays out color 2
+    and plays on as z = 0.  Every other vertex has color 3.  So player 0
+    wins a play iff its runs take finitely many rejecting moves and both
+    of player 1's runs take infinitely many.
+
+    With `ai1` and `aj1` history-deterministic, player 0 wins from
+    (qi, qi1, qj, qj1, 0) iff some word is accepted from qi and from qj but
+    neither from qi1 nor from qj1:
+
+    - if there is such a word, player 0 spells it along accepting runs,
+      blind to player 1's moves; both answers are rejecting runs, so z
+      pays out infinitely often;
+    - if not, player 1 moves `ai1` and `aj1` by their history-deterministic
+      strategies.  If player 0's runs are both accepting, its word is
+      accepted from qi1 or from qj1, so one of player 1's runs is
+      accepting and z stops paying out; else color 1 recurs.
+
+    So the winner of a round start depends only on the languages of its
+    four states, whatever z is.  `twin_step` is given when `ai1` and `aj`
+    are one level: twin_step[q][x] is the tracker state that its state q
+    reaches on x.  A symbol on which qi1 and qj reach one tracker state is
+    no move, for the round start it reaches names one language twice and
+    player 0 loses there; a round start left without a move goes to the
+    losing sink.
+    """
+    symbols = range(len(ai.alphabet))
+    succ_i, succ_i1, succ_j, succ_j1 = (
+        [[a.successors(q, x) for x in symbols] for q in range(a.state_count)]
+        for a in (ai, ai1, aj, aj1))
+    builder = ArenaBuilder()
+    vertex, keys, edges = builder.vertex, builder.keys, builder.edges
+    ids = [vertex(("s",) + qs + (0,), 0, 3) for qs in starts]
+    for vid, key in enumerate(keys):              # `vertex` appends to the keys walked
+        out = edges[vid]
+        if key[0] == "s":
+            (_t, qi, qi1, qj, qj1, z) = key
+            if z == 2:                    # pays out color 2 and plays on as z = 0
+                z = 0
+            for x in symbols:
+                if twin_step is not None and twin_step[qi1][x] == twin_step[qj][x]:
+                    continue
+                bs = succ_j[qj][x]
+                for (a2, ca) in succ_i[qi][x]:
+                    for (b2, cb) in bs:
+                        color = 1 if ca == 1 or cb == 1 else 3
+                        out.append(vertex(("x", a2, qi1, b2, qj1, z, x, color), 1, color))
+            if not out:
+                out.append(vertex(("sink",), 0, 3))
+        elif key[0] == "x":               # z is 0 or 1 here
+            (_t, qi, qi1, qj, qj1, z, x, _c) = key
+            for (r, ci) in succ_i1[qi1][x]:
+                for (s2, cj) in succ_j1[qj1][x]:
+                    z2 = 2 - ci if z == 0 else 3 - cj
+                    out.append(vertex(("s", qi, r, qj, s2, z2), 0, 2 if z2 == 2 else 3))
+        else:                             # ("sink",): stuck, color 3 forever
+            out.append(vid)
+    arena = builder.arena()
+    del builder, vertex, keys, edges      # free the vertex keys before solving
+    w0, _w1 = solve(arena)
+    return {qs for qs, vid in zip(starts, ids) if vid in w0}
+
+
 def inclusion_table(a, b):
     """All pairs (p, q) with L(a from p) contained in L(b from q); b history-deterministic.
 
-    One letter game answers every pair.  The spoiler (player 1) spells a word
-    together with a run of `a`; the duplicator (player 0) answers with a run
-    of `b`, which must be accepting whenever the spoiler's run is.  A round
-    contributes color 0 when the spoiler's move was rejecting, else 1 when
-    the duplicator's was, else 2; the round color sits on the next spoiler
-    vertex.  (p, q) is in the table iff the duplicator wins from the spoiler
-    vertex (p, q) of round color 2.
+    One letter game answers every pair: `_letter_game` on (a, b, universal,
+    empty), whose player 0 wins from (p, q, 0, 0) iff some word is accepted
+    from p by `a` but not from q by `b`.  (p, q) is in the table iff she loses.
     """
-    nsym = len(a.alphabet)
     if a.alphabet != b.alphabet:
         raise ValueError("inclusion needs a common alphabet")
-    builder = ArenaBuilder()
-    vertex, ids, edges = builder.vertex, builder.ids, builder.edges
-    for pa in range(a.state_count):
-        for pb in range(b.state_count):
-            for e in (0, 1, 2):
-                vertex(("s", pa, pb, e), 1, e)
-    for vid, key in enumerate(builder.keys):      # `vertex` appends to the keys walked
-        if key[0] == "s":
-            (_tag, pa, pb, _e) = key
-            for x in range(nsym):
-                for (pa2, ca) in a.successors(pa, x):
-                    edges[vid].append(vertex(("d", pa2, pb, x, ca == 1), 0, 2))
-        else:
-            (_tag, pa2, pb, x, ra) = key
-            for (pb2, cb) in b.successors(pb, x):
-                e2 = 0 if ra else (1 if cb == 1 else 2)
-                edges[vid].append(ids[("s", pa2, pb2, e2)])
-    w0, _w1 = solve(builder.arena())
-    return frozenset((pa, pb) for pa in range(a.state_count) for pb in range(b.state_count)
-                     if ids[("s", pa, pb, 2)] in w0)
+    starts = [(p, q, 0, 0) for p in range(a.state_count) for q in range(b.state_count)]
+    won = _letter_game(a, b, _one_state_level(a.alphabet, 2), _one_state_level(a.alphabet, 1),
+                       starts)
+    return frozenset((p, q) for (p, q, _u, _e) in starts if (p, q, 0, 0) not in won)
 
 
 class Rlta:
@@ -305,122 +363,46 @@ def _level(chain, trackers, k):
     if 1 <= k <= len(chain.levels):
         tracker, state_map = trackers[k - 1]
         return chain.levels[k - 1], state_map, tracker.delta
-    nsym = len(chain.alphabet)
-    color = 2 if k == 0 else 1
-    aut = CoBuchiAutomaton(chain.alphabet, 1, [(0, x, 0, color) for x in range(nsym)], 0)
-    return aut, [0], [[0] * nsym]
-
-
-def _rij_game(ai, ai1, aj, aj1, nsym, starts, twin_step):
-    """Arena of the level-(i, j) game from the four level automata, with its keys.
-
-    Its first vertices are the round starts (qi, qi1, qj, qj1, z) of the state
-    tuples in `starts`, z in 0..2; later round starts are added as play
-    reaches them.  A z = 2 start has the single move to the z = 0 start of
-    its tuple.  `twin_step` is given for j = i + 1: twin_step[q][x] is the
-    tracker state that level-(i+1) state q reaches on x, and a symbol on
-    which qi1 and qj reach the same one is no move; a round start left
-    without a move goes to the losing sink.
-    """
-    symbols = range(nsym)
-    acc_i = [[ai.accepting_successors(q, x) for x in symbols] for q in range(ai.state_count)]
-    acc_j = [[aj.accepting_successors(q, x) for x in symbols] for q in range(aj.state_count)]
-    succ_i1 = [[ai1.successors(q, x) for x in symbols] for q in range(ai1.state_count)]
-    succ_j1 = [[aj1.successors(q, x) for x in symbols] for q in range(aj1.state_count)]
-
-    builder = ArenaBuilder()
-    vertex, keys, edges = builder.vertex, builder.keys, builder.edges
-    for (qi, qi1, qj, qj1) in starts:
-        for z in (0, 1, 2):
-            vertex(("s", qi, qi1, qj, qj1, z), 0, 0 if z == 2 else 1)
-    for vid, key in enumerate(keys):              # `vertex` appends to the keys walked
-        out = edges[vid]
-        if key[0] == "s":
-            (_t, qi, qi1, qj, qj1, z) = key
-            if z == 2:                    # pays out color 0, then plays on as z = 0
-                out.append(vertex(("s", qi, qi1, qj, qj1, 0), 0, 1))
-                continue
-            for x in symbols:
-                if twin_step is not None and twin_step[qi1][x] == twin_step[qj][x]:
-                    continue
-                bs = acc_j[qj][x]
-                for a2 in acc_i[qi][x]:
-                    for b2 in bs:
-                        out.append(vertex(("x", a2, qi1, b2, qj1, z, x), 1, 1))
-            if not out:
-                out.append(vertex(("sink",), 0, 1))
-        elif key[0] == "x":               # z is 0 or 1 here
-            (_t, qi, qi1, qj, qj1, z, x) = key
-            for (r, ci) in succ_i1[qi1][x]:
-                for (s2, cj) in succ_j1[qj1][x]:
-                    z2 = 2 - ci if z == 0 else 3 - cj
-                    out.append(vertex(("s", qi, r, qj, s2, z2), 0, 0 if z2 == 2 else 1))
-        else:                             # ("sink",): stuck, color 1 forever
-            out.append(vid)
-    return builder.arena(), keys
+    aut = _one_state_level(chain.alphabet, 2 if k == 0 else 1)
+    return aut, [0], [[0] * len(chain.alphabet)]
 
 
 def compute_Rij(chain, trackers, i, j, domain=None):
     """The level-(i, j) distinguishing relation over tracker states.
 
-    Solved as a parity game: player 0 steers accepting runs of levels i and j
-    while player 1 resolves levels i+1 and j+1; a counter z demands a
-    rejecting (i+1)-move, then a rejecting (j+1)-move, and pays out color 0
-    when both were seen.  Winning positions are mapped through the trackers
-    and closed under predecessors by `reachable`.  By definition R_ji is R_ij
-    with its two tuple halves swapped, which is why `build_rlta_chain` only
-    asks for i < j.
+    A tracker tuple is in R_ij iff player 0 wins `_letter_game` on levels
+    i, i+1, j and j+1 from one level state of each of its tracker states.
+    That game answers the language question of `RijRelation` for the
+    states it starts from, since every level is history-deterministic, and
+    its answer does not depend on which states those are: a tracker state
+    is a mutual-inclusion class of its level, whose members all accept one
+    language.  So each tuple is decided from a single start, the least
+    member of each class.  By definition R_ji is R_ij with its two tuple
+    halves swapped, which is why `build_rlta_chain` only asks for i < j.
 
-    `domain` holds tracker tuples and is closed under common letters (the
-    successors on one symbol of a tuple in it are in it, up to the tuples
-    dropped below); the result is the relation restricted to it, and
-    without a domain the whole tracker product is decided.  The game only
-    opens round starts whose states map into the domain, and the closure
-    only adds predecessors inside it.  Both are exact:
-
-    - (a) a vertex's winner depends only on its forward subgame, and every
-      round start reached from the domain maps into it again, so each start
-      wins in the smaller arena iff it wins in the whole one;
-    - (b) for j = i + 1 a tuple whose components at i+1 and j are equal
-      names one residual twice, which no word can both leave and enter, so
-      it is never in R_{i,i+1}.  Such tuples leave the domain, and a move
-      onto one is no move at all.  With no round start left the relation is
-      empty and no arena is built.
+    `domain` holds the tracker tuples to decide, and the result is the
+    relation restricted to it; without a domain the whole tracker product
+    is decided.  For j = i + 1 a tuple whose components at i+1 and j are
+    equal names one residual twice, which no word can both leave and enter,
+    so it is never in R_{i,i+1}: such tuples leave the domain, and the game
+    makes no move onto one.  With no tuple left no arena is built.
     """
     n = len(chain.levels)
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("level indices out of range")
     levels = [_level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
-    (ai, mi, di), (ai1, mi1, di1), (aj, mj, dj), (aj1, mj1, dj1) = levels
-    nsym = len(chain.alphabet)
     if domain is None:
         domain = itertools.product(*(range(len(d)) for (_a, _m, d) in levels))
     twins = j == i + 1
     domain = [t for t in domain if not (twins and t[1] == t[2])]
-    members = []                  # per level: tracker state -> the level states it tracks
-    for (_a, m, d) in levels:
-        by_state = [[] for _s in d]
-        for q, s in enumerate(m):
-            by_state[s].append(q)
-        members.append(by_state)
-    starts = [qs for t in domain
-              for qs in itertools.product(*(by_state[s] for by_state, s in zip(members, t)))]
-    if not starts:
+    if not domain:
         return RijRelation(i, j, frozenset())
+    least = [[m.index(s) for s in range(len(d))] for (_a, m, d) in levels]
+    starts = [tuple(first[s] for first, s in zip(least, t)) for t in domain]
+    (_a, mi1, di1) = levels[1]
     twin_step = [di1[s] for s in mi1] if twins else None
-    arena, keys = _rij_game(ai, ai1, aj, aj1, nsym, starts, twin_step)
-    w0, _w1 = solve(arena)
-    rel = set()
-    for vid in w0:
-        key = keys[vid]
-        if key[0] == "s":
-            rel.add((mi[key[1]], mi1[key[2]], mj[key[3]], mj1[key[4]]))
-    preds = {}
-    for t in domain:
-        for x in range(nsym):
-            step = (di[t[0]][x], di1[t[1]][x], dj[t[2]][x], dj1[t[3]][x])
-            preds.setdefault(step, []).append(t)
-    return RijRelation(i, j, frozenset(reachable(rel, lambda t: preds.get(t, ()))))
+    won = _letter_game(*(a for (a, _m, _d) in levels), starts, twin_step)
+    return RijRelation(i, j, frozenset(t for t, qs in zip(domain, starts) if qs in won))
 
 
 def build_rlta_chain(chain):
@@ -436,9 +418,9 @@ def build_rlta_chain(chain):
     Every tuple this construction meets lies in P, the reachable synchronized
     product of the per-level trackers, so every probe of R_ij combines the
     components at i and i+1 of one member of P with those at j and j+1 of
-    another.  Each R_ij is computed on exactly that domain, which is closed
-    under common letters because P is; see `compute_Rij` for why the
-    restricted game gives the same answers on it.
+    another.  Each R_ij is computed on exactly that domain; `compute_Rij`
+    decides every tuple on its own, so the answers are those of the whole
+    relation.
 
     Returns (tracker, per_state_levels) where per_state_levels[s] is the tuple
     of per-level tracker states represented by state s.

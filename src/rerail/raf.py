@@ -15,7 +15,8 @@ from .scc import reachable
 
 # Largest state count a text may declare: 64 times the largest automata of
 # the benchmark (4096 states), while the successor table of a two-letter
-# automaton this size still takes only about 100 MB.
+# automaton this size still takes only about 100 MB.  A raf body may declare
+# at most that table's 2 * MAX_STATES cells, states times symbols.
 MAX_STATES = 1 << 18
 
 
@@ -27,14 +28,6 @@ class RafError(ValueError):
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
-
-
-class UnreachableStatesError(ValueError):
-    """Raised by operations requiring every state to be reachable."""
-
-    def __init__(self, states):
-        self.states = tuple(states)
-        super().__init__("unreachable states: %s" % (", ".join(str(q) for q in self.states)))
 
 
 @dataclass(frozen=True)
@@ -268,11 +261,14 @@ def _parse_alphabet(symbols, lineno):
 
 
 def _parse_state_count(rest, lineno):
-    """The count of a `states` line; above MAX_STATES it is refused before any allocation."""
+    """The count of a `states` line; below 0 or above MAX_STATES it is refused
+    before any allocation."""
     try:
         count = int(rest)
     except ValueError:
         raise RafError("bad state count %r" % rest, lineno) from None
+    if count < 0:
+        raise RafError("negative state count %d" % count, lineno)
     if count > MAX_STATES:
         raise RafError("state count %d above the limit %d" % (count, MAX_STATES), lineno)
     return count
@@ -334,7 +330,7 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=(),
         if word == "alphabet":
             alphabet = _parse_alphabet(parts[1:], lineno)
         elif word == "states":
-            state_count = _parse_state_count(rest, lineno)
+            state_count, states_line = _parse_state_count(rest, lineno), lineno
         elif word == "initial":
             try:
                 initial = int(rest)
@@ -353,6 +349,9 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=(),
         raise RafError("missing state count")
     if initial is None:
         raise RafError("missing initial state")
+    if state_count * len(alphabet) > 2 * MAX_STATES:
+        raise RafError("%d states times %d symbols above the limit of %d cells"
+                       % (state_count, len(alphabet), 2 * MAX_STATES), states_line)
     try:
         aut = cls(alphabet, state_count, [key + (c,) for key, c in colors.items()], initial,
                   state_names=names or None)
@@ -375,16 +374,10 @@ def equireach_relation(aut):
     """All ordered state pairs jointly reachable under a common input word.
 
     Computed as reachability in the self-product from (initial, initial); the
-    result is reflexive on reachable states and symmetric.  Raises
-    UnreachableStatesError when some state is never reached at all.
+    result is reflexive on reachable states and symmetric.
     """
     nsym = len(aut.alphabet)
     succ = aut.successor_states
-    seen = reachable([(aut.initial, aut.initial)],
-                     lambda pq: [(p2, q2) for a in range(nsym)
-                                 for p2 in succ(pq[0], a) for q2 in succ(pq[1], a)])
-    covered = {p for (p, _q) in seen}
-    missing = [q for q in range(aut.state_count) if q not in covered]
-    if missing:
-        raise UnreachableStatesError(missing)
-    return frozenset(seen)
+    return frozenset(reachable([(aut.initial, aut.initial)],
+                               lambda pq: [(p2, q2) for a in range(nsym)
+                                           for p2 in succ(pq[0], a) for q2 in succ(pq[1], a)]))

@@ -133,6 +133,9 @@ def test_chain_roundtrip(uniform_chain):
      "line 3: expected 'automaton 1' block"),
     ("cocoa 1\ncount 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n",
      "line 3: expected 'automaton 1' block"),
+    ("cocoa 1\ncount 2\nautomaton 1\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0 2\n"
+     "automaton 2\nstates 1\nalphabet b\ninitial 0\ntrans 0 b 0 2\n",
+     "line 10: automaton 2: alphabet b differs from automaton 1's, a"),
 ])
 def test_parse_chain_errors(text, hint):
     with pytest.raises(RafError) as err:
@@ -324,6 +327,39 @@ def test_rij_on_build_domains_matches_whole_relation(monkeypatch):
             assert {(c, d, a, b) for (a, b, c, d) in mirrored} == whole
             assert not any(a == d for (a, _b, _c, d) in mirrored), (i, j)
     assert restricted > 0
+
+
+@pytest.mark.parametrize("seed", [None, 30, 37])
+def test_rij_verdict_is_one_per_tracker_class(collapse_chain, seed):
+    """The letter game gives one verdict from every member combination of a
+    tracker tuple, since the members of a class share one language, and it
+    is the verdict of `compute_Rij`, which starts from one combination.
+
+    The chain is `collapse_chain` for seed None, else that of a 4-state DPW
+    whose top level tracks one residual with four members.
+    """
+    chain = collapse_chain if seed is None else decompose_rerailing(
+        oracles.random_dpw(random.Random(seed), 4, 2, 3))
+    trackers = [residual_tracking_single(a) for a in chain.levels]
+    n = len(chain)
+    shared = 0
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if (i + j) % 2 == 0:
+                continue
+            levels = [cobuchi._level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
+            members = [[[q for q, s in enumerate(m) if s == t] for t in range(len(d))]
+                       for (_a, m, d) in levels]
+            tuples = list(itertools.product(*(range(len(d)) for (_a, _m, d) in levels)))
+            combos = {t: list(itertools.product(*(by[s] for by, s in zip(members, t))))
+                      for t in tuples}
+            won = cobuchi._letter_game(*(a for (a, _m, _d) in levels),
+                                       [qs for t in tuples for qs in combos[t]])
+            rel = compute_Rij(chain, trackers, i, j).tuples
+            for t in tuples:
+                assert {qs in won for qs in combos[t]} == {t in rel}, (i, j, t)
+                shared += len(combos[t]) > 1
+    assert shared > 0 or seed is None
 
 
 def test_rij_arenas_stay_small_at_twenty_states(monkeypatch):

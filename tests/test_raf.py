@@ -1,6 +1,7 @@
 import random
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 
 from rerail.cobuchi import CoBuchiAutomaton, parse_chain, serialize_chain
 from rerail.floating import parse_floating_chain
-from rerail.raf import (MAX_STATES, Alphabet, AutomatonStructure, RafError,
-                        UnreachableStatesError, equireach_relation,
+from rerail.raf import (MAX_STATES, Alphabet, AutomatonStructure, RafError, equireach_relation,
                         parse_automaton, serialize_automaton, validate_complete)
 
 import oracles
@@ -165,18 +165,7 @@ def test_equireach_on_randoms():
     for _ in range(40):
         aut = oracles.random_complete_automaton(rng, 1 + rng.randrange(5),
                                                 2 + rng.randrange(2), 3)
-        try:
-            relation = equireach_relation(aut)
-        except UnreachableStatesError:
-            continue
-        assert relation == oracles.subset_equireach(aut)
-
-
-def test_equireach_reports_unreachable():
-    aut = small([(0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1)])
-    with pytest.raises(UnreachableStatesError) as err:
-        equireach_relation(aut)
-    assert err.value.states == (1,)
+        assert equireach_relation(aut) == oracles.subset_equireach(aut)
 
 
 def test_serialization_is_deterministic(hd5):
@@ -237,7 +226,11 @@ MALFORMED = [
     ("raf-states-zero", "raf 1\nalphabet a\nstates 0\ninitial 0\n",
      3, "state_count must be positive"),
     ("raf-states-negative", "raf 1\nalphabet a\nstates -2\ninitial 0\n",
-     3, "state_count must be positive"),
+     3, "negative state count -2"),
+    ("raf-states-times-symbols-above-limit",
+     "raf 1\nalphabet %s\nstates 262144\ninitial 0\ntrans 0 s0 0 1\n"
+     % " ".join("s%d" % k for k in range(200)),
+     3, "262144 states times 200 symbols above the limit of 524288 cells"),
     ("raf-initial-word", "raf 1\nalphabet a\nstates 1\ninitial zero\n",
      4, "bad initial state 'zero'"),
     ("raf-initial-twice", "raf 1\nalphabet a\nstates 2\ninitial 0\ninitial 1\n",
@@ -371,6 +364,11 @@ MALFORMED = [
      6, "initial state 1 out of range"),
     ("cocoa-level-states-zero", C1 + "alphabet a b\nstates 0\ninitial 0\n",
      5, "state_count must be positive"),
+    ("cocoa-level-states-negative", C1 + "alphabet a b\nstates -1\ninitial 0\n",
+     5, "negative state count -1"),
+    ("cocoa-level-alphabet-differs", C2 + "alphabet a c\nstates 1\ninitial 0\n"
+     "trans 0 a 0 2\ntrans 0 c 0 1\n",
+     10, "automaton 2: alphabet a c differs from automaton 1's, a b"),
     ("cocoa-level-stray-name", C1 + L1 + 'name 1 "x"\n',
      9, "name given for missing state 1"),
     ("cocoa-level-display-repeated",
@@ -456,7 +454,7 @@ MALFORMED = [
     ("flochain-block-trans-breaks-labels", F + FB + "trans 0 a 1\ntrans 0 b 1\n",
      15, "label of state 1 breaks tracker compatibility on symbol b"),
     ("flochain-block-states-negative", F + "states -1\ntrans 0 a 0\n",
-     11, "need one residual label per state"),
+     11, "negative state count -1"),
     ("flochain-multi-breaks-then-out-of-range", F + FB + "trans 0 b 1\ntrans 1 a 3\n",
      14, "label of state 1 breaks tracker compatibility on symbol b"),
     ("flochain-multi-out-of-range-then-label", F + "states 2\ntrans 0 a 5\nlabel 0 0\nlabel 1 9\n",
@@ -475,6 +473,23 @@ def test_malformed_text_error(fmt, text, line, message):
         PARSERS[fmt](text)
     assert err.value.line == line
     assert str(err.value) == ("" if line is None else "line %d: " % line) + message
+
+
+def test_successor_table_bound_refuses_before_allocating():
+    """200 symbols and MAX_STATES states would ask for a successor table of
+    52 million lists, about 3.4 GB; the text is refused having allocated
+    next to nothing."""
+    text = ("raf 1\nalphabet %s\nstates %d\ninitial 0\n"
+            % (" ".join("s%d" % k for k in range(200)), MAX_STATES))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RafError) as err:
+            parse_automaton(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 3
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("symbol", ["a#b", "a.b", "a;b", "#", ";"])
