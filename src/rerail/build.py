@@ -11,6 +11,7 @@ one color below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .cobuchi import decompose_rerailing
 from .floating import (empty_floating, level0_floating, max_accepting_sccs,
@@ -18,7 +19,7 @@ from .floating import (empty_floating, level0_floating, max_accepting_sccs,
                        restrict_floating, safe_subset, union_floating,
                        FloatingAutomaton)
 from .lasso import LassoSweep, enumerate_lassos
-from .raf import AutomatonStructure, validate_complete
+from .raf import AutomatonStructure, complete_reachable_states, validate_complete
 
 
 @dataclass
@@ -183,26 +184,36 @@ def verify_rerailing_bounded(aut, stem_bound, cycle_bound):
     achievable dominating color d, some node is reachable whose only
     achievable color c is a single value with c >= d and the evenness of the
     membership verdict.  Returns the verdicts of failing lassos only, each
-    listing its violations sorted by node, then d.
+    listing its violations sorted by node, then d.  States unreachable from
+    the initial one may lack moves, as in decompose_rerailing.
+
+    A stem node is a trivial SCC, so its achievable and uniform sets are
+    unions of its children's (plus its achievable set, when that is a
+    single color): a node with no violation has no violating parent.  So a
+    lasso fails iff one of its cycle nodes does.  Those and the verdict
+    depend on the key (cycle, R(stem)) alone, so each key's cycle part is
+    checked once, and only lassos on a failing key walk their stem.
     """
-    missing = validate_complete(aut)
-    if missing:
-        raise ValueError("input automaton incomplete at %s" % (missing[:5],))
+    complete_reachable_states(aut)
     sweep = LassoSweep(aut)
-    rule = {}
+    violations = lru_cache(maxsize=None)(_node_violations)
+    dirty = {}      # cycle key -> the verdict if a cycle node violates, else None
     failures = []
     for lasso in enumerate_lassos(len(aut.alphabet), stem_bound, cycle_bound):
-        member = max(sweep.colors(lasso)) % 2 == 0
+        key = sweep.cycle_key(lasso)
+        if key not in dirty:
+            member = max(sweep.colors(lasso)) % 2 == 0
+            dirty[key] = member if any(violations(a, u, member)
+                                       for (_q, _j, a, u) in sweep.cycle_sets(key)) else None
+        member = dirty[key]
+        if member is None:
+            continue
         found = []
         for (site, achievable, uniform) in sweep.node_sets(lasso):
-            key = (achievable, uniform, member)
-            at = rule.get(key)
-            if at is None:
-                at = rule[key] = _node_violations(achievable, uniform, member)
+            at = violations(achievable, uniform, member)
             if at:
                 found.append((site, at))
-        if found:
-            found.sort()
-            failures.append(RerailingVerdict(lasso, member, tuple(
-                (site, d, reason) for (site, at) in found for (d, reason) in at)))
+        found.sort()
+        failures.append(RerailingVerdict(lasso, member, tuple(
+            (site, d, reason) for (site, at) in found for (d, reason) in at)))
     return failures

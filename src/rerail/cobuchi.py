@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
 from .lasso import enumerate_lassos, membership_function
-from .raf import (AutomatonStructure, RafError, equireach_relation, validate_complete,
-                  _body_lines, _check_name, _numbered_lines, _parse_alphabet, _parse_raf_body)
+from .raf import (AutomatonStructure, RafError, complete_reachable_states, equireach_relation,
+                  validate_complete, _body_lines, _check_name, _numbered_lines,
+                  _parse_alphabet, _parse_raf_body)
 from .scc import reachable
 
 
@@ -143,10 +144,7 @@ def decompose_rerailing(aut):
     survives.  Only color-inhomogeneous inputs give a triple both copies;
     a color-homogeneous (src, sym) has one color, at least i or below it.
     """
-    reach = aut.reachable_states()
-    missing = [(q, x) for (q, x) in validate_complete(aut) if q in reach]
-    if missing:
-        raise ValueError("input automaton incomplete at %s" % (missing[:5],))
+    reach = complete_reachable_states(aut)
     if len(reach) < aut.state_count:      # keep the reachable states, in order
         keep = {q: k for k, q in enumerate(sorted(reach))}
         names = {keep[q]: name for q, name in (aut.state_names or {}).items() if q in keep}

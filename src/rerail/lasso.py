@@ -245,14 +245,18 @@ class LassoSweep:
     node (q, (r + j) mod |w|).  Stem positions only grow, so each stem node
     is a trivial SCC: its achievable set is the union over its children, and
     its uniform set the union over its children plus the achievable set when
-    that is a single color.
+    that is a single color.  Hence an achievable color d of a stem node that
+    no uniform color c >= d of the verdict's evenness covers is achievable
+    and uncovered at one of its children too: a lasso whose cycle nodes
+    violate the rerailing property nowhere has no violation at all (see
+    verify_rerailing_bounded).
 
-    R(u) per stem u, and the colors and cycle nodes per (v, R(u)), are
-    memoized.  `colors` takes any spelling of a lasso: the runs over a word
-    do not depend on how it is split into stem and cycle, and a cycle enters
-    its class through its primitive root.  `node_sets` numbers positions
-    along the lasso, so it takes canonical lassos, as those of
-    enumerate_lassos are; on each, every node's sets equal those of
+    R(u) per stem u, and the colors and cycle nodes per key (v, R(u))
+    (cycle_key), are memoized.  `colors` takes any spelling of a lasso: the
+    runs over a word do not depend on how it is split into stem and cycle,
+    and a cycle enters its class through its primitive root.  `node_sets`
+    numbers positions along the lasso, so it takes canonical lassos, as
+    those of enumerate_lassos are; on each, every node's sets equal those of
     LassoProduct(aut, lasso).analysis().
     """
 
@@ -262,7 +266,7 @@ class LassoSweep:
         self._cycles = {}       # cycle v -> (class product, analysis, entry offset r)
         self._reached = {(): frozenset((aut.initial,))}
         self._colors = {}       # (cycle, reached states) -> colors
-        self._cycle_nodes = {}  # (cycle, reached states) -> [(state, offset j, class node)]
+        self._cycle_nodes = {}  # (cycle, reached states) -> cycle_sets
 
     def _class_of(self, cycle):
         found = self._cycles.get(cycle)
@@ -288,39 +292,55 @@ class LassoSweep:
                 dst for q in self._states_after(stem[:-1]) for (dst, _c) in succ(q, stem[-1]))
         return states
 
+    def cycle_key(self, lasso):
+        """(cycle, R(stem)): the key that the colors and cycle nodes of `lasso` depend on."""
+        return (lasso.cycle, self._states_after(lasso.stem))
+
     def colors(self, lasso):
         """Dominating colors of the runs over `lasso` (achievable set of its node 0)."""
-        reached = self._states_after(lasso.stem)
-        key = (lasso.cycle, reached)
+        key = self.cycle_key(lasso)
         colors = self._colors.get(key)
         if colors is None:
-            (_product, analysis, entry) = self._class_of(lasso.cycle)
+            (cycle, reached) = key
+            (_product, analysis, entry) = self._class_of(cycle)
             base = entry * self.aut.state_count
             colors = self._colors[key] = frozenset().union(
                 *(analysis.achievable[base + q] for q in reached))
         return colors
 
-    def node_sets(self, lasso):
-        """Yield ((state, position), achievable, uniform) for each node of `lasso`."""
-        stem, cycle = lasso.stem, lasso.cycle
-        (product, analysis, entry) = self._class_of(cycle)
-        achievable, uniform = analysis.achievable, analysis.uniform
-        reached = self._states_after(stem)
-        base = entry * self.aut.state_count
-        key = (cycle, reached)
-        cycle_nodes = self._cycle_nodes.get(key)
-        if cycle_nodes is None:
-            adjacency = product.adjacency
+    def cycle_sets(self, key):
+        """[(state, offset j, achievable, uniform)] for the cycle nodes of a cycle_key.
+
+        The cycle nodes are the class-product nodes reachable from the entry
+        nodes (q, 0), q in R(stem); offset j counts from the start of the cycle.
+        """
+        found = self._cycle_nodes.get(key)
+        if found is None:
+            (cycle, reached) = key
+            (product, analysis, entry) = self._class_of(cycle)
+            adjacency, nodes = product.adjacency, product.nodes
             size = len(cycle)
-            cycle_nodes = self._cycle_nodes[key] = [
-                (product.nodes[i][0], (product.nodes[i][1] - entry) % size, i)
+            base = entry * self.aut.state_count
+            found = self._cycle_nodes[key] = [
+                (nodes[i][0], (nodes[i][1] - entry) % size,
+                 analysis.achievable[i], analysis.uniform[i])
                 for i in reachable([base + q for q in reached],
                                    lambda node: [child for (child, _c) in adjacency[node]])]
+        return found
+
+    def node_sets(self, lasso):
+        """Yield ((state, position), achievable, uniform) for each node of `lasso`.
+
+        The cycle nodes come first, then the stem nodes from the last stem
+        position back to position 0.
+        """
+        stem = lasso.stem
+        cycle_sets = self.cycle_sets(self.cycle_key(lasso))
         m = len(stem)
-        for (q, j, i) in cycle_nodes:
-            yield (q, m + j), achievable[i], uniform[i]
+        for (q, j, a, u) in cycle_sets:
+            yield (q, m + j), a, u
         # backward pass along the stem, from the entry nodes of the cycle
-        later = {q: (achievable[base + q], uniform[base + q]) for q in reached}
+        later = {q: (a, u) for (q, j, a, u) in cycle_sets if j == 0}
         succ = self.aut.successors
         for k in range(m - 1, -1, -1):
             current = {}
@@ -391,8 +411,12 @@ def member_parity_det(aut, lasso):
         first_seen[(state, pos)] = len(trail)
         succ = aut.successors(state, letters[pos])
         if len(succ) != 1:
-            raise ValueError("automaton is not deterministic at state %d, symbol %d"
-                             % (state, letters[pos]))
+            symbol = aut.alphabet.symbols[letters[pos]]
+            if not succ:
+                raise ValueError("automaton has no transition at state %d on symbol %r"
+                                 % (state, symbol))
+            raise ValueError("automaton is not deterministic at state %d: %d transitions "
+                             "on symbol %r" % (state, len(succ), symbol))
         (dst, color) = succ[0]
         trail.append(color)
         state = dst

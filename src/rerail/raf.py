@@ -178,6 +178,19 @@ def validate_complete(aut):
             if not targets]
 
 
+def complete_reachable_states(aut):
+    """The states reachable from the initial state, each checked for a move on every symbol.
+
+    Unreachable states, which no run visits, may lack moves; a reachable
+    state that lacks one is a ValueError.
+    """
+    reach = aut.reachable_states()
+    missing = [(q, x) for (q, x) in validate_complete(aut) if q in reach]
+    if missing:
+        raise ValueError("input automaton incomplete at %s" % (missing[:5],))
+    return reach
+
+
 def parse_automaton(text):
     """Parse the versioned automaton text format.
 

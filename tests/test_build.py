@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -346,6 +347,87 @@ def test_verify_matches_violation_oracle_on_rotated_cycles():
                 expected.append((w, oracles.member_rerailing(aut, w), tuple(violations)))
         got = [(v.lasso, v.member, v.violations) for v in verify_rerailing_bounded(aut, 2, 4)]
         assert got == expected
+
+
+def _violations_by_lasso(aut, stem_bound, cycle_bound):
+    """The oracle's (lasso, violations) for each lasso within the bounds."""
+    return [(w, oracles.rerailing_violations(aut, w))
+            for w in enumerate_lassos(len(aut.alphabet), stem_bound, cycle_bound)]
+
+
+def test_stem_violations_come_with_cycle_violations():
+    """The oracle alone: a lasso violating at a stem node also violates at a cycle node.
+
+    verify_rerailing_bounded skips the stem of every lasso whose cycle part
+    is clean, which is exact only if this holds.
+    """
+    rng = random.Random(53)
+    at_stem = 0
+    for k in range(40):
+        aut = oracles.random_complete_automaton(rng, 2 + rng.randrange(3), 2,
+                                                1 + rng.randrange(4), fanout=1 + k % 3)
+        for (w, violations) in _violations_by_lasso(aut, 3, 3):
+            in_stem = [pos < len(w.stem) for ((_q, pos), _d, _reason) in violations]
+            if any(in_stem):
+                at_stem += 1
+                assert not all(in_stem), (k, w)
+    assert at_stem >= 1000
+
+
+def test_verify_matches_violation_oracle_at_stem_bound_3():
+    """Stems up to length 3, so many stems share a cycle and a reached set.
+
+    Some cycle meets both a reached set whose cycle part violates and one
+    whose cycle part is clean, so both outcomes of the per-key check occur
+    on one cycle.
+    """
+    rng = random.Random(59)
+    mixed = 0
+    for k in range(24):
+        aut = oracles.random_complete_automaton(rng, 2 + rng.randrange(3), 2,
+                                                1 + rng.randrange(4), fanout=2 + k % 2)
+        expected = []
+        outcomes = {}
+        for (w, violations) in _violations_by_lasso(aut, 3, 3):
+            reached = {aut.initial}
+            for x in w.stem:
+                reached = {d for q in reached for d in aut.successor_states(q, x)}
+            outcomes.setdefault(w.cycle, {})[frozenset(reached)] = bool(violations)
+            if violations:
+                expected.append((w, oracles.member_rerailing(aut, w), tuple(violations)))
+        got = [(v.lasso, v.member, v.violations) for v in verify_rerailing_bounded(aut, 3, 3)]
+        assert got == expected, k
+        mixed += any(len(set(dirty.values())) == 2 for dirty in outcomes.values())
+    assert mixed >= 5
+
+
+def test_verify_results_digest():
+    """verify_rerailing_bounded keeps its results, verdict for verdict, on a fixed corpus."""
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    failing = 0
+    for k in range(60):
+        aut = oracles.random_complete_automaton(rng, 2 + rng.randrange(4), 2 + k % 2,
+                                                1 + rng.randrange(4), fanout=1 + k % 3)
+        failures = verify_rerailing_bounded(aut, 3, 3)
+        failing += bool(failures)
+        digest.update(repr(failures).encode())
+    assert failing == 40
+    assert digest.hexdigest() == (
+        "e5ea3093011dd571c22e21fd0e044cbc19d3bc52e0dd0e03fece009a546c2191")
+
+
+def test_verify_ignores_incomplete_unreachable_states():
+    """Like decompose_rerailing, verify only needs the reachable states complete."""
+    example = parse_automaton("raf 1\nalphabet a b\nstates 2\ninitial 0\ntrans 0 a 0 0\n"
+                              "trans 0 b 0 1\ntrans 1 a 1 0\ntrans 1 b 1 0\n")
+    partial = AutomatonStructure(AB, 3, [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 2, 0), (2, 1, 2, 1)],
+                                 0)                     # states 1 and 2 lack moves
+    assert verify_rerailing_bounded(partial, 3, 3) == verify_rerailing_bounded(example, 3, 3) == []
+    odd = AutomatonStructure(AB, 2, [(0, 0, 0, 1), (0, 0, 1, 2), (0, 1, 0, 1),
+                                     (1, 0, 1, 2), (1, 1, 1, 2)], 0)
+    padded = AutomatonStructure(AB, 3, list(odd.transitions) + [(2, 0, 0, 2)], 0)
+    assert verify_rerailing_bounded(padded, 3, 3) == verify_rerailing_bounded(odd, 3, 3) != []
 
 
 def test_verify_rejects_empty_bounds(hd5):

@@ -158,6 +158,28 @@ def test_verify_reports_violation(tmp_path, capsys):
     assert out[1] == ";a state=2 pos=0 color=1 reason=parity-mismatch"
 
 
+PARITY_DET_GAP = ("raf 1\nalphabet a b\nstates 2\ninitial 0\ntrans 0 a 1 2\n"
+                  "trans 1 a 1 2\ntrans 1 b 0 1\n")
+
+
+def test_membership_parity_det_names_a_missing_transition(tmp_path, capsys):
+    path = tmp_path / "gap.raf"
+    path.write_text(PARITY_DET_GAP)
+    assert run_cli("membership", "-i", str(path), "--sem", "parity-det",
+                   "--lasso", ";b") == 1
+    assert capsys.readouterr().err == (
+        "error: automaton has no transition at state 0 on symbol 'b'\n")
+
+
+def test_verify_ignores_incomplete_unreachable_states(tmp_path, capsys):
+    path = tmp_path / "unreachable.raf"
+    path.write_text("raf 1\nalphabet a b\nstates 3\ninitial 0\ntrans 0 a 0 0\n"
+                    "trans 0 b 1 1\ntrans 1 a 1 2\ntrans 1 b 0 1\ntrans 2 a 2 0\n")
+    assert run_cli("minimize", "-i", str(path), "-o", str(tmp_path / "small.raf")) == 0
+    assert run_cli("verify", "-i", str(path)) == 0
+    assert capsys.readouterr().out == "rerailing property holds (stem<=4, cycle<=4)\n"
+
+
 def spec_file(tmp_path, name, accept):
     io_symbols = ("r|g", "r|w", "n|g", "n|w")
     transitions = [(0, x, 0, 2 if accept(sym) else 1)

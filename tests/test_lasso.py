@@ -15,6 +15,7 @@ from rerail.raf import Alphabet, AutomatonStructure
 
 import oracles
 
+AB = Alphabet(("a", "b"))
 ABCD = Alphabet(("a", "b", "c", "d"))
 
 
@@ -151,6 +152,23 @@ def test_parity_semantics_differ_on_nondeterminism():
     w = parse_lasso(";a", Alphabet(("a",)))
     assert member_parity_exists(aut, w)
     assert not member_rerailing(aut, w)
+
+
+def test_parity_det_names_the_symbol_without_a_transition():
+    aut = AutomatonStructure(AB, 2, [(0, 0, 1, 2), (1, 0, 1, 2), (1, 1, 0, 1)], 0)
+    assert member_parity_det(aut, parse_lasso("a;b.a", AB)) is False
+    with pytest.raises(ValueError, match=r"^automaton has no transition at state 0 "
+                                         r"on symbol 'b'$"):
+        member_parity_det(aut, parse_lasso(";b", AB))
+
+
+def test_parity_det_names_the_symbol_with_several_transitions():
+    aut = AutomatonStructure(AB, 2, [(0, 0, 0, 2), (0, 1, 0, 1), (0, 1, 1, 2),
+                                     (1, 0, 1, 2), (1, 1, 1, 2)], 0)
+    assert member_parity_det(aut, parse_lasso(";a", AB)) is True
+    with pytest.raises(ValueError, match=r"^automaton is not deterministic at state 0: "
+                                         r"2 transitions on symbol 'b'$"):
+        member_parity_det(aut, parse_lasso("a;b", AB))
 
 
 def test_membership_function_dispatch(minimal5, uniform_chain, uniform_flochain):
