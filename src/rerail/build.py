@@ -90,7 +90,7 @@ def recurse_build(ctx, i, chain, acc):
     ab = minimize_floating(ab)
     new_states = []
     covered = set()
-    for (members, _trans) in max_accepting_sccs(ab):
+    for members in max_accepting_sccs(ab):
         sub = restrict_floating(ab, members)
         for (gid, sub_state) in recurse_build(sub, i + 1, chain, acc):
             new_states.append((gid, sub.marking[sub_state]))

@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
-from .lasso import enumerate_lassos, membership_function
 from .raf import (AutomatonStructure, RafError, complete_reachable_states, equireach_relation,
-                  validate_complete, _body_lines, _check_name, _numbered_lines,
+                  validate_complete, _body_lines, _check_name, _expect_header, _numbered_lines,
                   _parse_alphabet, _parse_raf_body)
 from .scc import reachable
 
@@ -31,11 +30,6 @@ class CoBuchiAutomaton(AutomatonStructure):
         missing = validate_complete(self)
         if missing:
             raise ValueError("co-Buchi automaton incomplete at %s" % (missing[:5],))
-
-    @classmethod
-    def from_structure(cls, aut):
-        return cls(aut.alphabet, aut.state_count, aut.transitions, aut.initial,
-                   aut.state_names)
 
     def accepting_successors(self, state, symbol):
         return [dst for (dst, c) in self.successors(state, symbol) if c == 2]
@@ -63,22 +57,6 @@ class Chain:
         return self.levels[i - 1]
 
 
-def chain_falling_violations(chain, stem_bound, cycle_bound):
-    """Advisory check that each level's language contains the next one's.
-
-    Returns (level, lasso) pairs where level i+1 accepts but level i does not,
-    over all lassos within the bounds.  Exact inclusion is out of scope.
-    """
-    members = [membership_function(a, "cobuchi") for a in chain.levels]
-    violations = []
-    for i in range(1, len(members)):
-        lower, upper = members[i - 1], members[i]
-        for lasso in enumerate_lassos(len(chain.alphabet), stem_bound, cycle_bound):
-            if upper(lasso) and not lower(lasso):
-                violations.append((i + 1, lasso))
-    return violations
-
-
 def serialize_chain(chain):
     """The `cocoa 1` text of a chain; one with no levels keeps its alphabet line."""
     out = ["cocoa 1", "count %d" % len(chain.levels)]
@@ -91,9 +69,7 @@ def serialize_chain(chain):
 
 
 def parse_chain(text):
-    lines = _numbered_lines(text)
-    if not lines or lines[0][1] != "cocoa 1":
-        raise RafError("expected 'cocoa 1' header", lines[0][0] if lines else None)
+    lines = _expect_header(_numbered_lines(text), "cocoa 1")
     lineno, line = lines[1] if len(lines) > 1 else (None, "")
     parts = line.split()
     count = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else None
@@ -114,9 +90,9 @@ def parse_chain(text):
         if parts[1] != str(want):
             raise RafError("chain blocks must be numbered consecutively from 1", lineno)
         body = idx + 1
-        level, idx = _parse_raf_body(lines, require_version=None, with_colors=True,
-                                     start=body, stop_words=("automaton",),
-                                     cls=CoBuchiAutomaton, label="automaton %d: " % want)
+        level, idx = _parse_raf_body(lines, with_colors=True, start=body,
+                                     stop_words=("automaton",), cls=CoBuchiAutomaton,
+                                     label="automaton %d: " % want)
         if levels and level.alphabet != levels[0].alphabet:
             raise RafError("automaton %d: alphabet %s differs from automaton 1's, %s"
                            % (want, " ".join(level.alphabet), " ".join(levels[0].alphabet)),
@@ -143,6 +119,11 @@ def decompose_rerailing(aut):
     accepting one instead, on the same states, so every accepting run
     survives.  Only color-inhomogeneous inputs give a triple both copies;
     a color-homogeneous (src, sym) has one color, at least i or below it.
+
+    The level claim holds for every DPW, where each state's only mate is
+    itself, and for every rerailing input, as the paper shows.  It can fail
+    otherwise: level 2 of `NOT_RERAILING3` in tests/test_cobuchi.py accepts
+    b;c, on which the input's one run has dominating color 1.
     """
     reach = complete_reachable_states(aut)
     if len(reach) < aut.state_count:      # keep the reachable states, in order
@@ -211,9 +192,7 @@ def _letter_game(ai, ai1, aj, aj1, starts, twin_step=None):
     losing sink.
     """
     symbols = range(len(ai.alphabet))
-    succ_i, succ_i1, succ_j, succ_j1 = (
-        [[a.successors(q, x) for x in symbols] for q in range(a.state_count)]
-        for a in (ai, ai1, aj, aj1))
+    succ_i, succ_i1, succ_j, succ_j1 = (a._succ for a in (ai, ai1, aj, aj1))
     builder = ArenaBuilder()
     vertex, keys, edges = builder.vertex, builder.keys, builder.edges
     ids = [vertex(("s",) + qs + (0,), 0, 3) for qs in starts]

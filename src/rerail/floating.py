@@ -11,7 +11,7 @@ automata are the building blocks of the rerailing-automaton construction.
 from __future__ import annotations
 
 from .cobuchi import CoBuchiAutomaton, Rlta, build_rlta_chain
-from .raf import (AutomatonStructure, RafError, _blame, _body_lines, _check_name,
+from .raf import (AutomatonStructure, RafError, _blame, _body_lines, _check_name, _expect_header,
                   _numbered_lines, _parse_name_line, _parse_raf_body, _parse_state_count)
 from .scc import reachable, scc_decomposition
 
@@ -362,16 +362,9 @@ def restrict_floating(f, states):
 
 
 def max_accepting_sccs(f):
-    """Nontrivial SCCs of the safe-transition graph, ordered by smallest state."""
+    """Member tuples of the nontrivial safe-transition SCCs, ordered by smallest state."""
     dec = scc_decomposition(f.state_count, f.adjacency())
-    result = []
-    for comp in sorted(dec.nontrivial):
-        members = tuple(dec.components[comp])
-        inside = set(members)
-        trans = tuple(sorted((src, x, dst) for (src, x), dst in f.delta.items()
-                             if src in inside and dst in inside))
-        result.append((members, trans))
-    return result
+    return [tuple(dec.components[comp]) for comp in sorted(dec.nontrivial)]
 
 
 def serialize_floating_chain(fchain):
@@ -478,13 +471,10 @@ def _parse_floating_block(lines, start, alphabet, rlta):
 
 
 def parse_floating_chain(text):
-    lines = _numbered_lines(text)
-    if not lines or lines[0][1] != "flochain 1":
-        raise RafError("expected 'flochain 1' header", lines[0][0] if lines else None)
+    lines = _expect_header(_numbered_lines(text), "flochain 1")
     if len(lines) < 2 or lines[1][1] != "rlta":
         raise RafError("expected 'rlta' block after header")
-    aut, idx = _parse_raf_body(lines, require_version=None, with_colors=False,
-                               start=2, stop_words=("floating",))
+    aut, idx = _parse_raf_body(lines, with_colors=False, start=2, stop_words=("floating",))
     rows = []
     for s in range(aut.state_count):
         row = []

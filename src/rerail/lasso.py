@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cobuchi import Chain
+from .floating import FloatingChain, cobuchi_reading
 from .raf import AutomatonStructure
 from .scc import reachable, scc_decomposition
 
@@ -50,10 +52,6 @@ class LassoWord:
         if k < len(self.stem):
             return self.stem[k]
         return self.cycle[(k - len(self.stem)) % len(self.cycle)]
-
-    def prefixed(self, symbols):
-        """The lasso for symbols . self (stem extension)."""
-        return LassoWord(tuple(symbols) + self.stem, self.cycle)
 
 
 def parse_lasso(text, alphabet):
@@ -284,12 +282,18 @@ class LassoSweep:
         return found
 
     def _states_after(self, stem):
-        """The set of states reached from the initial state by reading `stem`."""
+        """The set of states reached from the initial state by reading `stem`.
+
+        One step from a memoized `stem[:-1]`, as in a sweep, else a walk of
+        the whole stem; only `stem` itself is memoized.
+        """
         states = self._reached.get(stem)
         if states is None:
-            succ = self.aut.successors
-            states = self._reached[stem] = frozenset(
-                dst for q in self._states_after(stem[:-1]) for (dst, _c) in succ(q, stem[-1]))
+            prefix = stem[:-1] if stem[:-1] in self._reached else ()
+            states, succ = self._reached[prefix], self.aut.successors
+            for x in stem[len(prefix):]:
+                states = frozenset(dst for q in states for (dst, _c) in succ(q, x))
+            self._reached[stem] = states
         return states
 
     def cycle_key(self, lasso):
@@ -339,12 +343,15 @@ class LassoSweep:
         m = len(stem)
         for (q, j, a, u) in cycle_sets:
             yield (q, m + j), a, u
+        succ = self.aut.successors
+        reached = [self._reached[()]]       # reached[k] = R(stem[:k]), walked once
+        for x in stem[:-1]:
+            reached.append(frozenset(dst for q in reached[-1] for (dst, _c) in succ(q, x)))
         # backward pass along the stem, from the entry nodes of the cycle
         later = {q: (a, u) for (q, j, a, u) in cycle_sets if j == 0}
-        succ = self.aut.successors
         for k in range(m - 1, -1, -1):
             current = {}
-            for q in self._states_after(stem[:k]):
+            for q in reached[k]:
                 acc = set()
                 uni = set()
                 for (dst, _c) in succ(q, stem[k]):
@@ -442,9 +449,6 @@ def membership_function(obj, semantics):
     a deterministic automaton with member_parity_det.  An object of the
     wrong kind for the semantics is a ValueError.
     """
-    # cobuchi and floating import this module, so they load here
-    from .cobuchi import Chain
-    from .floating import FloatingChain, cobuchi_reading
     if semantics not in SEMANTICS:
         raise ValueError("unknown semantics %r (expected one of %s)"
                          % (semantics, ", ".join(SEMANTICS)))

@@ -198,7 +198,8 @@ def parse_automaton(text):
     `name <k> "<display>"` lines and `trans <src> <sym> <dst> <color>` lines.
     `#` starts a comment.  Duplicate identical transitions are tolerated.
     """
-    return _parse_raf_body(_numbered_lines(text), require_version="raf 1", with_colors=True)
+    lines = _expect_header(_numbered_lines(text), "raf 1")
+    return _parse_raf_body(lines, with_colors=True, start=1)[0]
 
 
 def serialize_automaton(aut):
@@ -234,6 +235,13 @@ def _numbered_lines(text):
     if "#" in text:
         raws = [raw.partition("#")[0] for raw in raws]
     return [(lineno, line) for lineno, raw in enumerate(raws, start=1) if (line := raw.strip())]
+
+
+def _expect_header(lines, header):
+    """The numbered `lines` of a text, refused unless the first one is `header`."""
+    if not lines or lines[0][1] != header:
+        raise RafError("expected %r header" % header, lines[0][0] if lines else None)
+    return lines
 
 
 def _blame(body, checks):
@@ -287,21 +295,15 @@ def _parse_state_count(rest, lineno):
     return count
 
 
-def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=(),
-                    cls=AutomatonStructure, label=""):
+def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStructure, label=""):
     """Shared parser for automaton bodies, built as `cls` once the body is read.
 
-    Returns the automaton, and the position after the body when stop_words
-    are given.  A construction error names the line it blames; an error no
-    line holds alone, such as a subclass's, is prefixed with `label`.
+    Returns the automaton and the position after its body, which ends at a
+    line starting with one of `stop_words` or at the end of `lines`.  A
+    construction error names the line it blames; an error no line holds
+    alone, such as a subclass's, is prefixed with `label`.
     """
-    idx = start
-    if require_version is not None:
-        if idx >= len(lines) or lines[idx][1] != require_version:
-            lineno = lines[idx][0] if idx < len(lines) else None
-            raise RafError("expected %r header" % require_version, lineno)
-        idx += 1
-    body = idx
+    idx = body = start
     alphabet = None
     state_count = None
     initial = None
@@ -378,9 +380,7 @@ def _parse_raf_body(lines, require_version, with_colors, start=0, stop_words=(),
             ("trans", lambda f: out(f[0]) or out(f[2]) or with_colors and int(f[3]) < 0),
             ("name", lambda f: int(f[0]) == stray)))
         raise RafError((label if lineno is None else "") + str(exc), lineno) from None
-    if stop_words:
-        return aut, idx
-    return aut
+    return aut, idx
 
 
 def equireach_relation(aut):

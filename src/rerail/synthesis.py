@@ -41,9 +41,6 @@ class IoAlphabet:
     def combined_index(self, input_index, output_index):
         return input_index * len(self.outputs) + output_index
 
-    def split_index(self, combined_index):
-        return divmod(combined_index, len(self.outputs))
-
 
 def build_realizability_game(r, io):
     """Parity game deciding realizability of the specification automaton.

@@ -158,6 +158,16 @@ def test_verify_reports_violation(tmp_path, capsys):
     assert out[1] == ";a state=2 pos=0 color=1 reason=parity-mismatch"
 
 
+@pytest.mark.parametrize("stem, cycle, code", [("a", "b", 0), ("b", "a", 2)])
+def test_membership_on_a_long_stem(tmp_path, capsys, stem, cycle, code):
+    path = tmp_path / "one.raf"
+    path.write_text("raf 1\nalphabet a b\nstates 1\ninitial 0\n"
+                    "trans 0 a 0 1\ntrans 0 b 0 2\n")
+    lasso = ".".join([stem] * 3000) + ";" + cycle
+    assert run_cli("membership", "-i", str(path), "--lasso", lasso) == code
+    assert capsys.readouterr().out.split("\n")[0] == ("accept" if code == 0 else "reject")
+
+
 PARITY_DET_GAP = ("raf 1\nalphabet a b\nstates 2\ninitial 0\ntrans 0 a 1 2\n"
                   "trans 1 a 1 2\ntrans 1 b 0 1\n")
 

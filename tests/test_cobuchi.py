@@ -4,11 +4,10 @@ import random
 import pytest
 
 from rerail import build, cobuchi
-from rerail.cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain,
-                            chain_falling_violations, compute_Rij, decompose_rerailing,
-                            inclusion_table, parse_chain, residual_tracking_single,
-                            serialize_chain)
-from rerail.lasso import LassoWord, enumerate_lassos, membership_function, parse_lasso
+from rerail.cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain, compute_Rij,
+                            decompose_rerailing, inclusion_table, parse_chain,
+                            residual_tracking_single, serialize_chain)
+from rerail.lasso import enumerate_lassos, membership_function, parse_lasso
 from rerail.raf import Alphabet, AutomatonStructure, RafError, parse_automaton
 
 import oracles
@@ -38,8 +37,8 @@ def test_cobuchi_rejects_incomplete():
         CoBuchiAutomaton(AB, 1, [(0, 0, 0, 2)], 0)
 
 
-def test_from_structure_and_accepting_successors(hd5):
-    level = CoBuchiAutomaton.from_structure(hd5)
+def test_accepting_successors(hd5):
+    level = CoBuchiAutomaton(hd5.alphabet, hd5.state_count, hd5.transitions, hd5.initial)
     assert level.accepting_successors(0, 0) == [1]
     assert level.accepting_successors(0, 2) == []   # both c-moves are rejecting
     assert level.accepting_successors(3, 2) == [2]
@@ -79,18 +78,6 @@ def test_chain_color_matches_oracle(uniform_chain, level_color):
     color_of = level_color(uniform_chain.levels)
     for w in enumerate_lassos(4, 2, 2):
         assert color_of(w) == oracles.chain_color(uniform_chain, w)
-
-
-def test_falling_violations_absent(uniform_chain):
-    assert chain_falling_violations(uniform_chain, 2, 3) == []
-
-
-def test_falling_violation_detected():
-    only_a = CoBuchiAutomaton(AB, 1, [(0, 0, 0, 2), (0, 1, 0, 1)], 0)
-    rising = Chain([only_a, universal()])
-    violations = chain_falling_violations(rising, 1, 2)
-    assert violations
-    assert violations[0] == (2, LassoWord((), (1,)))
 
 
 def test_chain_roundtrip(uniform_chain):
@@ -165,6 +152,34 @@ def test_decompose_color_inhomogeneous_levels(level_color):
         assert color_of(w) == max(oracles.dominating_colors(aut, w))
 
 
+NOT_RERAILING3 = """raf 1
+alphabet a b c
+states 3
+initial 0
+trans 0 a 1 1
+trans 0 a 2 1
+trans 0 b 1 1
+trans 0 c 0 1
+trans 1 a 1 1
+trans 1 b 1 1
+trans 1 c 1 1
+trans 2 a 2 1
+trans 2 b 2 1
+trans 2 c 2 2
+"""
+
+
+def test_decompose_level_claim_fails_on_a_non_rerailing_input():
+    # a reaches 1 and 2 together, so 2 is a mate of 1, and level 2 moves on
+    # b from 0 to 2, whose c-loop is accepting there; but the only run on
+    # b;c stays in 1 with color 1.
+    aut = parse_automaton(NOT_RERAILING3)
+    w = parse_lasso("b;c", aut.alphabet)
+    assert membership_function(decompose_rerailing(aut).level(2), "cobuchi")(w)
+    assert oracles.dominating_colors(aut, w) == {1}
+    assert build.verify_rerailing_bounded(aut, 1, 1)
+
+
 def test_decompose_requires_complete():
     partial = AutomatonStructure(AB, 1, [(0, 0, 0, 2)], 0)
     with pytest.raises(ValueError):
@@ -189,7 +204,8 @@ def test_decompose_preserves_deterministic_languages():
 
 
 def test_residual_tracker_alternates(hd5):
-    tracker, state_map = residual_tracking_single(CoBuchiAutomaton.from_structure(hd5))
+    level = CoBuchiAutomaton(hd5.alphabet, hd5.state_count, hd5.transitions, hd5.initial)
+    tracker, state_map = residual_tracking_single(level)
     assert state_map == [0, 1, 0, 1, 0]
     assert tracker.state_count == 2
     assert tracker.initial == 0
@@ -387,7 +403,7 @@ def test_inclusion_tiny():
 
 
 def test_inclusion_classes_on_hd_example(hd5):
-    level = CoBuchiAutomaton.from_structure(hd5)
+    level = CoBuchiAutomaton(hd5.alphabet, hd5.state_count, hd5.transitions, hd5.initial)
     table = inclusion_table(level, level)
     classes = {frozenset(p for p in range(5)
                          if (q, p) in table and (p, q) in table)

@@ -181,7 +181,7 @@ def test_residualize_chain_language(uniform_chain, uniform_flochain, level_color
 def test_safe_subset_on_residuals(hd5):
     # Floating view of the 5-state history-deterministic automaton: one
     # strict containment and one incomparable pair of safe languages.
-    level = CoBuchiAutomaton.from_structure(hd5)
+    level = CoBuchiAutomaton(hd5.alphabet, hd5.state_count, hd5.transitions, hd5.initial)
     rlta, _state_map = residual_tracking_single(level)
     fh = residualize(level, rlta)
     assert sorted(fh.names) == ["0@0", "1@1", "2@0", "3@1", "4@0"]
@@ -263,8 +263,8 @@ def test_minimize_random_residuals_and_products():
     for k in range(20):
         pair = []
         for fanout in (1, 2):
-            level = CoBuchiAutomaton.from_structure(
-                oracles.random_cobuchi_automaton(rng, 2 + rng.randrange(2), 2, fanout))
+            aut = oracles.random_cobuchi_automaton(rng, 2 + rng.randrange(2), 2, fanout)
+            level = CoBuchiAutomaton(aut.alphabet, aut.state_count, aut.transitions, aut.initial)
             rlta = (trivial_rlta(level.alphabet) if k % 2
                     else Rlta(level.alphabet, 2, [[1, 1], [0, 0]], 0))
             pair.append(residualize(level, rlta))
@@ -322,11 +322,9 @@ def test_restrict(uniform_chain, uniform_flochain):
 
 def test_max_accepting_sccs(uniform_chain, uniform_flochain):
     f1 = residualize(uniform_chain.level(1), uniform_flochain.rlta)
-    sccs = max_accepting_sccs(f1)
-    assert [members for (members, _) in sccs] == [(0,), (1,)]
-    assert sccs[0][1] == ((0, 0, 0), (0, 1, 0), (0, 2, 0))
+    assert max_accepting_sccs(f1) == [(0,), (1,)]
     f2 = residualize(uniform_chain.level(2), uniform_flochain.rlta)
-    assert [members for (members, _) in max_accepting_sccs(f2)] == [(0, 1), (2,)]
+    assert max_accepting_sccs(f2) == [(0, 1), (2,)]
 
 
 def test_floating_chain_roundtrip(uniform_flochain):

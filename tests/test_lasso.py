@@ -79,11 +79,6 @@ def test_letter_at_wraps():
     assert [w.letter_at(k) for k in range(6)] == [0, 1, 2, 1, 2, 1]
 
 
-def test_prefixed():
-    w = LassoWord((1,), (0,))
-    assert w.prefixed((2, 2)) == LassoWord((2, 2, 1), (0,))
-
-
 def test_enumerate_lassos_counts():
     assert len(list(enumerate_lassos(1, 3, 3))) == 1
     words = list(enumerate_lassos(2, 1, 2))
@@ -134,6 +129,14 @@ def test_membership_against_oracles_deterministic():
         for other in (LassoWord(w.stem, w.cycle * 2), LassoWord(w.stem + w.cycle, w.cycle),
                       LassoWord(w.stem + w.cycle[:1], w.cycle[1:] + w.cycle[:1])):
             assert member_parity_det(aut, other) == oracles.member_parity_det(aut, w), other
+
+
+def test_membership_on_a_long_stem_agrees_with_the_run():
+    rng = random.Random(16)
+    for _ in range(10):
+        aut = oracles.random_dpw(rng, 1 + rng.randrange(6), 2, 4)
+        w = LassoWord(tuple(rng.randrange(2) for _ in range(5000)), (rng.randrange(2),))
+        assert member_rerailing(aut, w) == member_parity_det(aut, w)
 
 
 def test_oracle_routes_agree_on_tiny_products():
@@ -216,15 +219,18 @@ def test_bounded_equivalence_rejects_empty_bounds(minimal5):
 
 
 def test_sweep_node_sets_match_one_lasso_products():
-    """Every node of every lasso gets the sets of its one-lasso product."""
+    """Every node of every lasso gets the sets of its one-lasso product, also
+    on a 2000-letter stem whose prefixes the sweep has not met."""
     rng = random.Random(41)
+    stems = random.Random(42)
     for k in range(40):
         aut = oracles.random_complete_automaton(rng, 1 + rng.randrange(4),
                                                 2 + k % 2, 1 + rng.randrange(4))
         if k % 4 == 3:
             aut = _partial(rng, aut)
         sweep = LassoSweep(aut)
-        for w in enumerate_lassos(len(aut.alphabet), 2, 4 - k % 2):
+        long_stem = LassoWord(tuple(stems.randrange(2) for _ in range(2000)), (1,))
+        for w in list(enumerate_lassos(len(aut.alphabet), 2, 4 - k % 2)) + [long_stem.canonical()]:
             product = LassoProduct(aut, w)
             analysis = product.analysis()
             expected = sorted(zip(product.nodes, analysis.achievable, analysis.uniform))

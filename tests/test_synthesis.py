@@ -45,8 +45,6 @@ def random_deterministic_spec(rng, io, n_states, max_color):
 def test_io_alphabet_combined_order():
     assert RG_IO.combined.symbols == ("r|g", "r|w", "n|g", "n|w")
     assert RG_IO.combined_index(1, 0) == 2
-    assert RG_IO.split_index(3) == (1, 1)
-    assert RG_IO.split_index(RG_IO.combined_index(0, 1)) == (0, 1)
 
 
 def test_io_alphabet_reserved_separator():
