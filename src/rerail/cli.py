@@ -16,7 +16,7 @@ from . import cobuchi, floating, synthesis
 from .games import solve
 from .lasso import (SEMANTICS, bounded_equivalence, format_lasso, membership_function,
                     parse_lasso)
-from .raf import (Alphabet, AutomatonStructure, RafError, parse_automaton,
+from .raf import (Alphabet, AutomatonStructure, RafError, _numbered_lines, _read_automaton,
                   serialize_automaton, validate_complete)
 
 
@@ -36,33 +36,22 @@ def _at_least(least):
     return bound
 
 
-def _read_text(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
 def _load_any(path):
-    """The object in a file, read by the parser its first non-comment line names."""
-    text = _read_text(path)
-    for raw in text.splitlines():
-        header = raw.partition("#")[0].strip()
-        if header:
-            break
-    else:
+    """The object in a file, read by the reader its first non-comment line names."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = _numbered_lines(handle.read())
+    if not lines:
         raise RafError("empty input file %s" % path)
-    head = header.split()[0]
-    if head == "raf":
-        return parse_automaton(text)
-    if head == "cocoa":
-        return cobuchi.parse_chain(text)
-    if head == "flochain":
-        return floating.parse_floating_chain(text)
-    raise RafError("unrecognized format header %r in %s" % (header, path))
+    reader = {"raf": _read_automaton, "cocoa": cobuchi._read_chain,
+              "flochain": floating._read_floating_chain}.get(lines[0][1].split()[0])
+    if reader is None:
+        raise RafError("unrecognized format header %r in %s" % (lines[0][1], path))
+    return reader(lines)
 
 
 def _load_automaton(path):

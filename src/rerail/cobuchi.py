@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
 from .raf import (AutomatonStructure, RafError, complete_reachable_states, equireach_relation,
-                  validate_complete, _body_lines, _check_name, _expect_header, _numbered_lines,
-                  _parse_alphabet, _parse_raf_body)
+                  validate_complete, _body_lines, _check_name, _expect_header, _line_of,
+                  _numbered_lines, _parse_alphabet, _parse_raf_body)
 from .scc import reachable
 
 
@@ -69,7 +69,11 @@ def serialize_chain(chain):
 
 
 def parse_chain(text):
-    lines = _expect_header(_numbered_lines(text), "cocoa 1")
+    return _read_chain(_numbered_lines(text))
+
+
+def _read_chain(lines):
+    _expect_header(lines, "cocoa 1")
     lineno, line = lines[1] if len(lines) > 1 else (None, "")
     parts = line.split()
     count = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else None
@@ -96,7 +100,7 @@ def parse_chain(text):
         if levels and level.alphabet != levels[0].alphabet:
             raise RafError("automaton %d: alphabet %s differs from automaton 1's, %s"
                            % (want, " ".join(level.alphabet), " ".join(levels[0].alphabet)),
-                           next(n for n, line in lines[body:idx] if line.split()[0] == "alphabet"))
+                           _line_of(lines[body:idx], ("alphabet",), None))
         levels.append(level)
     if idx != len(lines):
         raise RafError("trailing content after %d chain blocks" % count, lines[idx][0])

@@ -11,8 +11,8 @@ automata are the building blocks of the rerailing-automaton construction.
 from __future__ import annotations
 
 from .cobuchi import CoBuchiAutomaton, Rlta, build_rlta_chain
-from .raf import (AutomatonStructure, RafError, _blame, _body_lines, _check_name, _expect_header,
-                  _numbered_lines, _parse_name_line, _parse_raf_body, _parse_state_count)
+from .raf import (AutomatonStructure, RafError, SiteError, _body_lines, _check_name, _expect_header,
+                  _line_of, _numbered_lines, _parse_name_line, _parse_raf_body, _parse_state_count)
 from .scc import reachable, scc_decomposition
 
 
@@ -30,9 +30,9 @@ class FloatingAutomaton:
         self.names = list(names) if names is not None else None
         if len(self.labels) != state_count:
             raise ValueError("need one residual label per state")
-        for lab in self.labels:
+        for q, lab in enumerate(self.labels):
             if not 0 <= lab < rlta.state_count:
-                raise ValueError("residual label %r outside the tracker" % (lab,))
+                raise SiteError("residual label %r outside the tracker" % (lab,), "label", q)
         if self.marking is not None and len(self.marking) != state_count:
             raise ValueError("need one marking per state when marked")
         if self.names is not None and len(self.names) != state_count:
@@ -43,11 +43,11 @@ class FloatingAutomaton:
         for (src, sym), dst in self.delta.items():
             if not (0 <= src < state_count and 0 <= dst < state_count
                     and 0 <= sym < len(alphabet)):
-                raise ValueError("transition (%d, %d, %d) out of range" % (src, sym, dst))
+                raise SiteError("transition (%d, %d, %d) out of range" % (src, sym, dst),
+                                "trans", src, sym, dst)
             if self.labels[dst] != rlta.step(self.labels[src], sym):
-                raise ValueError(
-                    "label of state %d breaks tracker compatibility on symbol %s"
-                    % (dst, alphabet.symbols[sym]))
+                raise SiteError("label of state %d breaks tracker compatibility on symbol %s"
+                                % (dst, alphabet.symbols[sym]), "trans", src, sym, dst)
             if self.marking is not None:
                 key = (self.marking[src], sym)
                 want = self.marking[dst]
@@ -444,7 +444,7 @@ def _parse_floating_block(lines, start, alphabet, rlta):
         stray = sorted(q for q in table if not 0 <= q < state_count)
         if stray:
             raise RafError("%s given for missing state %d" % (what, stray[0]),
-                           _blame(lines[start:idx], ((what, lambda f: int(f[0]) == stray[0]),)))
+                           _line_of(lines[start:idx], (what, stray[0]), alphabet))
     missing = [q for q in range(state_count) if q not in labels]
     if missing:
         raise RafError("floating states missing labels: %s" % missing[:5])
@@ -456,24 +456,19 @@ def _parse_floating_block(lines, start, alphabet, rlta):
                               [labels[q] for q in range(state_count)], rlta,
                               names=name_list)
     except ValueError as exc:
-        bad = next((q for q in range(state_count)
-                    if not 0 <= labels[q] < rlta.state_count), None)
-
-        def breaks(f):
-            src, dst = int(f[0]), int(f[2])
-            return (not (0 <= src < state_count and 0 <= dst < state_count)
-                    or labels[dst] != rlta.step(labels[src], alphabet.positions[f[1]]))
-        lineno = _blame(lines[start:idx], (("states", lambda f: state_count < 0),
-                                           ("label", lambda f: int(f[0]) == bad),
-                                           ("trans", breaks)))
-        raise RafError(str(exc), lineno) from None
+        raise RafError(str(exc), _line_of(lines[start:idx], getattr(exc, "site", ()),
+                                          alphabet)) from None
     return f, idx
 
 
 def parse_floating_chain(text):
-    lines = _expect_header(_numbered_lines(text), "flochain 1")
+    return _read_floating_chain(_numbered_lines(text))
+
+
+def _read_floating_chain(lines):
+    _expect_header(lines, "flochain 1")
     if len(lines) < 2 or lines[1][1] != "rlta":
-        raise RafError("expected 'rlta' block after header")
+        raise RafError("expected 'rlta' block after header", lines[1][0] if lines[1:] else None)
     aut, idx = _parse_raf_body(lines, with_colors=False, start=2, stop_words=("floating",))
     rows = []
     for s in range(aut.state_count):

@@ -73,6 +73,13 @@ def parse_lasso(text, alphabet):
     return LassoWord(stem, cycle)
 
 
+def _check_letters(letters, nsym):
+    """Refuse a letter that is no symbol index of an alphabet of `nsym` symbols."""
+    for x in letters:
+        if not 0 <= x < nsym:
+            raise ValueError("lasso letter %r outside the alphabet of %d symbols" % (x, nsym))
+
+
 def format_lasso(lasso, alphabet):
     stem = ".".join(alphabet.symbols[s] for s in lasso.stem)
     cycle = ".".join(alphabet.symbols[s] for s in lasso.cycle)
@@ -269,6 +276,7 @@ class LassoSweep:
     def _class_of(self, cycle):
         found = self._cycles.get(cycle)
         if found is None:
+            _check_letters(cycle, len(self.aut.alphabet))
             root = LassoWord((), cycle).canonical().cycle    # primitive root, same word
             size = len(root)
             shift = min(range(size), key=lambda i: root[i:] + root[:i])
@@ -291,6 +299,7 @@ class LassoSweep:
         if states is None:
             prefix = stem[:-1] if stem[:-1] in self._reached else ()
             states, succ = self._reached[prefix], self.aut.successors
+            _check_letters(stem[len(prefix):], len(self.aut.alphabet))
             for x in stem[len(prefix):]:
                 states = frozenset(dst for q in states for (dst, _c) in succ(q, x))
             self._reached[stem] = states
@@ -365,23 +374,11 @@ class LassoSweep:
             later = current
 
 
-# Verdicts of the semantics decided by the dominating colors of all runs.
-
-def _rerailing_verdict(colors):
-    if not colors:
-        raise ValueError("no infinite run: automaton incomplete along the lasso")
-    return max(colors) % 2 == 0
-
-
-def _parity_exists_verdict(colors):
-    if not colors:
-        raise ValueError("no infinite run: automaton incomplete along the lasso")
-    return any(c % 2 == 0 for c in colors)
-
-
+# Verdicts of the semantics decided by the dominating colors of all runs,
+# given a nonempty set of them.
 _COLOR_VERDICTS = {
-    "rerailing": _rerailing_verdict,
-    "parity-exists": _parity_exists_verdict,
+    "rerailing": lambda colors: max(colors) % 2 == 0,
+    "parity-exists": lambda colors: any(c % 2 == 0 for c in colors),
     "cobuchi": lambda colors: 2 in colors,
 }
 SEMANTICS = ("rerailing", "parity-exists", "parity-det", "cobuchi", "chain", "floating")
@@ -409,6 +406,7 @@ def member_parity_det(aut, lasso):
     """
     period_start = len(lasso.stem)
     letters = lasso.stem + lasso.cycle
+    _check_letters(letters, len(aut.alphabet))
     length = len(letters)
     state = aut.initial
     pos = 0
@@ -447,7 +445,8 @@ def membership_function(obj, semantics):
     and takes the greatest accepting level; a floating chain is the chain of
     the co-Buchi readings of its levels.  parity-det follows the one run of
     a deterministic automaton with member_parity_det.  An object of the
-    wrong kind for the semantics is a ValueError.
+    wrong kind for the semantics, a lasso letter outside the alphabet, and,
+    for the color semantics, a lasso with no infinite run are ValueErrors.
     """
     if semantics not in SEMANTICS:
         raise ValueError("unknown semantics %r (expected one of %s)"
@@ -476,7 +475,13 @@ def membership_function(obj, semantics):
             raise ValueError("co-Buchi automata use colors 1 and 2 only, found %s" % bad)
     verdict = _COLOR_VERDICTS[semantics]
     sweep = LassoSweep(obj)
-    return lambda w: verdict(sweep.colors(w))
+
+    def member(w):
+        colors = sweep.colors(w)
+        if not colors:
+            raise ValueError("no infinite run: automaton incomplete along the lasso")
+        return verdict(colors)
+    return member
 
 
 def bounded_equivalence(a, sem_a, b, sem_b, stem_bound, cycle_bound):

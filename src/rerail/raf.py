@@ -30,6 +30,15 @@ class RafError(ValueError):
         super().__init__(message)
 
 
+class SiteError(ValueError):
+    """A construction error about one item; `site` names it as a text does: the directive and
+    leading fields of a line holding it, such as ("trans", src, symbol index, dst)."""
+
+    def __init__(self, message, *site):
+        super().__init__(message)
+        self.site = site
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered tuple of distinct symbol names; the order is canonical.
@@ -80,9 +89,9 @@ class AutomatonStructure:
 
     def __init__(self, alphabet, state_count, transitions, initial, state_names=None):
         if state_count <= 0:
-            raise ValueError("state_count must be positive")
+            raise SiteError("state_count must be positive", "states")
         if not 0 <= initial < state_count:
-            raise ValueError("initial state %d out of range" % initial)
+            raise SiteError("initial state %d out of range" % initial, "initial")
         self.alphabet = alphabet
         self.state_count = state_count
         self.initial = initial
@@ -103,7 +112,7 @@ class AutomatonStructure:
             state_names = dict(state_names)
             stray = sorted(q for q in state_names if not 0 <= q < state_count)
             if stray:
-                raise ValueError("name given for missing state %d" % stray[0])
+                raise SiteError("name given for missing state %d" % stray[0], "name", stray[0])
             for name in state_names.values():
                 _check_name(name)
             if len(set(state_names.values())) != len(state_names):
@@ -159,17 +168,18 @@ def _check_name(name):
 
 
 def _raise_first_fault(transitions, state_count, nsym):
-    """Raise the error of the first transition out of range or in conflict, in order."""
+    """Raise the error of the first faulty transition, in order, with that transition as site."""
     seen = {}
     for (src, sym, dst, color) in transitions:
+        t = (src, sym, dst, color)
         if not 0 <= src < state_count or not 0 <= dst < state_count:
-            raise ValueError("transition endpoint out of range: %r" % ((src, sym, dst, color),))
+            raise SiteError("transition endpoint out of range: %r" % (t,), "trans", *t[:3])
         if not 0 <= sym < nsym:
-            raise ValueError("symbol index out of range: %r" % ((src, sym, dst, color),))
+            raise SiteError("symbol index out of range: %r" % (t,), "trans", *t[:3])
         if color < 0:
-            raise ValueError("negative color: %r" % ((src, sym, dst, color),))
-        if seen.setdefault((src, sym, dst), color) != color:
-            raise ValueError("conflicting colors for transition %r" % ((src, sym, dst),))
+            raise SiteError("negative color: %r" % (t,), "trans", *t[:3])
+        if seen.setdefault(t[:3], color) != color:
+            raise SiteError("conflicting colors for transition %r" % (t[:3],), "trans", *t[:3])
 
 
 def validate_complete(aut):
@@ -198,8 +208,11 @@ def parse_automaton(text):
     `name <k> "<display>"` lines and `trans <src> <sym> <dst> <color>` lines.
     `#` starts a comment.  Duplicate identical transitions are tolerated.
     """
-    lines = _expect_header(_numbered_lines(text), "raf 1")
-    return _parse_raf_body(lines, with_colors=True, start=1)[0]
+    return _read_automaton(_numbered_lines(text))
+
+
+def _read_automaton(lines):
+    return _parse_raf_body(_expect_header(lines, "raf 1"), with_colors=True, start=1)[0]
 
 
 def serialize_automaton(aut):
@@ -244,17 +257,14 @@ def _expect_header(lines, header):
     return lines
 
 
-def _blame(body, checks):
-    """The number of the first `body` line that the first failing check fails, or None.
-
-    `checks` are (directive, fails) pairs in the order a constructor makes
-    them; `fails` gets the fields of a line after its directive.  Run only
-    once a construction failed, so that a valid text pays nothing.
-    """
-    for word, fails in checks:
-        for lineno, line in body:
-            fields = line.split()
-            if fields[0] == word and fails(fields[1:]):
+def _line_of(body, site, alphabet):
+    """The number of the first line of `body` (all read) holding a SiteError's `site`, or None."""
+    for lineno, line in body:
+        parts = line.split()
+        if site and parts[0] == site[0]:
+            if site[0] == "trans":
+                parts[2] = alphabet.positions[parts[2]]
+            if tuple(map(int, parts[1:len(site)])) == site[1:]:
                 return lineno
     return None
 
@@ -300,8 +310,8 @@ def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStruc
 
     Returns the automaton and the position after its body, which ends at a
     line starting with one of `stop_words` or at the end of `lines`.  A
-    construction error names the line it blames; an error no line holds
-    alone, such as a subclass's, is prefixed with `label`.
+    SiteError names the first line holding its site; an error no single
+    line holds, such as a subclass's, is prefixed with `label` instead.
     """
     idx = body = start
     alphabet = None
@@ -371,14 +381,7 @@ def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStruc
         aut = cls(alphabet, state_count, [key + (c,) for key, c in colors.items()], initial,
                   state_names=names or None)
     except ValueError as exc:
-        def out(q):
-            return not 0 <= int(q) < state_count
-        stray = min((q for q in names if out(q)), default=None)
-        lineno = _blame(lines[body:idx], (
-            ("states", lambda f: state_count <= 0),
-            ("initial", lambda f: out(initial)),
-            ("trans", lambda f: out(f[0]) or out(f[2]) or with_colors and int(f[3]) < 0),
-            ("name", lambda f: int(f[0]) == stray)))
+        lineno = _line_of(lines[body:idx], getattr(exc, "site", ()), alphabet)
         raise RafError((label if lineno is None else "") + str(exc), lineno) from None
     return aut, idx
 

@@ -181,6 +181,16 @@ def test_membership_parity_det_names_a_missing_transition(tmp_path, capsys):
         "error: automaton has no transition at state 0 on symbol 'b'\n")
 
 
+@pytest.mark.parametrize("sem", ["rerailing", "parity-exists", "cobuchi"])
+def test_membership_color_semantics_refuse_a_lasso_with_no_run(tmp_path, capsys, sem):
+    path = tmp_path / "gap.raf"
+    path.write_text("raf 1\nalphabet a b\nstates 1\ninitial 0\ntrans 0 a 0 2\n")
+    assert run_cli("membership", "-i", str(path), "--sem", sem, "--lasso", ";b") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no infinite run: automaton incomplete along the lasso\n"
+
+
 def test_verify_ignores_incomplete_unreachable_states(tmp_path, capsys):
     path = tmp_path / "unreachable.raf"
     path.write_text("raf 1\nalphabet a b\nstates 3\ninitial 0\ntrans 0 a 0 0\n"

@@ -191,6 +191,35 @@ def test_membership_function_dispatch(minimal5, uniform_chain, uniform_flochain)
         bounded_equivalence(minimal5, "chain", minimal5, "rerailing", 2, 2)
 
 
+@pytest.mark.parametrize("semantics", ["rerailing", "parity-exists", "cobuchi"])
+def test_color_semantics_refuse_a_lasso_with_no_run(semantics):
+    """A lasso that leaves the automaton's moves has no infinite run to take colors from."""
+    gap = AutomatonStructure(AB, 1, [(0, 0, 0, 2)], 0)
+    member = membership_function(gap, semantics)
+    assert member(LassoWord((), (0,)))
+    for w in (LassoWord((), (1,)), LassoWord((1,), (0,)), LassoWord((0,), (0, 1))):
+        with pytest.raises(ValueError, match="^no infinite run: automaton incomplete along"):
+            member(w)
+
+
+@pytest.mark.parametrize("semantics", ["rerailing", "parity-exists", "parity-det", "cobuchi"])
+@pytest.mark.parametrize("stem, cycle, letter", [
+    ((-1,), (0,), -1), ((), (5,), 5), ((0,), (1, 2), 2), ((0, 1, -2), (1,), -2)])
+def test_every_semantics_refuses_letters_outside_the_alphabet(semantics, stem, cycle, letter):
+    det = AutomatonStructure(AB, 1, [(0, 0, 0, 2), (0, 1, 0, 1)], 0)
+    member = membership_function(det, semantics)
+    member(LassoWord(stem[:-1], (0,)))      # memoized, so a sweep walks only the last letter
+    with pytest.raises(ValueError, match="^lasso letter %d outside the alphabet of 2 symbols$"
+                       % letter):
+        member(LassoWord(stem, cycle))
+
+
+def test_chain_semantics_refuse_letters_outside_the_alphabet(uniform_chain, uniform_flochain):
+    for obj, semantics in ((uniform_chain, "chain"), (uniform_flochain, "floating")):
+        with pytest.raises(ValueError, match="^lasso letter 4 outside the alphabet of 4 symbols$"):
+            membership_function(obj, semantics)(LassoWord((0,), (4,)))
+
+
 def test_bounded_equivalence_reflexive(minimal5):
     assert bounded_equivalence(minimal5, "rerailing", minimal5, "rerailing", 2, 2) is None
 

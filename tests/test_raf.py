@@ -311,6 +311,10 @@ MALFORMED = [
      4, "state_count must be positive"),
     ("raf-multi-duplicate-and-missing", "raf 1\nalphabet a\nalphabet a\n",
      3, "duplicate alphabet line"),
+    ("raf-multi-fault-repeated", H + "trans 0 b 7 1\ntrans 1 a 0 -1\ntrans 0 b 7 1\n",
+     5, "transition endpoint out of range: (0, 1, 7, 1)"),
+    ("raf-multi-fault-repeated-after-good-lines", H + T + "trans 1 b 1 -4\n" + T
+     + "trans 1 b 1 -4\n", 9, "negative color: (1, 1, 1, -4)"),
     ("raf-multi-comment-shifts-lines", "# head\nraf 1 # version\n\nalphabet a b\n\n"
       "states 2\ninitial 0\n# body\ntrans 0 a 3 1 # far\n",
      9, "transition endpoint out of range: (0, 0, 3, 1)"),
@@ -389,6 +393,8 @@ MALFORMED = [
     ("flochain-bad-header", "flochain 2\nrlta\n",
      1, "expected 'flochain 1' header"),
     ("flochain-no-rlta", "flochain 1\nfloating 1\n",
+     2, "expected 'rlta' block after header"),
+    ("flochain-header-only", "flochain 1\n",
      None, "expected 'rlta' block after header"),
     ("flochain-rlta-colored-trans", R1 + "trans 0 a 0 1\n",
      6, "trans needs 3 fields"),
@@ -459,6 +465,9 @@ MALFORMED = [
      14, "label of state 1 breaks tracker compatibility on symbol b"),
     ("flochain-multi-out-of-range-then-label", F + "states 2\ntrans 0 a 5\nlabel 0 0\nlabel 1 9\n",
      14, "residual label 9 outside the tracker"),
+    ("flochain-multi-fault-repeated",
+     F + FB + "trans 0 a 1\ntrans 1 b 1\ntrans 0 a 1\ntrans 1 b 1\n",
+     15, "label of state 1 breaks tracker compatibility on symbol b"),
     ("flochain-multi-second-block",
      F + FB + "trans 0 a 1\nfloating 2\nstates 1\nlabel 0 0\ntrans 0 a 0\n",
      18, "label of state 0 breaks tracker compatibility on symbol a"),
@@ -574,6 +583,41 @@ def test_parse_matches_direct_construction(data):
     text = serialize_automaton(direct)
     assert serialize_automaton(parsed) == text
     assert serialize_automaton(parse_automaton(text)) == text
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_faulty_transition_names_its_first_line(data):
+    """One transition of a noisy text is given an endpoint out of range or a negative color,
+    on every line that holds it; the RafError names the first of those lines, with the
+    message of direct construction."""
+    symbols = data.draw(st.lists(SYMBOL, min_size=1, max_size=3, unique=True))
+    n = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    colors = {}
+    for _ in range(1 + rng.randrange(12)):
+        key = (rng.randrange(n), rng.randrange(len(symbols)), rng.randrange(n))
+        colors.setdefault(key, rng.randrange(5))
+    transitions = [key + (c,) for key, c in colors.items()]
+    k = rng.randrange(len(transitions))
+    (s, x, d, c) = transitions[k]
+    fault = data.draw(st.sampled_from(["src", "dst", "color"]))
+    far = data.draw(st.sampled_from([-3, -1, n, n + 4]))
+    transitions[k] = {"src": (far, x, d, c), "dst": (s, x, far, c),
+                      "color": (s, x, d, -1 - c)}[fault]
+    initial = rng.randrange(n)
+    with pytest.raises(ValueError) as direct:
+        AutomatonStructure(Alphabet(symbols), n, transitions, initial)
+    header = ["alphabet " + " ".join(symbols), "states %d" % n, "initial %d" % initial]
+    trans = ["trans %d %s %d %d" % (s, symbols[x], d, c) for (s, x, d, c) in transitions]
+    trans += rng.sample(trans, rng.randint(0, len(trans)))       # repeated identical lines
+    text = _noisy_text(rng, header, trans)
+    first = min(lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                if raw.partition("#")[0].split() == trans[k].split())
+    with pytest.raises(RafError) as err:
+        parse_automaton(text)
+    assert err.value.line == first
+    assert str(err.value) == "line %d: %s" % (first, direct.value)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
