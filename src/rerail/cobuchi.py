@@ -16,7 +16,14 @@ from .games import ArenaBuilder, solve
 from .raf import (AutomatonStructure, RafError, complete_reachable_states, equireach_relation,
                   validate_complete, _body_lines, _check_name, _expect_header, _line_of,
                   _numbered_lines, _parse_alphabet, _parse_raf_body)
-from .scc import reachable
+from .scc import reachable, scc_decomposition
+
+
+def _check_cobuchi_colors(aut):
+    """Refuse an automaton with a transition color other than 1 and 2."""
+    bad = [c for c in aut.colors if c not in (1, 2)]
+    if bad:
+        raise ValueError("co-Buchi colors must be 1 or 2, found %s" % bad)
 
 
 class CoBuchiAutomaton(AutomatonStructure):
@@ -24,9 +31,7 @@ class CoBuchiAutomaton(AutomatonStructure):
 
     def __init__(self, alphabet, state_count, transitions, initial, state_names=None):
         super().__init__(alphabet, state_count, transitions, initial, state_names)
-        bad = [c for c in self.colors if c not in (1, 2)]
-        if bad:
-            raise ValueError("co-Buchi colors must be 1 or 2, found %s" % bad)
+        _check_cobuchi_colors(self)
         missing = validate_complete(self)
         if missing:
             raise ValueError("co-Buchi automaton incomplete at %s" % (missing[:5],))
@@ -165,35 +170,112 @@ def _letter_game(ai, ai1, aj, aj1, starts, twin_step=None):
     the letter game on four levels over one alphabet.
 
     Player 0 spells a word with runs of `ai` and `aj`; player 1 answers
-    online with runs of `ai1` and `aj1`.  At a round start
-    (qi, qi1, qj, qj1, z) player 0 picks a symbol and any move of each of
-    its two automata, reaching a player-1 vertex colored 1 when one of
-    those moves is rejecting; player 1 then moves `ai1` and `aj1`.  The
-    counter z waits for a rejecting `ai1` move (z = 0), then for a
-    rejecting `aj1` move (z = 1); a round start with z = 2 pays out color 2
-    and plays on as z = 0.  Every other vertex has color 3.  So player 0
-    wins a play iff its runs take finitely many rejecting moves and both
-    of player 1's runs take infinitely many.
+    online with runs of `ai1` and `aj1`.  A round moves from
+    (qi, qi1, qj, qj1): player 0 picks a symbol and any move of each of its
+    two automata, then player 1 moves `ai1` and `aj1` on that symbol.
+    Player 0 wins a play iff its runs take finitely many rejecting moves and
+    both of player 1's runs take infinitely many.
 
     With `ai1` and `aj1` history-deterministic, player 0 wins from
-    (qi, qi1, qj, qj1, 0) iff some word is accepted from qi and from qj but
+    (qi, qi1, qj, qj1) iff some word is accepted from qi and from qj but
     neither from qi1 nor from qj1:
 
     - if there is such a word, player 0 spells it along accepting runs,
-      blind to player 1's moves; both answers are rejecting runs, so z
-      pays out infinitely often;
+      blind to player 1's moves; both answers are rejecting runs;
     - if not, player 1 moves `ai1` and `aj1` by their history-deterministic
       strategies.  If player 0's runs are both accepting, its word is
       accepted from qi1 or from qj1, so one of player 1's runs is
-      accepting and z stops paying out; else color 1 recurs.
+      accepting; else one of player 0's runs rejects.
 
     So the winner of a round start depends only on the languages of its
-    four states, whatever z is.  `twin_step` is given when `ai1` and `aj`
-    are one level: twin_step[q][x] is the tracker state that its state q
-    reaches on x.  A symbol on which qi1 and qj reach one tracker state is
-    no move, for the round start it reaches names one language twice and
-    player 0 loses there; a round start left without a move goes to the
-    losing sink.
+    four states.  `twin_step` is given when `ai1` and `aj` are one level:
+    twin_step[q][x] is the tracker state that its state q reaches on x.  A
+    symbol on which qi1 and qj reach one tracker state is no move, for the
+    round start it reaches names one language twice and player 0 loses
+    there; a round start left without a move loses.
+
+    When `ai1` and `aj1` are deterministic (every DPW level is, and so is the
+    empty level `inclusion_table` passes), player 1 has no choice and the
+    game is a graph search: `_graph_winners`.  Otherwise it is the parity
+    game `_arena_winners`.
+    """
+    if all(len(row) == 1 for a in (ai1, aj1) for rows in a._succ for row in rows):
+        return _graph_winners(ai, ai1, aj, aj1, starts, twin_step)
+    return _arena_winners(ai, ai1, aj, aj1, starts, twin_step)
+
+
+def _graph_winners(ai, ai1, aj, aj1, starts, twin_step):
+    """`_letter_game` with deterministic `ai1` and `aj1`, by one SCC pass.
+
+    Player 1's answer to a symbol is fixed, so every play is a path of the
+    graph on the round starts reachable from `starts`, with one edge per
+    symbol and pair of player-0 moves.  Call an edge safe when neither of
+    player 0's moves is rejecting, and an SCC of the safe edges good when
+    its internal safe edges include a rejecting `ai1` move and a rejecting
+    `aj1` move.  Player 0 wins from a start iff it reaches a good SCC:
+
+    - from a good SCC player 0 loops forever on safe edges through both
+      rejecting answers, which a strongly connected set of edges allows;
+    - a winning play takes finitely many unsafe edges, so the edges it takes
+      infinitely often are safe and strongly connected, hence lie in one
+      SCC of the safe edges, and they include both rejecting answers.
+
+    One Tarjan pass on the safe edges and one backward walk over all edges
+    decide every start; no counter, player-1 position or parity game is
+    needed.
+    """
+    symbols = range(len(ai.alphabet))
+    succ_i, succ_i1, succ_j, succ_j1 = (a._succ for a in (ai, ai1, aj, aj1))
+    ids = {qs: k for k, qs in enumerate(dict.fromkeys(starts))}
+    keys = list(ids)
+    preds = [[] for _ in keys]
+    safe, marks = [], []            # safe successors and their answers' rejection bits
+    for u, (qi, qi1, qj, qj1) in enumerate(keys):     # `keys` grows while walked
+        out, mark = [], []
+        for x in symbols:
+            if twin_step is not None and twin_step[qi1][x] == twin_step[qj][x]:
+                continue
+            ((r, ci),) = succ_i1[qi1][x]
+            ((s2, cj),) = succ_j1[qj1][x]
+            m = (ci == 1) + 2 * (cj == 1)
+            bs = succ_j[qj][x]
+            for (a2, ca) in succ_i[qi][x]:
+                for (b2, cb) in bs:
+                    key = (a2, r, b2, s2)
+                    v = ids.get(key)
+                    if v is None:
+                        v = ids[key] = len(keys)
+                        keys.append(key)
+                        preds.append([])
+                    preds[v].append(u)
+                    if ca == 2 and cb == 2:
+                        out.append(v)
+                        mark.append(m)
+        safe.append(out)
+        marks.append(mark)
+    component_of = scc_decomposition(len(keys), safe).component_of
+    seen = {}
+    for u, out in enumerate(safe):
+        c = component_of[u]
+        for v, m in zip(out, marks[u]):
+            if m and component_of[v] == c:
+                seen[c] = seen.get(c, 0) | m
+    good = [u for u, c in enumerate(component_of) if seen.get(c) == 3]
+    won = set(reachable(good, preds.__getitem__))
+    return {qs for qs in starts if ids[qs] in won}
+
+
+def _arena_winners(ai, ai1, aj, aj1, starts, twin_step):
+    """`_letter_game` as a parity game, for nondeterministic `ai1` or `aj1`.
+
+    At a round start (qi, qi1, qj, qj1, z) player 0 moves to a player-1
+    vertex colored 1 when one of its moves is rejecting.  The counter z
+    waits for a rejecting `ai1` move (z = 0), then for a rejecting `aj1`
+    move (z = 1); a round start with z = 2 pays out color 2 and plays on as
+    z = 0.  Every other vertex has color 3, and a round start left without
+    a move goes to a sink of color 3.  So the lowest color seen infinitely
+    often is even iff player 0 wins the play, and since the winner of a
+    round start does not depend on z, each start is played from z = 0.
     """
     symbols = range(len(ai.alphabet))
     succ_i, succ_i1, succ_j, succ_j1 = (a._succ for a in (ai, ai1, aj, aj1))
@@ -357,16 +439,24 @@ def compute_Rij(chain, trackers, i, j, domain=None):
     states it starts from, since every level is history-deterministic, and
     its answer does not depend on which states those are: a tracker state
     is a mutual-inclusion class of its level, whose members all accept one
-    language.  So each tuple is decided from a single start, the least
-    member of each class.  By definition R_ji is R_ij with its two tuple
-    halves swapped, which is why `build_rlta_chain` only asks for i < j.
+    language.  So each tuple is decided from a single start.  That start is
+    on the diagonal where it can be: when levels i and i+1 have one state
+    count, a tracker pair (s_i, s_i1) starts from (q, q) for the least state
+    q in both classes, and likewise for levels j and j+1; other pairs start
+    from the least member of each class.  On a DPW every level has the
+    input's states and its one deterministic transition function, so a
+    play from (q, q, q', q') reads one word on both halves and stays on
+    tuples (p, p, p', p'): the game has at most |Q|^2 round starts where
+    least members would give |Q|^4.  By definition R_ji is R_ij with its two
+    tuple halves swapped, which is why `build_rlta_chain` only asks for
+    i < j.
 
     `domain` holds the tracker tuples to decide, and the result is the
     relation restricted to it; without a domain the whole tracker product
     is decided.  For j = i + 1 a tuple whose components at i+1 and j are
     equal names one residual twice, which no word can both leave and enter,
     so it is never in R_{i,i+1}: such tuples leave the domain, and the game
-    makes no move onto one.  With no tuple left no arena is built.
+    makes no move onto one.  With no tuple left no game is played.
     """
     n = len(chain.levels)
     if not (0 <= i <= n and 0 <= j <= n):
@@ -378,8 +468,19 @@ def compute_Rij(chain, trackers, i, j, domain=None):
     domain = [t for t in domain if not (twins and t[1] == t[2])]
     if not domain:
         return RijRelation(i, j, frozenset())
-    least = [[m.index(s) for s in range(len(d))] for (_a, m, d) in levels]
-    starts = [tuple(first[s] for first, s in zip(least, t)) for t in domain]
+
+    def pick(lower, upper):
+        (a, ma, da), (b, mb, db) = lower, upper
+        common = {}
+        if a.state_count == b.state_count:
+            for q in range(a.state_count):
+                common.setdefault((ma[q], mb[q]), (q, q))
+        least_a = [ma.index(s) for s in range(len(da))]
+        least_b = [mb.index(s) for s in range(len(db))]
+        return lambda sa, sb: common.get((sa, sb)) or (least_a[sa], least_b[sb])
+
+    pick_i, pick_j = pick(*levels[:2]), pick(*levels[2:])
+    starts = [pick_i(si, si1) + pick_j(sj, sj1) for (si, si1, sj, sj1) in domain]
     (_a, mi1, di1) = levels[1]
     twin_step = [di1[s] for s in mi1] if twins else None
     won = _letter_game(*(a for (a, _m, _d) in levels), starts, twin_step)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cobuchi import Chain
+from .cobuchi import Chain, _check_cobuchi_colors
 from .floating import FloatingChain, cobuchi_reading
 from .raf import AutomatonStructure
 from .scc import reachable, scc_decomposition
@@ -123,12 +123,13 @@ class LassoProduct:
     default (initial, 0) alone.  They are numbered in the order the walk
     discovers them, the starts first and in their given order: nodes[i] is
     the (state, position) pair of node i and adjacency[i] its list of
-    (child, color) edges.
+    (child, color) edges.  A letter outside the alphabet is a ValueError.
     """
 
     def __init__(self, aut, lasso, starts=None):
         lasso = lasso.canonical()
         letters = lasso.stem + lasso.cycle
+        _check_letters(letters, len(aut.alphabet))
         wrap = len(lasso.stem)
         last = len(letters) - 1
         nodes = [(aut.initial, 0)] if starts is None else list(starts)
@@ -276,7 +277,6 @@ class LassoSweep:
     def _class_of(self, cycle):
         found = self._cycles.get(cycle)
         if found is None:
-            _check_letters(cycle, len(self.aut.alphabet))
             root = LassoWord((), cycle).canonical().cycle    # primitive root, same word
             size = len(root)
             shift = min(range(size), key=lambda i: root[i:] + root[:i])
@@ -470,9 +470,7 @@ def membership_function(obj, semantics):
                    for i, a in enumerate(obj.levels, start=1)][::-1]
         return lambda w: next((i for (i, member) in members if member(w)), 0) % 2 == 0
     if semantics == "cobuchi":
-        bad = [c for c in obj.colors if c not in (1, 2)]
-        if bad:
-            raise ValueError("co-Buchi automata use colors 1 and 2 only, found %s" % bad)
+        _check_cobuchi_colors(obj)
     verdict = _COLOR_VERDICTS[semantics]
     sweep = LassoSweep(obj)
 

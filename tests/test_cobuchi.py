@@ -378,21 +378,95 @@ def test_rij_verdict_is_one_per_tracker_class(collapse_chain, seed):
     assert shared > 0 or seed is None
 
 
-def test_rij_arenas_stay_small_at_twenty_states(monkeypatch):
-    """Structural guard on the R_ij arenas: the vertices of every game solved
-    while minimizing a 20-state DPW.  Deciding the whole tracker product took
-    222,453 vertices over 7 games; the games restricted to the tuples
-    `build_rlta_chain` probes take about 20,000 over 5."""
+def test_letter_games_stay_small_at_twenty_states(monkeypatch):
+    """Structural guard on the letter games: the positions of every game
+    decided while minimizing a 20-state DPW, counted as the nodes of each
+    graph search and the vertices of each parity arena.  With diagonal R_ij
+    starts all five games are graph searches with 1,061 positions in all;
+    starting from least class members takes 2,327, and the parity arenas
+    that every game used to build took about 20,000."""
     sizes = []
-    original = cobuchi.solve
+    solve, scc_decomposition = cobuchi.solve, cobuchi.scc_decomposition
 
-    def counting(arena):
+    def solving(arena):
         sizes.append(arena.vertex_count)
-        return original(arena)
+        return solve(arena)
 
-    monkeypatch.setattr(cobuchi, "solve", counting)
+    def decomposing(node_count, adjacency):
+        sizes.append(node_count)
+        return scc_decomposition(node_count, adjacency)
+
+    monkeypatch.setattr(cobuchi, "solve", solving)
+    monkeypatch.setattr(cobuchi, "scc_decomposition", decomposing)
     build.minimize_rerailing(oracles.random_dpw(random.Random(20), 20, 2, 3))
-    assert 0 < sum(sizes) < 45_000
+    assert 0 < sum(sizes) < 2_000
+
+
+def split_states(level):
+    """`level` with each state q split into the copies 2q and 2q + 1 of its
+    language: every move goes to both copies of its target, so the level is
+    nondeterministic but still history-deterministic."""
+    return CoBuchiAutomaton(level.alphabet, 2 * level.state_count,
+                            [(2 * q + b, x, 2 * d + e, c) for (q, x, d, c) in level.transitions
+                             for b in (0, 1) for e in (0, 1)], 2 * level.initial)
+
+
+def test_graph_and_arena_deciders_agree(monkeypatch):
+    """The letter game is a graph search when both resolver levels are
+    deterministic and a parity game otherwise.  Splitting the states of the
+    deterministic levels forces the parity game on the same question, and
+    both give the same winners: for every R_ij game of a few DPW chains
+    (R_{i,i+1} with its twin step) and for inclusion with a nondeterministic
+    left-hand side."""
+    arenas = []
+    solve = cobuchi.solve
+    monkeypatch.setattr(cobuchi, "solve", lambda arena: arenas.append(arena) or solve(arena))
+
+    def both(ai, ai1, aj, aj1, starts, twin_step=None):
+        """The winners through each decider, the split levels' mapped back."""
+        del arenas[:]
+        graph = cobuchi._letter_game(ai, ai1, aj, aj1, starts, twin_step)
+        assert not arenas
+        if twin_step is None:
+            split_i1, split_j = split_states(ai1), aj
+            copy = [(q, 2 * r + rng.randrange(2), s, 2 * t + rng.randrange(2))
+                    for (q, r, s, t) in starts]
+        else:                           # `ai1` and `aj` are one level, split alike
+            split_i1 = split_j = split_states(ai1)
+            twin_step = [row for row in twin_step for _copy in (0, 1)]
+            copy = [(q, 2 * r + rng.randrange(2), 2 * s + rng.randrange(2),
+                     2 * t + rng.randrange(2)) for (q, r, s, t) in starts]
+        won = cobuchi._letter_game(ai, split_i1, split_j, split_states(aj1), copy, twin_step)
+        assert arenas
+        return graph, {qs for qs, c in zip(starts, copy) if c in won}
+
+    rng = random.Random(18)
+    games = twins = wins = 0
+    for _ in range(15):
+        chain = decompose_rerailing(oracles.random_dpw(rng, 2 + rng.randrange(4), 2,
+                                                       1 + rng.randrange(4)))
+        trackers = [residual_tracking_single(a) for a in chain.levels]
+        for i in range(len(chain) + 1):
+            for j in range(len(chain) + 1):
+                if (i + j) % 2 == 0:
+                    continue
+                levels = [cobuchi._level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
+                auts = [a for (a, _m, _d) in levels]
+                (_a, m, d) = levels[1]
+                starts = list(itertools.product(*(range(a.state_count) for a in auts)))
+                graph, arena = both(*auts, starts, [d[s] for s in m] if j == i + 1 else None)
+                assert graph == arena, (i, j)
+                games += 1
+                twins += j == i + 1
+                wins += len(graph)
+        a = oracles.random_cobuchi_automaton(rng, 1 + rng.randrange(4), 2)
+        b = chain.levels[-1]
+        starts = [(p, q, 0, 0) for p in range(a.state_count) for q in range(b.state_count)]
+        graph, arena = both(a, b, universal(), empty_language(), starts)
+        assert graph == arena
+        assert inclusion_table(a, b) == {(p, q) for (p, q, _u, _e) in starts
+                                         if (p, q, 0, 0) not in arena}
+    assert games > 50 and twins > 20 and wins > 0
 
 
 def test_inclusion_tiny():

@@ -220,6 +220,25 @@ def test_chain_semantics_refuse_letters_outside_the_alphabet(uniform_chain, unif
             membership_function(obj, semantics)(LassoWord((0,), (4,)))
 
 
+@pytest.mark.parametrize("stem, cycle, letter", [((-1,), (0,), -1), ((0,), (2,), 2)])
+def test_lasso_product_refuses_letters_outside_the_alphabet(stem, cycle, letter):
+    """A negative letter is no symbol counted from the end of the alphabet."""
+    det = AutomatonStructure(AB, 1, [(0, 0, 0, 2), (0, 1, 0, 1)], 0)
+    with pytest.raises(ValueError, match="^lasso letter %d outside the alphabet of 2 symbols$"
+                       % letter):
+        LassoProduct(det, LassoWord(stem, cycle))
+
+
+def test_cobuchi_binder_refuses_other_colors():
+    """The binder and CoBuchiAutomaton refuse a color outside {1, 2} in one message."""
+    parity = AutomatonStructure(AB, 1, [(0, 0, 0, 0), (0, 1, 0, 2)], 0)
+    message = r"^co-Buchi colors must be 1 or 2, found \[0\]$"
+    with pytest.raises(ValueError, match=message):
+        membership_function(parity, "cobuchi")
+    with pytest.raises(ValueError, match=message):
+        CoBuchiAutomaton(AB, 1, parity.transitions, 0)
+
+
 def test_bounded_equivalence_reflexive(minimal5):
     assert bounded_equivalence(minimal5, "rerailing", minimal5, "rerailing", 2, 2) is None
 
