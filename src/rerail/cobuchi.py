@@ -253,7 +253,7 @@ def _graph_winners(ai, ai1, aj, aj1, starts, twin_step):
                         mark.append(m)
         safe.append(out)
         marks.append(mark)
-    component_of = scc_decomposition(len(keys), safe).component_of
+    component_of = scc_decomposition(len(keys), safe)
     seen = {}
     for u, out in enumerate(safe):
         c = component_of[u]
@@ -346,8 +346,13 @@ class Rlta:
             raise ValueError("initial state out of range")
         self.initial = initial
         self.names = list(names) if names is not None else None
-        for name in self.names or ():
-            _check_name(name)
+        if self.names is not None:
+            if len(self.names) != state_count:
+                raise ValueError("need one name per state when named")
+            for name in self.names:
+                _check_name(name)
+            if len(set(self.names)) != state_count:
+                raise ValueError("state display names must be unique")
 
     def step(self, state, symbol):
         return self.delta[state][symbol]

@@ -276,10 +276,9 @@ def minimize_floating(f):
         adj = [[] for _ in range(n)]
         for (src, _x), dst in delta.items():
             adj[src].append(dst)
-        dec = scc_decomposition(n, adj)
-        comp = dec.component_of
-        alive = [q for q in range(n) if comp[q] in dec.nontrivial]
+        comp = scc_decomposition(n, adj)
         delta = {(src, x): dst for (src, x), dst in delta.items() if comp[src] == comp[dst]}
+        alive = sorted({src for (src, _x) in delta})
         pairs = [(q, q2) for qi, q in enumerate(alive) for q2 in alive[qi + 1:]
                  if keys[q] == keys[q2]]
         doomed = None
@@ -362,9 +361,14 @@ def restrict_floating(f, states):
 
 
 def max_accepting_sccs(f):
-    """Member tuples of the nontrivial safe-transition SCCs, ordered by smallest state."""
-    dec = scc_decomposition(f.state_count, f.adjacency())
-    return [tuple(dec.components[comp]) for comp in sorted(dec.nontrivial)]
+    """Member tuples of the safe-transition SCCs that hold a cycle, ordered by smallest state."""
+    adj = f.adjacency()
+    comp = scc_decomposition(f.state_count, adj)
+    groups = {}
+    for q in range(f.state_count):      # each group opens at its least member
+        if any(comp[d] == comp[q] for d in adj[q]):
+            groups.setdefault(comp[q], []).append(q)
+    return [tuple(members) for members in groups.values()]
 
 
 def serialize_floating_chain(fchain):
@@ -483,8 +487,12 @@ def _read_floating_chain(lines):
         rows.append(row)
     name_list = None
     if aut.state_names:
+        # an unnamed state is shown by its number, which a name line may repeat
         name_list = [aut.state_name(s) for s in range(aut.state_count)]
-    rlta = Rlta(aut.alphabet, aut.state_count, rows, aut.initial, names=name_list)
+    try:
+        rlta = Rlta(aut.alphabet, aut.state_count, rows, aut.initial, names=name_list)
+    except ValueError as exc:
+        raise RafError("rlta: %s" % exc) from None
     levels = []
     while idx < len(lines):
         lineno, line = lines[idx]

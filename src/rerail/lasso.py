@@ -182,9 +182,8 @@ def _scc_edge_sets(edges):
     adj = [[] for _ in range(len(nodes))]
     for (u, v, _c) in edges:
         adj[nodes[u]].append(nodes[v])
-    dec = scc_decomposition(len(nodes), adj)
-    buckets = [[] for _ in dec.components]
-    comp_of = dec.component_of
+    comp_of = scc_decomposition(len(nodes), adj)
+    buckets = [[] for _ in range(max(comp_of) + 1)]
     for (u, v, c) in edges:
         cu = comp_of[nodes[u]]
         if cu == comp_of[nodes[v]]:
@@ -203,11 +202,11 @@ class _ProductAnalysis:
 
     def __init__(self, product):
         adjacency = product.adjacency
-        dec = scc_decomposition(len(adjacency),
-                                [[child for (child, _c) in edges] for edges in adjacency])
-        comp_of = dec.component_of
-        internal = [[] for _ in dec.components]
-        succ_comps = [set() for _ in dec.components]
+        comp_of = scc_decomposition(len(adjacency),
+                                    [[child for (child, _c) in edges] for edges in adjacency])
+        count = max(comp_of, default=-1) + 1
+        internal = [[] for _ in range(count)]
+        succ_comps = [set() for _ in range(count)]
         for u, edges in enumerate(adjacency):
             cu = comp_of[u]
             for (v, color) in edges:
@@ -216,10 +215,10 @@ class _ProductAnalysis:
                     internal[cu].append((u, v, color))
                 else:
                     succ_comps[cu].add(cv)
-        reach = [None] * len(dec.components)
-        uniform = [None] * len(dec.components)
-        # topo_order lists components sinks-first, so successors are done first
-        for c in dec.topo_order:
+        reach = [None] * count
+        uniform = [None] * count
+        # component ids count up from the sinks, so successors are done first
+        for c in range(count):
             acc = cycle_minima(internal[c])
             uni = set()
             for s in succ_comps[c]:

@@ -19,37 +19,21 @@ def reachable(starts, successors):
     return order
 
 
-class SccDecomposition:
-    """Components of a directed graph on nodes 0..n-1.
-
-    Components are numbered by their smallest contained node, listed in that
-    order, and `topo_order` gives component indices so that every edge goes
-    from a later entry to an earlier one or stays inside one component
-    (i.e. reverse-topological for the condensation).  `nontrivial` is the set
-    of component ids that contain a cycle.
-    """
-
-    def __init__(self, component_of, components, topo_order, nontrivial):
-        self.component_of = component_of
-        self.components = components
-        self.topo_order = topo_order
-        self.nontrivial = nontrivial
-
-    def __len__(self):
-        return len(self.components)
-
-
 def scc_decomposition(node_count, adjacency):
-    """Tarjan's algorithm without recursion.
+    """Strongly connected components of a directed graph on nodes 0..n-1.
 
-    adjacency: a list giving an iterable of successors per node.
+    adjacency: a list giving an iterable of successors per node.  Returns
+    `component_of`, the component id of each node.  Ids count up in the order
+    Tarjan's algorithm (run without recursion) closes the components, so every
+    edge u -> v has component_of[v] <= component_of[u]: sinks come first.  A
+    node lies on a cycle iff it has an edge into its own component.
     """
     index = [-1] * node_count
     low = [0] * node_count
     on_stack = [False] * node_count
     stack = []
-    comp_of = [-1] * node_count
-    raw_components = []
+    component_of = [-1] * node_count
+    closed = 0
     counter = 0
     for root in range(node_count):
         if index[root] != -1:
@@ -82,26 +66,11 @@ def scc_decomposition(node_count, adjacency):
                 if low[node] < low[parent]:
                     low[parent] = low[node]
             if low[node] == index[node]:
-                comp = []
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp.append(w)
+                    component_of[w] = closed
                     if w == node:
                         break
-                raw_components.append(sorted(comp))
-    # Tarjan emits components in reverse topological order; renumber by
-    # smallest node for a stable public numbering.
-    order = sorted(range(len(raw_components)), key=lambda i: raw_components[i][0])
-    components = [raw_components[i] for i in order]
-    comp_index = {old: new for new, old in enumerate(order)}
-    raw_of = [-1] * node_count
-    for raw_id, comp in enumerate(raw_components):
-        for node in comp:
-            raw_of[node] = raw_id
-    component_of = [comp_index[raw_of[v]] for v in range(node_count)]
-    topo_order = [comp_index[i] for i in range(len(raw_components))]
-    nontrivial = frozenset(
-        comp_id for comp_id, comp in enumerate(components)
-        if len(comp) > 1 or any(s == comp[0] for s in adjacency[comp[0]]))
-    return SccDecomposition(component_of, components, topo_order, nontrivial)
+                closed += 1
+    return component_of

@@ -230,6 +230,13 @@ def test_rlta_validation():
         Rlta(AB, 1, [[0, 0]], 1)
 
 
+def test_rlta_refuses_names_a_flochain_cannot_carry():
+    with pytest.raises(ValueError, match="need one name per state when named"):
+        Rlta(AB, 2, [[1, 0], [0, 1]], 0, names=["x"])
+    with pytest.raises(ValueError, match="state display names must be unique"):
+        Rlta(AB, 2, [[1, 0], [0, 1]], 0, names=["x", "x"])
+
+
 def test_rlta_step_and_states_along():
     tracker = Rlta(AB, 2, [[1, 0], [0, 1]], 0, names=["even", "odd"])
     assert tracker.step(0, 0) == 1

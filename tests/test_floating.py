@@ -327,6 +327,28 @@ def test_max_accepting_sccs(uniform_chain, uniform_flochain):
     assert max_accepting_sccs(f2) == [(0, 1), (2,)]
 
 
+def test_max_accepting_sccs_match_transitive_closure():
+    # oracle: the states with a path back to themselves, grouped by mutual
+    # reachability under a Warshall closure, the groups by least member
+    rng = random.Random(19)
+    for _ in range(80):
+        n = 1 + rng.randrange(7)
+        delta = {(q, x): rng.randrange(n) for q in range(n) for x in range(len(AB))
+                 if rng.random() < 0.6}
+        f = FloatingAutomaton(AB, n, delta, [0] * n, trivial_rlta(AB))
+        path = [[False] * n for _ in range(n)]
+        for (q, _x), r in delta.items():
+            path[q][r] = True
+        for k in range(n):
+            for q in range(n):
+                if path[q][k]:
+                    path[q] = [a or b for a, b in zip(path[q], path[k])]
+        on_cycle = [q for q in range(n) if path[q][q]]
+        classes = sorted({tuple(r for r in on_cycle if path[q][r] and path[r][q])
+                          for q in on_cycle})
+        assert max_accepting_sccs(f) == classes
+
+
 def test_floating_chain_roundtrip(uniform_flochain):
     text = serialize_floating_chain(uniform_flochain)
     again = parse_floating_chain(text)
@@ -354,6 +376,9 @@ def test_floating_chain_roundtrip(uniform_flochain):
      "floating 1\nstates 1\nname 1 \"x\"\nlabel 0 0\n", "name given for missing state 1"),
     ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\nname 1 \"t\"\ntrans 0 a 0\n",
      "name given for missing state 1"),
+    # state 1 is unnamed and shown as "1", which state 0's name repeats
+    ("flochain 1\nrlta\nalphabet a\nstates 2\ninitial 0\nname 0 \"1\"\ntrans 0 a 1\n"
+     "trans 1 a 0\n", "rlta: state display names must be unique"),
     ("flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\n"
      "floating 1\nstates 1\nname 0 \"x\"\nname 0 \"y\"\nlabel 0 0\n",
      "duplicate name for state 0"),

@@ -1,4 +1,5 @@
 import random
+import sys
 
 from rerail.scc import reachable, scc_decomposition
 
@@ -48,12 +49,8 @@ def test_scc_decomposition_small_graph():
     #  0 -> 1 -> 2 -> 0 is a cycle, 2 -> 3 -> 4 with a self-loop on 4,
     #  and 5 -> 3 enters from outside; 3 and 5 lie on no cycle.
     adjacency = [[1], [2], [0, 3], [4], [4], [3]]
-    dec = scc_decomposition(6, adjacency)
-    assert len(dec) == 4
-    assert dec.components == [[0, 1, 2], [3], [4], [5]]
-    assert dec.component_of == [0, 0, 0, 1, 2, 3]
-    assert dec.nontrivial == frozenset({0, 2})
-    assert dec.topo_order == [2, 1, 0, 3]
+    # ids in the order the components close: the sink {4} first
+    assert scc_decomposition(6, adjacency) == [2, 2, 2, 1, 0, 3]
 
 
 def path_matrix(adjacency):
@@ -77,14 +74,24 @@ def test_graph_walks_match_transitive_closure():
         for u in range(n):
             found = reachable([u], successors_of(adjacency))
             assert sorted(found) == sorted({u} | {v for v in range(n) if path[u][v]})
-        dec = scc_decomposition(n, adjacency)
-        comp = dec.component_of
+        comp = scc_decomposition(n, adjacency)
         for u in range(n):
             for v in range(n):
                 assert (comp[u] == comp[v]) == (u == v or path[u][v] and path[v][u])
-        assert dec.nontrivial == {comp[u] for u in range(n) if path[u][u]}
-        # every edge between components goes to an earlier entry of topo_order
-        position = {c: k for k, c in enumerate(dec.topo_order)}
-        for u in range(n):
+            # a node lies on a cycle iff it has an edge into its own component
+            assert any(comp[v] == comp[u] for v in adjacency[u]) == path[u][u]
+            # every edge goes to its own component or to an earlier one
             for v in adjacency[u]:
-                assert position[comp[v]] <= position[comp[u]]
+                assert comp[v] <= comp[u]
+
+
+def test_scc_decomposition_deep_graphs():
+    # no recursion: a path and a cycle far deeper than the recursion limit,
+    # and the limit itself is left alone
+    n = 100_000
+    limit = sys.getrecursionlimit()
+    path = [[i + 1] for i in range(n - 1)] + [[]]
+    assert scc_decomposition(n, path) == [n - 1 - i for i in range(n)]
+    cycle = [[(i + 1) % n] for i in range(n)]
+    assert scc_decomposition(n, cycle) == [0] * n
+    assert sys.getrecursionlimit() == limit
