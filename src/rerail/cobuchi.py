@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
-from .raf import (AutomatonStructure, RafError, complete_reachable_states, equireach_relation,
-                  validate_complete, _body_lines, _check_name, _expect_header, _line_of,
+from .raf import (AutomatonStructure, RafError, SiteError, complete_reachable_states,
+                  equireach_relation, validate_complete, _body_lines, _expect_header, _line_of,
                   _numbered_lines, _parse_alphabet, _parse_raf_body)
 from .scc import reachable, scc_decomposition
 
@@ -59,6 +59,8 @@ class Chain:
 
     def level(self, i):
         """1-based level access."""
+        if not 1 <= i <= len(self.levels):
+            raise ValueError("level index %d outside 1..%d" % (i, len(self.levels)))
         return self.levels[i - 1]
 
 
@@ -327,44 +329,29 @@ def inclusion_table(a, b):
     return frozenset((p, q) for (p, q, _u, _e) in starts if (p, q, 0, 0) not in won)
 
 
-class Rlta:
-    """Deterministic complete automaton whose states stand for residual languages."""
+class Rlta(AutomatonStructure):
+    """Deterministic complete automaton whose states stand for residual languages.
 
-    def __init__(self, alphabet, state_count, delta, initial, names=None):
-        self.alphabet = alphabet
-        self.state_count = state_count
-        self.delta = [list(row) for row in delta]
-        if len(self.delta) != state_count:
-            raise ValueError("delta must have one row per state")
-        for row in self.delta:
-            if len(row) != len(alphabet):
-                raise ValueError("delta rows must cover the whole alphabet")
-            for dst in row:
-                if not 0 <= dst < state_count:
-                    raise ValueError("delta target out of range")
-        if not 0 <= initial < state_count:
-            raise ValueError("initial state out of range")
-        self.initial = initial
-        self.names = list(names) if names is not None else None
-        if self.names is not None:
-            if len(self.names) != state_count:
-                raise ValueError("need one name per state when named")
-            for name in self.names:
-                _check_name(name)
-            if len(set(self.names)) != state_count:
-                raise ValueError("state display names must be unique")
+    Its transitions carry color 0, and `delta[q][x]` is the one successor of q
+    on symbol x.  When names are given, the display names of all states (a
+    number for an unnamed one) must be distinct: `residualize` names floating
+    states by them.
+    """
+
+    def __init__(self, alphabet, state_count, transitions, initial, state_names=None):
+        super().__init__(alphabet, state_count, transitions, initial, state_names)
+        for q, rows in enumerate(self._succ):
+            for x, row in enumerate(rows):
+                if len(row) != 1:
+                    raise SiteError("tracker must be deterministic and complete; state %d "
+                                    "symbol %s has %d successors"
+                                    % (q, alphabet.symbols[x], len(row)), "trans", q, x)
+        if state_names and len({self.state_name(q) for q in range(state_count)}) != state_count:
+            raise ValueError("state display names must be unique")
+        self.delta = [[dst for ((dst, _c),) in rows] for rows in self._succ]
 
     def step(self, state, symbol):
         return self.delta[state][symbol]
-
-    def state_name(self, state):
-        return str(state) if self.names is None else self.names[state]
-
-    def __eq__(self, other):
-        if not isinstance(other, Rlta):
-            return NotImplemented
-        return (self.alphabet == other.alphabet and self.state_count == other.state_count
-                and self.delta == other.delta and self.initial == other.initial)
 
 
 def residual_tracking_single(a):
@@ -389,19 +376,16 @@ def residual_tracking_single(a):
     ordered = sorted({members for members in classes.values()}, key=min)
     class_id = {members: i for i, members in enumerate(ordered)}
     state_map = [class_id[classes[q]] for q in range(a.state_count)]
-    nsym = len(a.alphabet)
-    delta = []
-    for members in ordered:
-        row = []
-        for x in range(nsym):
+    transitions = []
+    for s, members in enumerate(ordered):
+        for x in range(len(a.alphabet)):
             targets = {state_map[dst] for q in members for dst in a.successor_states(q, x)}
             if len(targets) != 1:
                 raise ValueError(
                     "not language-deterministic: class %s splits on symbol %s into classes %s"
                     % (sorted(members), a.alphabet.symbols[x], sorted(targets)))
-            row.append(targets.pop())
-        delta.append(row)
-    tracker = Rlta(a.alphabet, len(ordered), delta, state_map[a.initial])
+            transitions.append((s, x, targets.pop(), 0))
+    tracker = Rlta(a.alphabet, len(ordered), transitions, state_map[a.initial])
     return tracker, state_map
 
 
@@ -539,9 +523,8 @@ def build_rlta_chain(chain):
         return False
 
     states = [initial]
-    table = []
-    for t in states:                    # new states are appended while walked
-        row = []
+    transitions = []
+    for s, t in enumerate(states):      # new states are appended while walked
         for x in range(nsym):
             t2 = step(t, x)
             target = next((cand for cand, t3 in enumerate(states)
@@ -549,7 +532,6 @@ def build_rlta_chain(chain):
             if target is None:
                 target = len(states)
                 states.append(t2)
-            row.append(target)
-        table.append(row)
-    rlta = Rlta(chain.alphabet, len(states), table, 0)
+            transitions.append((s, x, target, 0))
+    rlta = Rlta(chain.alphabet, len(states), transitions, 0)
     return rlta, tuple(t[1:-1] for t in states)

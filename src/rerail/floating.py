@@ -11,8 +11,8 @@ automata are the building blocks of the rerailing-automaton construction.
 from __future__ import annotations
 
 from .cobuchi import CoBuchiAutomaton, Rlta, build_rlta_chain
-from .raf import (AutomatonStructure, RafError, SiteError, _body_lines, _check_name, _expect_header,
-                  _line_of, _numbered_lines, _parse_name_line, _parse_raf_body, _parse_state_count)
+from .raf import (RafError, SiteError, _body_lines, _check_name, _expect_header, _line_of,
+                  _numbered_lines, _parse_name_line, _parse_raf_body, _parse_state_count)
 from .scc import reachable, scc_decomposition
 
 
@@ -100,6 +100,8 @@ class FloatingChain:
 
     def level(self, i):
         """1-based level access; level 0 is the tracker itself."""
+        if not 0 <= i <= len(self.levels):
+            raise ValueError("level index %d outside 0..%d" % (i, len(self.levels)))
         if i == 0:
             return level0_floating(self.rlta)
         return self.levels[i - 1]
@@ -372,14 +374,7 @@ def max_accepting_sccs(f):
 
 
 def serialize_floating_chain(fchain):
-    rlta = fchain.rlta
-    tracker = AutomatonStructure(
-        rlta.alphabet, rlta.state_count,
-        [(s, x, rlta.step(s, x), 0)
-         for s in range(rlta.state_count) for x in range(len(rlta.alphabet))],
-        rlta.initial,
-        state_names=None if rlta.names is None else dict(enumerate(rlta.names)))
-    out = ["flochain 1", "rlta"] + _body_lines(tracker, with_colors=False)
+    out = ["flochain 1", "rlta"] + _body_lines(fchain.rlta, with_colors=False)
     for idx, f in enumerate(fchain.levels, start=1):
         out.append("floating %d" % idx)
         out.append("states %d" % f.state_count)
@@ -473,26 +468,8 @@ def _read_floating_chain(lines):
     _expect_header(lines, "flochain 1")
     if len(lines) < 2 or lines[1][1] != "rlta":
         raise RafError("expected 'rlta' block after header", lines[1][0] if lines[1:] else None)
-    aut, idx = _parse_raf_body(lines, with_colors=False, start=2, stop_words=("floating",))
-    rows = []
-    for s in range(aut.state_count):
-        row = []
-        for x in range(len(aut.alphabet)):
-            targets = aut.successor_states(s, x)
-            if len(targets) != 1:
-                raise RafError("tracker must be deterministic and complete; "
-                               "state %d symbol %s has %d successors"
-                               % (s, aut.alphabet.symbols[x], len(targets)))
-            row.append(targets[0])
-        rows.append(row)
-    name_list = None
-    if aut.state_names:
-        # an unnamed state is shown by its number, which a name line may repeat
-        name_list = [aut.state_name(s) for s in range(aut.state_count)]
-    try:
-        rlta = Rlta(aut.alphabet, aut.state_count, rows, aut.initial, names=name_list)
-    except ValueError as exc:
-        raise RafError("rlta: %s" % exc) from None
+    rlta, idx = _parse_raf_body(lines, with_colors=False, start=2, stop_words=("floating",),
+                                cls=Rlta, label="rlta: ")
     levels = []
     while idx < len(lines):
         lineno, line = lines[idx]
@@ -500,6 +477,6 @@ def _read_floating_chain(lines):
         if parts[0] != "floating" or len(parts) != 2 or parts[1] != str(len(levels) + 1):
             raise RafError("floating blocks must be numbered consecutively from 1", lineno)
         idx += 1
-        f, idx = _parse_floating_block(lines, idx, aut.alphabet, rlta)
+        f, idx = _parse_floating_block(lines, idx, rlta.alphabet, rlta)
         levels.append(f)
     return FloatingChain(rlta, levels)

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .games import ArenaBuilder, solve
-from .raf import Alphabet
+from .raf import Alphabet, complete_reachable_states
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def build_realizability_game(r, io):
     Vertices: automaton states (system), state/output pairs (environment),
     and color classes of successors — system-owned on odd colors,
     environment-owned on even ones.  Class vertices carry their color; all
-    others the automaton's maximum color.
+    others the automaton's maximum color.  A reachable state without a move
+    on some symbol is a ValueError, for the environment could play it.
     """
     if r.alphabet != io.combined:
         raise ValueError("specification alphabet must be the combined "
@@ -67,7 +68,7 @@ def build_realizability_game(r, io):
     fresh, ids, edges, successors = builder.fresh, builder.ids, builder.edges, r.successors
     for q in range(r.state_count):
         fresh(("q", q), 0, top)           # state q is vertex q
-    homogeneous = True
+    homogeneous = complete = True
     for q in range(r.state_count):
         for yi in range(nout):
             out_id = fresh(("y", q, yi), 1, top)
@@ -81,6 +82,7 @@ def build_realizability_game(r, io):
                 else:                             # a class (members, color) per color
                     colors = sorted({c for (_dst, c) in pairs})
                     homogeneous = homogeneous and len(colors) < 2
+                    complete = complete and bool(pairs)
                     classes = [(tuple([d for (d, e) in pairs if e == c]), c) for c in colors]
                 for key in classes:
                     class_id = ids.get(key)
@@ -89,6 +91,8 @@ def build_realizability_game(r, io):
                         class_id = ids[key] = fresh(key, 0 if c % 2 else 1, c)
                         edges[class_id].extend(members)
                     row.append(class_id)
+    if not complete:                      # the environment must not be denied a move
+        complete_reachable_states(r)
     if not homogeneous:
         warnings.warn("specification is not color-homogeneous; the game is built anyway "
                       "but the construction is only proven for color-homogeneous automata")

@@ -14,6 +14,8 @@ from rerail.build import (build_minimal, check_color_homogeneous,
 from rerail.cobuchi import (CoBuchiAutomaton, build_rlta_chain,
                             decompose_rerailing, inclusion_table,
                             residual_tracking_single)
+from rerail.floating import (parse_floating_chain, residualize_chain,
+                             serialize_floating_chain)
 from rerail.games import solve
 from rerail.lasso import (LassoSweep, bounded_equivalence, enumerate_lassos,
                           member_cobuchi, member_parity_exists)
@@ -27,6 +29,8 @@ BOUND = 4
 
 # sha256 of the concatenated serialize_automaton texts of the minimized corpus
 CORPUS_DIGEST = "dd65211b55a1a6b0e0c5d8b1a0be893beec7f3ccd4a4e663e44177710f6832f8"
+# sha256 of the concatenated flochain texts of the residualized corpus chains
+FLOCHAIN_DIGEST = "2eacb50b0fb1196eff815c2651ed8a6053984ed02a275f23e4e03fb4a1411c23"
 
 RG_IO = IoAlphabet(Alphabet(("r", "n")), Alphabet(("g", "w")))
 
@@ -95,6 +99,16 @@ def test_minimized_corpus_byte_identical(minimized_corpus):
     _report(digest == CORPUS_DIGEST,
             "minimized corpus is byte-identical to the pinned outputs",
             "sha256 %s" % digest)
+
+
+def test_flochain_corpus_byte_identical(dpw_corpus):
+    texts = [serialize_floating_chain(residualize_chain(decompose_rerailing(a)))
+             for a in dpw_corpus]
+    digest = hashlib.sha256("".join(texts).encode("utf-8")).hexdigest()
+    again = sum(serialize_floating_chain(parse_floating_chain(t)) == t for t in texts)
+    _report(digest == FLOCHAIN_DIGEST and again == len(texts),
+            "floating chains of the corpus are byte-identical to the pinned texts",
+            "sha256 %s, %d of %d read back unchanged" % (digest, again, len(texts)))
 
 
 def test_minimization_idempotent(minimized_corpus):

@@ -102,7 +102,7 @@ def test_built_vs_drawn_variant(uniform_flochain, minimal5):
 
 def test_build_requires_matching_tracker(uniform_flochain):
     foreign = Rlta(Alphabet(("a", "b", "c", "d")), 2,
-                   [[0, 0, 1, 1], [1, 1, 0, 0]], 0)
+                   [(q, x, q if x < 2 else 1 - q, 0) for q in range(2) for x in range(4)], 0)
     with pytest.raises(ValueError):
         recurse_build(level0_floating(foreign), 1, uniform_flochain, BuildState())
 

@@ -221,6 +221,14 @@ def test_realizability_verdicts(tmp_path, capsys):
     assert capsys.readouterr().out == "unrealizable\nvertex=0\n"
 
 
+def test_realizability_of_a_spec_missing_a_move_is_an_error(tmp_path, capsys):
+    spec = AutomatonStructure(Alphabet(("r|g", "n|g")), 1, [(0, 0, 0, 0)], 0)
+    path = tmp_path / "partial.raf"
+    path.write_text(serialize_automaton(spec))
+    assert run_cli("realizability", "-i", str(path), "--inputs", "r,n", "--outputs", "g") == 1
+    assert capsys.readouterr().err == "error: input automaton incomplete at [(0, 1)]\n"
+
+
 def test_realizability_dump_game(tmp_path, capsys):
     grant = spec_file(tmp_path, "grant.raf", lambda s: s.endswith("g"))
     assert run_cli("realizability", "-i", grant, "--dump-game",

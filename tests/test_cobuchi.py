@@ -8,7 +8,7 @@ from rerail.cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain, com
                             decompose_rerailing, inclusion_table, parse_chain,
                             residual_tracking_single, serialize_chain)
 from rerail.lasso import enumerate_lassos, membership_function, parse_lasso
-from rerail.raf import Alphabet, AutomatonStructure, RafError, parse_automaton
+from rerail.raf import Alphabet, AutomatonStructure, RafError, SiteError, parse_automaton
 
 import oracles
 from conftest import load_text
@@ -49,6 +49,15 @@ def test_chain_basics(uniform_chain):
     assert uniform_chain.level(1).state_count == 2
     assert uniform_chain.level(2).state_count == 3
     assert uniform_chain.alphabet == ABCD
+
+
+def test_chain_level_refuses_indices_outside_its_levels(minimal5):
+    chain = decompose_rerailing(minimal5)
+    n = len(chain)
+    assert chain.level(n) is chain.levels[-1]
+    for i in (0, -1, n + 1):
+        with pytest.raises(ValueError, match="level index %d outside 1..%d" % (i, n)):
+            chain.level(i)
 
 
 def test_chain_needs_shared_alphabet():
@@ -220,29 +229,39 @@ def test_residual_tracker_rejects_language_nondeterminism():
 
 
 def test_rlta_validation():
-    with pytest.raises(ValueError):
-        Rlta(AB, 2, [[0, 1]], 0)
-    with pytest.raises(ValueError):
-        Rlta(AB, 1, [[0]], 0)
-    with pytest.raises(ValueError):
-        Rlta(AB, 1, [[0, 1]], 0)
-    with pytest.raises(ValueError):
-        Rlta(AB, 1, [[0, 0]], 1)
+    with pytest.raises(SiteError, match="state 1 symbol a has 0 successors") as err:
+        Rlta(AB, 2, [(0, 0, 0, 0), (0, 1, 1, 0)], 0)
+    assert err.value.site == ("trans", 1, 0)
+    with pytest.raises(ValueError, match="state 0 symbol b has 0 successors"):
+        Rlta(AB, 1, [(0, 0, 0, 0)], 0)
+    with pytest.raises(ValueError, match="state 0 symbol a has 2 successors"):
+        Rlta(AB, 2, [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0)], 0)
+    with pytest.raises(ValueError, match="transition endpoint out of range"):
+        Rlta(AB, 1, [(0, 0, 0, 0), (0, 1, 1, 0)], 0)
+    with pytest.raises(ValueError, match="initial state 1 out of range"):
+        Rlta(AB, 1, [(0, 0, 0, 0), (0, 1, 0, 0)], 1)
+
+
+FLIP = [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 0)]
 
 
 def test_rlta_refuses_names_a_flochain_cannot_carry():
-    with pytest.raises(ValueError, match="need one name per state when named"):
-        Rlta(AB, 2, [[1, 0], [0, 1]], 0, names=["x"])
     with pytest.raises(ValueError, match="state display names must be unique"):
-        Rlta(AB, 2, [[1, 0], [0, 1]], 0, names=["x", "x"])
+        Rlta(AB, 2, FLIP, 0, state_names={0: "x", 1: "x"})
+    # state 1 is unnamed and shown as "1", which state 0's name repeats
+    with pytest.raises(ValueError, match="state display names must be unique"):
+        Rlta(AB, 2, FLIP, 0, state_names={0: "1"})
+    partly = Rlta(AB, 2, FLIP, 0, state_names={0: "x"})
+    assert [partly.state_name(q) for q in range(2)] == ["x", "1"]
 
 
 def test_rlta_step_and_states_along():
-    tracker = Rlta(AB, 2, [[1, 0], [0, 1]], 0, names=["even", "odd"])
+    tracker = Rlta(AB, 2, FLIP, 0, state_names={0: "even", 1: "odd"})
     assert tracker.step(0, 0) == 1
+    assert tracker.delta == [[1, 0], [0, 1]]
     assert tracker.state_name(1) == "odd"
-    assert tracker == Rlta(AB, 2, [[1, 0], [0, 1]], 0)
-    assert tracker != Rlta(AB, 2, [[1, 1], [0, 1]], 0)
+    assert tracker == Rlta(AB, 2, FLIP, 0)
+    assert tracker != Rlta(AB, 2, [(0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 1, 0)], 0)
 
 
 def test_build_rlta_uniform(uniform_chain):

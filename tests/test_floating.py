@@ -20,7 +20,7 @@ ABCD = Alphabet(("a", "b", "c", "d"))
 
 
 def trivial_rlta(alphabet):
-    return Rlta(alphabet, 1, [[0] * len(alphabet)], 0)
+    return Rlta(alphabet, 1, [(0, x, 0, 0) for x in range(len(alphabet))], 0)
 
 
 def bind_floating(f):
@@ -39,13 +39,25 @@ def eventually_only(alphabet, symbols):
 @pytest.mark.parametrize("name", ["q#1", "a\nb"])
 def test_names_a_flochain_cannot_carry_are_refused(name):
     with pytest.raises(ValueError, match="holds '#' or a line break"):
-        Rlta(AB, 1, [[0, 0]], 0, names=[name])
+        Rlta(AB, 1, [(0, 0, 0, 0), (0, 1, 0, 0)], 0, state_names={0: name})
     with pytest.raises(ValueError, match="holds '#' or a line break"):
         FloatingAutomaton(AB, 1, {(0, 0): 0}, [0], trivial_rlta(AB), names=[name])
-    rlta = Rlta(AB, 1, [[0, 0]], 0, names=["t 1"])
+    rlta = Rlta(AB, 1, [(0, 0, 0, 0), (0, 1, 0, 0)], 0, state_names={0: "t 1"})
     f = FloatingAutomaton(AB, 1, {(0, 0): 0}, [0], rlta, names=['"q"'])
     text = serialize_floating_chain(FloatingChain(rlta, [f]))
     assert serialize_floating_chain(parse_floating_chain(text)) == text
+
+
+def test_partly_named_tracker_round_trips_as_written():
+    rlta = Rlta(AB, 2, [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, 0)], 0,
+                state_names={0: "x"})
+    f = FloatingAutomaton(AB, 1, {(0, 1): 0}, [0], rlta)
+    text = serialize_floating_chain(FloatingChain(rlta, [f]))
+    assert 'name 0 "x"\n' in text and "name 1" not in text
+    again = parse_floating_chain(text)
+    assert again.rlta.state_names == {0: "x"}
+    assert serialize_floating_chain(again) == text
+
 
 def test_validation_label_count():
     with pytest.raises(ValueError):
@@ -55,7 +67,7 @@ def test_validation_label_count():
 
 
 def test_validation_tracker_compatibility():
-    alternator = Rlta(Alphabet(("a",)), 2, [[1], [0]], 0)
+    alternator = Rlta(Alphabet(("a",)), 2, [(0, 0, 1, 0), (1, 0, 0, 0)], 0)
     with pytest.raises(ValueError, match="tracker compatibility"):
         FloatingAutomaton(Alphabet(("a",)), 2, {(0, 0): 0}, [0, 0], alternator)
     ok = FloatingAutomaton(Alphabet(("a",)), 2, {(0, 0): 1, (1, 0): 0},
@@ -126,6 +138,9 @@ def test_floating_member_matches_oracle(uniform_flochain):
 def test_chain_level_zero(uniform_flochain):
     assert uniform_flochain.level(0).state_count == uniform_flochain.rlta.state_count
     assert uniform_flochain.level(1) is uniform_flochain.levels[0]
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match="level index %d outside 0..3" % i):
+            uniform_flochain.level(i)
 
 
 def test_chain_rejects_foreign_tracker():
@@ -266,7 +281,8 @@ def test_minimize_random_residuals_and_products():
             aut = oracles.random_cobuchi_automaton(rng, 2 + rng.randrange(2), 2, fanout)
             level = CoBuchiAutomaton(aut.alphabet, aut.state_count, aut.transitions, aut.initial)
             rlta = (trivial_rlta(level.alphabet) if k % 2
-                    else Rlta(level.alphabet, 2, [[1, 1], [0, 0]], 0))
+                    else Rlta(level.alphabet, 2,
+                              [(0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0)], 0))
             pair.append(residualize(level, rlta))
         cases += pair + [product_floating(pair[0], pair[1]),
                          product_floating(pair[1], pair[0])]

@@ -412,9 +412,12 @@ MALFORMED = [
      6, "name given for missing state 2"),
     ("flochain-rlta-nondeterministic",
      R1.replace("states 1", "states 2") + "trans 0 a 0\ntrans 0 a 1\ntrans 1 a 1\n",
-     None, "tracker must be deterministic and complete; state 0 symbol a has 2 successors"),
+     6, "tracker must be deterministic and complete; state 0 symbol a has 2 successors"),
     ("flochain-rlta-incomplete", R1.replace("alphabet a", "alphabet a b") + "trans 0 a 0\n",
-     None, "tracker must be deterministic and complete; state 0 symbol b has 0 successors"),
+     None, "rlta: tracker must be deterministic and complete; state 0 symbol b has 0 successors"),
+    ("flochain-rlta-name-repeated",
+     R1.replace("states 1", "states 2") + 'name 0 "x"\nname 1 "x"\ntrans 0 a 1\ntrans 1 a 0\n',
+     None, "rlta: state display names must be unique"),
     ("flochain-block-misnumbered", R + "floating 2\n" + FB,
      10, "floating blocks must be numbered consecutively from 1"),
     ("flochain-block-word", R + "level 1\n" + FB,

@@ -110,6 +110,15 @@ def test_alphabet_mismatch_rejected(minimal5):
         realizability(minimal5, RG_IO)
 
 
+def test_spec_missing_a_move_is_refused():
+    # the environment could play i1, on which the spec has no move
+    io = IoAlphabet(Alphabet(("i0", "i1")), Alphabet(("o",)))
+    for transitions in ([(0, 0, 0, 0)], []):
+        spec = AutomatonStructure(io.combined, 1, transitions, 0)
+        with pytest.raises(ValueError, match=r"input automaton incomplete at \[.*\(0, 1\)\]"):
+            realizability(spec, io)
+
+
 def test_non_homogeneous_spec_warns():
     io = IoAlphabet(Alphabet(("r", "n")), Alphabet(("g",)))
     spec = AutomatonStructure(io.combined, 2,
