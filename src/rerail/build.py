@@ -20,6 +20,7 @@ from .floating import (empty_floating, level0_floating, max_accepting_sccs,
                        FloatingAutomaton)
 from .lasso import LassoSweep, enumerate_lassos
 from .raf import AutomatonStructure, complete_reachable_states, validate_complete
+from .scc import reachable
 
 
 @dataclass
@@ -191,20 +192,33 @@ def verify_rerailing_bounded(aut, stem_bound, cycle_bound):
     unions of its children's (plus its achievable set, when that is a
     single color): a node with no violation has no violating parent.  So a
     lasso fails iff one of its cycle nodes does.  Those and the verdict
-    depend on the key (cycle, R(stem)) alone, so each key's cycle part is
-    checked once, and only lassos on a failing key walk their stem.
+    depend on the key (cycle, R(stem)) alone: its cycle nodes are the nodes
+    of the cycle's class product reachable from its entry nodes.  So per
+    class product and verdict one backward walk finds the nodes that reach
+    a violating node, and a key fails iff one of its entry nodes is among
+    them.  Only lassos on a failing key walk their stem.
     """
     complete_reachable_states(aut)
     sweep = LassoSweep(aut)
     violations = lru_cache(maxsize=None)(_node_violations)
+    doomed = {}     # (class product, verdict) -> its nodes that reach a violating node
     dirty = {}      # cycle key -> the verdict if a cycle node violates, else None
     failures = []
     for lasso in enumerate_lassos(len(aut.alphabet), stem_bound, cycle_bound):
         key = sweep.cycle_key(lasso)
         if key not in dirty:
             member = max(sweep.colors(lasso)) % 2 == 0
-            dirty[key] = member if any(violations(a, u, member)
-                                       for (_q, _j, a, u) in sweep.cycle_sets(key)) else None
+            (product, analysis, entries) = sweep.class_nodes(key)
+            bad = doomed.get((product, member))
+            if bad is None:
+                preds = [[] for _ in product.adjacency]
+                for u, edges in enumerate(product.adjacency):
+                    for (v, _c) in edges:
+                        preds[v].append(u)
+                bad = doomed[(product, member)] = set(reachable(
+                    [i for i, sets in enumerate(zip(analysis.achievable, analysis.uniform))
+                     if violations(*sets, member)], preds.__getitem__))
+            dirty[key] = None if bad.isdisjoint(entries) else member
         member = dirty[key]
         if member is None:
             continue

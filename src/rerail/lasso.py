@@ -308,16 +308,26 @@ class LassoSweep:
         """(cycle, R(stem)): the key that the colors and cycle nodes of `lasso` depend on."""
         return (lasso.cycle, self._states_after(lasso.stem))
 
+    def class_nodes(self, key):
+        """(product, analysis, entry nodes) of the class of a cycle_key.
+
+        The entry nodes are the ids of the class-product nodes at which the
+        key's lasso enters its cycle: (q, r) for q in R(stem), where r is the
+        cycle's entry offset into the class word.
+        """
+        (cycle, reached) = key
+        (product, analysis, entry) = self._class_of(cycle)
+        base = entry * self.aut.state_count
+        return product, analysis, [base + q for q in reached]
+
     def colors(self, lasso):
         """Dominating colors of the runs over `lasso` (achievable set of its node 0)."""
         key = self.cycle_key(lasso)
         colors = self._colors.get(key)
         if colors is None:
-            (cycle, reached) = key
-            (_product, analysis, entry) = self._class_of(cycle)
-            base = entry * self.aut.state_count
+            (_product, analysis, entries) = self.class_nodes(key)
             colors = self._colors[key] = frozenset().union(
-                *(analysis.achievable[base + q] for q in reached))
+                *(analysis.achievable[i] for i in entries))
         return colors
 
     def cycle_sets(self, key):
@@ -440,10 +450,13 @@ def membership_function(obj, semantics):
 
     Every semantics but parity-det is a function of the dominating colors of
     all runs, so the bound function decides each lasso through one
-    LassoSweep of the automaton.  A chain gets one co-Buchi sweep per level
-    and takes the greatest accepting level; a floating chain is the chain of
-    the co-Buchi readings of its levels.  parity-det follows the one run of
-    a deterministic automaton with member_parity_det.  An object of the
+    LassoSweep of the automaton, once per key (cycle, R(stem)).  A chain
+    gets one co-Buchi sweep per level and takes the greatest accepting
+    level; a floating chain is the chain of the co-Buchi readings of its
+    levels.  parity-det follows the one run of a deterministic automaton:
+    its verdict depends only on the key (state after the stem, cycle), so
+    the bound function calls member_parity_det once per key, and on any
+    stem it cannot walk (see _parity_det_member).  An object of the
     wrong kind for the semantics, a lasso letter outside the alphabet, and,
     for the color semantics, a lasso with no infinite run are ValueErrors.
     """
@@ -459,7 +472,7 @@ def membership_function(obj, semantics):
         raise ValueError("semantics %r needs %s, got %s"
                          % (semantics, what, type(obj).__name__))
     if semantics == "parity-det":
-        return lambda w: member_parity_det(obj, w)
+        return _parity_det_member(obj)
     if semantics == "floating":
         readings = Chain([cobuchi_reading(f) for f in obj.levels], obj.alphabet)
         return membership_function(readings, "chain")
@@ -478,6 +491,43 @@ def membership_function(obj, semantics):
         if not colors:
             raise ValueError("no infinite run: automaton incomplete along the lasso")
         return verdict(colors)
+    return member
+
+
+def _parity_det_member(aut):
+    """member_parity_det bound to `aut`, decided once per (state, cycle) key.
+
+    The one run over stem . cycle^omega reaches one state s after the stem,
+    and its dominating color is that of the run from s over cycle^omega: a
+    function of the key (s, cycle).  The state after each stem is memoized
+    and found one letter from a memoized `stem[:-1]`, as in a sweep, else by
+    a walk of the whole stem.  A new key, and any letter of a new stem suffix
+    outside the alphabet or without exactly one move, goes to
+    member_parity_det, which decides it or raises its error.  So every letter
+    is checked when first read: those of a memoized stem and of a known
+    key's cycle were checked before.
+    """
+    nsym, successors = len(aut.alphabet), aut.successors
+    after = {(): aut.initial}   # stem -> the state its run reaches
+    verdicts = {}               # (state after the stem, cycle) -> verdict
+
+    def member(w):
+        stem = w.stem
+        state = after.get(stem)
+        if state is None:
+            prefix = stem[:-1] if stem[:-1] in after else ()
+            state = after[prefix]
+            for x in stem[len(prefix):]:
+                moves = successors(state, x) if 0 <= x < nsym else ()
+                if len(moves) != 1:
+                    return member_parity_det(aut, w)
+                state = moves[0][0]
+            after[stem] = state
+        key = (state, w.cycle)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = member_parity_det(aut, w)
+        return verdict
     return member
 
 

@@ -49,7 +49,10 @@ def build_realizability_game(r, io):
     and color classes of successors — system-owned on odd colors,
     environment-owned on even ones.  Class vertices carry their color; all
     others the automaton's maximum color.  A reachable state without a move
-    on some symbol is a ValueError, for the environment could play it.
+    on some symbol is a ValueError, for the environment could play it.  An
+    unreachable one may lack moves: each missing move leads to the empty
+    class {}:1, a system vertex looping on color 1, which the environment
+    wins.
     """
     if r.alphabet != io.combined:
         raise ValueError("specification alphabet must be the combined "
@@ -79,17 +82,19 @@ def build_realizability_game(r, io):
                 if len(pairs) == 1:
                     ((dst, c),) = pairs
                     classes = (((dst,), c),)
+                elif not pairs:                   # no move: the empty class
+                    complete = False
+                    classes = (((), 1),)
                 else:                             # a class (members, color) per color
                     colors = sorted({c for (_dst, c) in pairs})
                     homogeneous = homogeneous and len(colors) < 2
-                    complete = complete and bool(pairs)
                     classes = [(tuple([d for (d, e) in pairs if e == c]), c) for c in colors]
                 for key in classes:
                     class_id = ids.get(key)
                     if class_id is None:
                         (members, c) = key
                         class_id = ids[key] = fresh(key, 0 if c % 2 else 1, c)
-                        edges[class_id].extend(members)
+                        edges[class_id].extend(members or [class_id])
                     row.append(class_id)
     if not complete:                      # the environment must not be denied a move
         complete_reachable_states(r)

@@ -401,6 +401,37 @@ def test_verify_matches_violation_oracle_at_stem_bound_3():
     assert mixed >= 5
 
 
+def test_verify_one_cycle_class_meets_keys_of_both_verdicts():
+    """On the class of a^omega, keys of both verdicts, each clean and failing.
+
+    The stems b, ab, aab and aaab lead into four parts whose runs over a^omega
+    are clean and accepting, clean and rejecting, failing and accepting, and
+    failing and rejecting.  verify_rerailing_bounded decides each key by a
+    backward walk of the class product per verdict, so the two walks must
+    tell all four apart.
+    """
+    moves = {0: [(1, 0)], 1: [(2, 0)], 2: [(3, 0)], 3: [(3, 0)],    # a a a a...
+             4: [(4, 0)], 5: [(5, 1)],                              # clean
+             6: [(7, 0), (8, 0)], 7: [(7, 2)], 8: [(8, 1)],         # accepting, failing
+             9: [(10, 0), (11, 0)], 10: [(10, 3)], 11: [(11, 2)],   # rejecting, failing
+             12: [(12, 0)]}
+    b_moves = {0: 4, 1: 5, 2: 6, 3: 9}
+    transitions = [(q, 0, d, c) for q, out in moves.items() for (d, c) in out]
+    transitions += [(q, 1, b_moves.get(q, 12), 0) for q in moves]
+    aut = AutomatonStructure(AB, 13, transitions, 0)
+    expected = []
+    outcomes = set()
+    for (w, violations) in _violations_by_lasso(aut, 4, 2):
+        member = oracles.member_rerailing(aut, w)
+        if w.cycle == (0,):
+            outcomes.add((member, bool(violations)))
+        if violations:
+            expected.append((w, member, tuple(violations)))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+    got = [(v.lasso, v.member, v.violations) for v in verify_rerailing_bounded(aut, 4, 2)]
+    assert got == expected
+
+
 def test_verify_results_digest():
     """verify_rerailing_bounded keeps its results, verdict for verdict, on a fixed corpus."""
     rng = random.Random(15)

@@ -229,6 +229,22 @@ def test_realizability_of_a_spec_missing_a_move_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: input automaton incomplete at [(0, 1)]\n"
 
 
+def test_realizability_ignores_incomplete_unreachable_states(tmp_path, capsys):
+    spec = AutomatonStructure(Alphabet(("i0|o", "i1|o")), 2, [(0, 0, 0, 0), (0, 1, 0, 0)], 0)
+    path = tmp_path / "unreachable.raf"
+    path.write_text(serialize_automaton(spec))
+    assert run_cli("realizability", "-i", str(path), "--dump-game",
+                   "--inputs", "i0,i1", "--outputs", "o") == 0
+    assert capsys.readouterr().out == (
+        'vertex 0 owner 0 color 0 name "0" succ 2\n'
+        'vertex 1 owner 0 color 0 name "1" succ 4\n'
+        'vertex 2 owner 1 color 0 name "0 / o" succ 3\n'
+        'vertex 3 owner 1 color 0 name "{0}:0" succ 0\n'
+        'vertex 4 owner 1 color 0 name "1 / o" succ 5\n'
+        'vertex 5 owner 0 color 1 name "{}:1" succ 5\n'
+        "realizable\n")
+
+
 def test_realizability_dump_game(tmp_path, capsys):
     grant = spec_file(tmp_path, "grant.raf", lambda s: s.endswith("g"))
     assert run_cli("realizability", "-i", grant, "--dump-game",

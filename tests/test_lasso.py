@@ -214,6 +214,63 @@ def test_every_semantics_refuses_letters_outside_the_alphabet(semantics, stem, c
         member(LassoWord(stem, cycle))
 
 
+def test_parity_det_binder_refuses_letters_after_memoized_lassos():
+    """Letters outside the alphabet after memoized stems and keys are still refused."""
+    det = AutomatonStructure(AB, 1, [(0, 0, 0, 2), (0, 1, 0, 1)], 0)
+    member = membership_function(det, "parity-det")
+    for w in enumerate_lassos(2, 2, 2):      # every stem and key below is memoized
+        assert member(w) == (w.cycle == (0,))
+    for (stem, cycle, letter) in [((0, 1), (2,), 2), ((0, 1, 5), (0,), 5),
+                                  ((1, -1), (0, 1), -1), ((0,), (1, -2), -2)]:
+        with pytest.raises(ValueError, match="^lasso letter %d outside the alphabet of 2 "
+                                             "symbols$" % letter):
+            member(LassoWord(stem, cycle))
+    assert member(LassoWord((0, 1), (0,))) and not member(LassoWord((0, 1), (1,)))
+
+
+def _spellings(w):
+    """`w` and two other spellings of its word: cycle doubled, cycle rotated into the stem."""
+    return (w, LassoWord(w.stem, w.cycle * 2),
+            LassoWord(w.stem + w.cycle[:1], w.cycle[1:] + w.cycle[:1]))
+
+
+def test_bound_parity_det_agrees_with_the_oracle():
+    """The memoized binder on every bounded lasso, canonical or not, of random DPWs."""
+    rng = random.Random(17)
+    for k in range(12):
+        nsym = 2 + k % 2
+        aut = oracles.random_dpw(rng, 1 + rng.randrange(6), nsym, 1 + rng.randrange(4))
+        member = membership_function(aut, "parity-det")
+        for w in enumerate_lassos(nsym, 4, 4):
+            expected = oracles.member_parity_det(aut, w)
+            for other in _spellings(w):
+                assert member(other) == expected, (k, other)
+
+
+def _result_or_error(fn, *args):
+    try:
+        return ("result", fn(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def test_bound_parity_det_raises_what_member_parity_det_raises():
+    """On partial and nondeterministic automata, the binder fails like the one-off call."""
+    rng = random.Random(18)
+    errors = set()
+    for k in range(24):
+        dpw = oracles.random_dpw(rng, 2 + rng.randrange(4), 2, 1 + rng.randrange(4))
+        aut = _partial(rng, dpw) if k % 2 else _perturbed(rng, dpw, 2)
+        member = membership_function(aut, "parity-det")
+        for w in enumerate_lassos(2, 3, 3):
+            for other in _spellings(w):
+                expected = _result_or_error(member_parity_det, aut, other)
+                assert _result_or_error(member, other) == expected, (k, other)
+                if expected[0] == "error":
+                    errors.add(expected[1].split(" at state")[0])
+    assert errors == {"automaton has no transition", "automaton is not deterministic"}
+
+
 def test_chain_semantics_refuse_letters_outside_the_alphabet(uniform_chain, uniform_flochain):
     for obj, semantics in ((uniform_chain, "chain"), (uniform_flochain, "floating")):
         with pytest.raises(ValueError, match="^lasso letter 4 outside the alphabet of 4 symbols$"):

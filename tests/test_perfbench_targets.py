@@ -14,7 +14,7 @@ import random
 
 import oracles
 from conftest import load_text
-from rerail import build, raf, synthesis
+from rerail import build, lasso, raf, synthesis
 from rerail.raf import Alphabet, AutomatonStructure
 from rerail.synthesis import IoAlphabet
 
@@ -59,3 +59,17 @@ def test_counter_hooks_read_the_results_of_every_layer():
         tracer.uninstall()
     assert tracer.missing == []
     assert {name for name, value in tracer.counters.items() if value <= 0} == set()
+
+
+def test_parity_det_sweeps_record_member_calls():
+    """The memoized parity-det binder still calls the traced member_parity_det."""
+    tracer = load_tracer().Tracer()
+    dpw = oracles.random_dpw(random.Random(1), 4, 2, 3)
+    tracer.install()
+    try:
+        assert lasso.bounded_equivalence(dpw, "rerailing", dpw, "parity-det", 3, 3) is None
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    calls = tracer.stats["lasso.member"][0]
+    assert 0 < calls < sum(1 for _w in lasso.enumerate_lassos(2, 3, 3))

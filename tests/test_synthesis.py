@@ -119,6 +119,23 @@ def test_spec_missing_a_move_is_refused():
             realizability(spec, io)
 
 
+def test_unreachable_state_without_moves_is_allowed():
+    """An unreachable state may lack moves; a missing move is the empty class {}:1."""
+    io = IoAlphabet(Alphabet(("i0", "i1")), Alphabet(("o",)))
+    for (transitions, verdict) in (([(0, 0, 0, 0), (0, 1, 0, 0)], True),
+                                   ([(0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 1, 0)], False)):
+        spec = AutomatonStructure(io.combined, 2, transitions, 0)
+        arena = build_realizability_game(spec, io)
+        assert realizability(spec, io) is verdict
+        empty = next(v for v in range(arena.vertex_count) if arena.vertex_name(v) == "{}:1")
+        assert (arena.owners[empty], arena.colors[empty], arena.edges[empty]) == (0, 1, [empty])
+        _w0, w1 = solve(arena)
+        assert empty in w1
+    # the trimmed spec gets the same verdict
+    trimmed = AutomatonStructure(io.combined, 1, [(0, 0, 0, 0), (0, 1, 0, 0)], 0)
+    assert realizability(trimmed, io)
+
+
 def test_non_homogeneous_spec_warns():
     io = IoAlphabet(Alphabet(("r", "n")), Alphabet(("g",)))
     spec = AutomatonStructure(io.combined, 2,
