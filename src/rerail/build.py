@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cobuchi import decompose_rerailing
-from .floating import (empty_floating, level0_floating, max_accepting_sccs,
+from .floating import (FloatingAutomaton, level0_floating, max_accepting_sccs,
                        minimize_floating, product_floating, residualize_chain,
-                       restrict_floating, safe_subset, union_floating,
-                       FloatingAutomaton)
+                       restrict_floating, safe_subset)
 from .lasso import LassoSweep, enumerate_lassos
 from .raf import AutomatonStructure, complete_reachable_states, validate_complete
 from .scc import reachable
@@ -64,6 +63,16 @@ def recurse_build(ctx, i, chain, acc):
     The context automaton must consist of a single maximal SCC except at the
     top-level call.  Every context state ends up represented by at least one
     returned global state.
+
+    The collected automaton is kept as plain tables: each same-parity
+    level's product is appended, shifted by the state count so far, and at
+    an opposite-parity level every transition into or out of a state that
+    the level's product subsumes (it has an equally labeled and marked state
+    whose safe language contains that state's) is cut.  A cut state is reached from no other
+    state, so the others keep the safe languages they would have had with it
+    removed, and `minimize_floating` drops it as a state on no cycle and
+    renumbers the rest in order: one automaton built from the tables equals
+    removing each subsumed state as it is found.
     """
     if ctx.rlta != chain.rlta:
         raise ValueError("context must share the chain's tracker")
@@ -72,23 +81,25 @@ def recurse_build(ctx, i, chain, acc):
         raise RuntimeError(
             "recursion at color %d exceeds the chain length %d; "
             "the level languages are not weakly falling" % (i, n))
-    ab = empty_floating(chain.rlta, marked=True)
+    nsym = len(ctx.alphabet)
+    delta, labels, marking, names = {}, [], [], []
     for j in range(1, n + 1):
         prod = product_floating(ctx, chain.levels[j - 1])
         if j % 2 == i % 2:
-            ab = union_floating(ab, prod)
-        else:
-            doomed = set()
-            for q in range(ab.state_count):
-                for q2 in range(prod.state_count):
-                    if (ab.marking[q] == prod.marking[q2]
-                            and ab.labels[q] == prod.labels[q2]
-                            and safe_subset(ab, q, prod, q2)):
-                        doomed.add(q)
-                        break
-            if doomed:
-                ab = restrict_floating(ab, set(range(ab.state_count)) - doomed)
-    ab = minimize_floating(ab)
+            shift = len(labels)
+            delta.update(((src + shift, x), dst + shift) for (src, x), dst in prod.delta.items())
+            labels += prod.labels
+            marking += prod.marking
+            names += prod.names
+            continue
+        doomed = {q for q in range(len(labels))
+                  if any(marking[q] == prod.marking[q2] and labels[q] == prod.labels[q2]
+                         and safe_subset(delta, q, prod.delta, q2, nsym)
+                         for q2 in range(prod.state_count))}
+        delta = {(src, x): dst for (src, x), dst in delta.items()
+                 if src not in doomed and dst not in doomed}
+    ab = minimize_floating(FloatingAutomaton(ctx.alphabet, len(labels), delta, labels,
+                                             chain.rlta, marking=marking, names=names))
     new_states = []
     covered = set()
     for members in max_accepting_sccs(ab):
@@ -116,12 +127,8 @@ def recurse_build(ctx, i, chain, acc):
 
 def build_minimal(chain):
     """Minimal rerailing automaton for the language of a floating chain."""
-    ctx0 = level0_floating(chain.rlta)
-    if ctx0.state_count == 1:
-        ctx0 = FloatingAutomaton(ctx0.alphabet, 1, ctx0.delta, ctx0.labels,
-                                 ctx0.rlta, names=[""])
     acc = BuildState()
-    pairs = recurse_build(ctx0, 1, chain, acc)
+    pairs = recurse_build(level0_floating(chain.rlta), 1, chain, acc)
     initial = min(gid for (gid, s) in pairs if s == chain.rlta.initial)
     result = AutomatonStructure(chain.alphabet, acc.state_count,
                                 sorted(acc.transitions), initial,

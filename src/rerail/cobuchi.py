@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .games import ArenaBuilder, solve
 from .raf import (AutomatonStructure, RafError, SiteError, complete_reachable_states,
@@ -162,8 +163,10 @@ def decompose_rerailing(aut):
     return Chain(levels, aut.alphabet)
 
 
+@lru_cache(maxsize=32)
 def _one_state_level(alphabet, color):
-    """The one-state level whose moves all have `color`: universal for 2, empty for 1."""
+    """The one-state level whose moves all have `color`: universal for 2, empty for 1.
+    Shared between callers, so read-only."""
     return CoBuchiAutomaton(alphabet, 1, [(0, x, 0, color) for x in range(len(alphabet))], 0)
 
 

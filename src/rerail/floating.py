@@ -4,15 +4,17 @@ A floating automaton keeps only safe (accepting) transitions: a partial
 deterministic transition function, plus a label per state tying it to a
 residual language tracker.  A word is accepted when, after some prefix, an
 infinite run exists from a state labeled with the tracker state the prefix
-reaches.  Minimization modulo a marking, products and unions of floating
-automata are the building blocks of the rerailing-automaton construction.
+reaches.  Minimization modulo a marking, products, restrictions and
+safe-language comparisons of floating automata are the building blocks of
+the rerailing-automaton construction.
 """
 
 from __future__ import annotations
 
 from .cobuchi import CoBuchiAutomaton, Rlta, build_rlta_chain
-from .raf import (RafError, SiteError, _body_lines, _check_name, _expect_header, _line_of,
-                  _numbered_lines, _parse_name_line, _parse_raf_body, _parse_state_count)
+from .raf import (RafError, SiteError, _body_lines, _check_cells, _check_name, _expect_header,
+                  _line_of, _numbered_lines, _parse_name_line, _parse_raf_body,
+                  _parse_state_count)
 from .scc import reachable, scc_decomposition
 
 
@@ -108,17 +110,14 @@ class FloatingChain:
 
 
 def level0_floating(rlta):
-    """The tracker viewed as a total floating automaton accepting everything."""
+    """The tracker viewed as a total floating automaton accepting everything;
+    a one-state tracker's state is unnamed, as in `_residual_name`."""
     delta = {(s, x): rlta.step(s, x)
              for s in range(rlta.state_count) for x in range(len(rlta.alphabet))}
-    names = [rlta.state_name(s) for s in range(rlta.state_count)]
+    names = ([""] if rlta.state_count == 1
+             else [rlta.state_name(s) for s in range(rlta.state_count)])
     return FloatingAutomaton(rlta.alphabet, rlta.state_count, delta,
                              list(range(rlta.state_count)), rlta, names=names)
-
-
-def empty_floating(rlta, marked=False):
-    return FloatingAutomaton(rlta.alphabet, 0, {}, [], rlta,
-                             marking=[] if marked else None, names=[])
 
 
 def residualize(a, rlta):
@@ -214,7 +213,9 @@ def cobuchi_reading(f):
     return CoBuchiAutomaton(f.alphabet, base + f.state_count, transitions, rlta.initial)
 
 
-def _safe_subset_raw(delta1, q, delta2, q2, nsym):
+def safe_subset(delta1, q, delta2, q2, nsym):
+    """Whether every finite word with a safe run from q in the transition table
+    `delta1` has one from q2 in `delta2`; both map (state, symbol) to a state."""
     pairs = [(q, q2)]
     seen = set(pairs)
     for (a, b) in pairs:                # the list grows while it is walked
@@ -229,13 +230,6 @@ def _safe_subset_raw(delta1, q, delta2, q2, nsym):
                 seen.add((d1, d2))
                 pairs.append((d1, d2))
     return True
-
-
-def safe_subset(f1, q, f2, q2):
-    """Whether every finite word safely accepted from q is safe from q2."""
-    if f1.alphabet != f2.alphabet:
-        raise ValueError("safe-language comparison needs a common alphabet")
-    return _safe_subset_raw(f1.delta, q, f2.delta, q2, len(f1.alphabet))
 
 
 def _merge_names(a, b):
@@ -270,7 +264,7 @@ def minimize_floating(f):
     keys = [(f.labels[q], None if f.marking is None else f.marking[q]) for q in range(n)]
 
     def subset(q, q2):
-        return _safe_subset_raw(delta, q, delta, q2, nsym)
+        return safe_subset(delta, q, delta, q2, nsym)
 
     while True:
         # Dropped and merged-away states have no transitions left, so they
@@ -328,26 +322,6 @@ def product_floating(f1, f2):
         names.append("%s,%s" % (head, tail) if head else tail)
     return FloatingAutomaton(f1.alphabet, len(states), delta, labels, f1.rlta,
                              marking=[q1 for (q1, _q2) in states], names=names)
-
-
-def union_floating(f1, f2):
-    """Disjoint juxtaposition; accepts the union of the two languages."""
-    if f1.alphabet != f2.alphabet or f1.rlta != f2.rlta:
-        raise ValueError("union needs a common alphabet and tracker")
-    if (f1.marking is None) != (f2.marking is None):
-        raise ValueError("union operands must agree on being marked")
-    shift = f1.state_count
-    delta = dict(f1.delta)
-    for (src, x), dst in f2.delta.items():
-        delta[(src + shift, x)] = dst + shift
-    labels = list(f1.labels) + list(f2.labels)
-    marking = None
-    if f1.marking is not None:
-        marking = list(f1.marking) + list(f2.marking)
-    names = ([f1.state_name(q) for q in range(f1.state_count)]
-             + [f2.state_name(q) for q in range(f2.state_count)])
-    return FloatingAutomaton(f1.alphabet, shift + f2.state_count, delta, labels,
-                             f1.rlta, marking=marking, names=names)
 
 
 def restrict_floating(f, states):
@@ -420,6 +394,7 @@ def _parse_floating_block(lines, start, alphabet, rlta):
             if state_count is not None:
                 raise RafError("duplicate states line", lineno)
             state_count = _parse_state_count(rest, lineno)
+            _check_cells(state_count, alphabet, lineno)
         elif word == "name":
             state, display = _parse_name_line(rest, lineno)
             if state in names:

@@ -305,6 +305,13 @@ def _parse_state_count(rest, lineno):
     return count
 
 
+def _check_cells(state_count, alphabet, lineno):
+    """Refuse a body of more than 2 * MAX_STATES cells, states times symbols."""
+    if state_count * len(alphabet) > 2 * MAX_STATES:
+        raise RafError("%d states times %d symbols above the limit of %d cells"
+                       % (state_count, len(alphabet), 2 * MAX_STATES), lineno)
+
+
 def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStructure, label=""):
     """Shared parser for automaton bodies, built as `cls` once the body is read.
 
@@ -374,9 +381,7 @@ def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStruc
         raise RafError("missing state count")
     if initial is None:
         raise RafError("missing initial state")
-    if state_count * len(alphabet) > 2 * MAX_STATES:
-        raise RafError("%d states times %d symbols above the limit of %d cells"
-                       % (state_count, len(alphabet), 2 * MAX_STATES), states_line)
+    _check_cells(state_count, alphabet, states_line)
     try:
         aut = cls(alphabet, state_count, [key + (c,) for key, c in colors.items()], initial,
                   state_names=names or None)

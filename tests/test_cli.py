@@ -324,6 +324,19 @@ def test_oversized_state_count(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_oversized_floating_block(tmp_path, capsys):
+    # 262,144 states over 3 symbols: a block whose co-Buchi reading would
+    # hold 786,432 transitions is refused before its labels are read.
+    path = tmp_path / "huge.flochain"
+    path.write_text("flochain 1\nrlta\nalphabet a b c\nstates 1\ninitial 0\n"
+                    "trans 0 a 0\ntrans 0 b 0\ntrans 0 c 0\n"
+                    "floating 1\nstates 262144\nlabel 0 0\n")
+    assert run_cli("membership", "-i", str(path), "--sem", "floating", "--lasso", ";a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 10: 262144 states times 3 symbols above the limit")
+    assert "Traceback" not in err
+
+
 def test_argparse_failures(capsys):
     assert run_cli("no-such-command") == 1
     capsys.readouterr()

@@ -27,6 +27,14 @@ def empty_language(alphabet=AB):
                             [(0, x, 0, 1) for x in range(len(alphabet))], 0)
 
 
+def test_padding_levels_are_built_once():
+    # equal alphabets share one padding level per color
+    level = cobuchi._one_state_level(AB, 2)
+    assert cobuchi._one_state_level(Alphabet(("a", "b")), 2) is level
+    assert level.transitions == universal().transitions
+    assert cobuchi._one_state_level(AB, 1).transitions == empty_language().transitions
+
+
 def test_cobuchi_rejects_other_colors():
     with pytest.raises(ValueError):
         CoBuchiAutomaton(AB, 1, [(0, 0, 0, 0), (0, 1, 0, 2)], 0)

@@ -5,11 +5,11 @@ import pytest
 from rerail.cobuchi import (CoBuchiAutomaton, Rlta, decompose_rerailing,
                             residual_tracking_single)
 from rerail.floating import (FloatingAutomaton, FloatingChain, cobuchi_reading,
-                             empty_floating, level0_floating, max_accepting_sccs,
+                             level0_floating, max_accepting_sccs,
                              minimize_floating, parse_floating_chain,
                              product_floating, residualize, residualize_chain,
                              restrict_floating, safe_subset,
-                             serialize_floating_chain, union_floating)
+                             serialize_floating_chain)
 from rerail.lasso import enumerate_lassos, membership_function, parse_lasso
 from rerail.raf import Alphabet, RafError
 
@@ -106,7 +106,7 @@ def test_level0_accepts_everything():
 
 
 def test_empty_floating_rejects_everything():
-    f = empty_floating(trivial_rlta(AB))
+    f = FloatingAutomaton(AB, 0, {}, [], trivial_rlta(AB))
     assert f.state_count == 0
     member = bind_floating(f)
     for w in enumerate_lassos(2, 2, 2):
@@ -136,7 +136,9 @@ def test_floating_member_matches_oracle(uniform_flochain):
 
 
 def test_chain_level_zero(uniform_flochain):
-    assert uniform_flochain.level(0).state_count == uniform_flochain.rlta.state_count
+    assert uniform_flochain.level(0).state_count == uniform_flochain.rlta.state_count == 1
+    # a one-state tracker leaves its state unnamed, as in residualized names
+    assert uniform_flochain.level(0).names == [""]
     assert uniform_flochain.level(1) is uniform_flochain.levels[0]
     for i in (-1, 4):
         with pytest.raises(ValueError, match="level index %d outside 0..3" % i):
@@ -201,14 +203,13 @@ def test_safe_subset_on_residuals(hd5):
     fh = residualize(level, rlta)
     assert sorted(fh.names) == ["0@0", "1@1", "2@0", "3@1", "4@0"]
     q2, q4 = fh.names.index("2@0"), fh.names.index("4@0")
-    assert safe_subset(fh, q4, fh, q2)
-    assert not safe_subset(fh, q2, fh, q4)
+    d, nsym = fh.delta, len(fh.alphabet)
+    assert safe_subset(d, q4, d, q2, nsym)
+    assert not safe_subset(d, q2, d, q4, nsym)
     q0, q3 = fh.names.index("0@0"), fh.names.index("3@1")
-    assert not safe_subset(fh, q0, fh, q3)
-    assert not safe_subset(fh, q3, fh, q0)
-    assert safe_subset(fh, q0, fh, q0)
-    with pytest.raises(ValueError):
-        safe_subset(fh, 0, eventually_only(AB, "a"), 0)
+    assert not safe_subset(d, q0, d, q3, nsym)
+    assert not safe_subset(d, q3, d, q0, nsym)
+    assert safe_subset(d, q0, d, q0, nsym)
 
 
 def test_minimize_keeps_minimal_levels(uniform_flochain):
@@ -218,8 +219,10 @@ def test_minimize_keeps_minimal_levels(uniform_flochain):
 
 def test_minimize_merges_duplicates(uniform_flochain):
     f = uniform_flochain.level(1)
-    doubled = union_floating(f, f)
-    assert doubled.state_count == 2 * f.state_count
+    n = f.state_count
+    delta = dict(f.delta)
+    delta.update(((src + n, x), dst + n) for (src, x), dst in f.delta.items())
+    doubled = FloatingAutomaton(f.alphabet, 2 * n, delta, f.labels * 2, f.rlta)
     assert minimize_floating(doubled) == f
 
 
@@ -309,23 +312,6 @@ def test_product_intersects(uniform_flochain):
 def test_product_requires_shared_tracker():
     with pytest.raises(ValueError):
         product_floating(eventually_only(AB, "a"), eventually_only(ABCD, "a"))
-
-
-def test_union_accepts_either(uniform_flochain):
-    f1, f3 = uniform_flochain.level(1), uniform_flochain.level(3)
-    either = union_floating(f1, f3)
-    assert either.state_count == f1.state_count + f3.state_count
-    assert either.labels == list(f1.labels) + list(f3.labels)
-    member_either, member1, member3 = (bind_floating(f) for f in (either, f1, f3))
-    for w in enumerate_lassos(4, 2, 2):
-        assert member_either(w) == (member1(w) or member3(w))
-
-
-def test_union_marking_mismatch():
-    rlta = trivial_rlta(AB)
-    marked = FloatingAutomaton(AB, 1, {(0, 0): 0}, [0], rlta, marking=[0])
-    with pytest.raises(ValueError):
-        union_floating(marked, eventually_only(AB, "a"))
 
 
 def test_restrict(uniform_chain, uniform_flochain):

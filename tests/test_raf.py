@@ -185,6 +185,7 @@ R1 = "flochain 1\nrlta\nalphabet a\nstates 1\ninitial 0\n"
 R = ("flochain 1\nrlta\nalphabet a b\nstates 2\ninitial 0\n"
      "trans 0 a 1\ntrans 0 b 0\ntrans 1 a 1\ntrans 1 b 0\n")
 F = R + "floating 1\n"
+R3 = "flochain 1\nrlta\nalphabet a b c\nstates 1\ninitial 0\ntrans 0 a 0\ntrans 0 b 0\ntrans 0 c 0\n"
 FB = "states 2\nlabel 0 0\nlabel 1 1\n"
 COUNT_EXPECTED = ("expected 'count <n>' with n >= 1, or 'count 0' followed by an 'alphabet' "
                   "line, after header")
@@ -430,6 +431,8 @@ MALFORMED = [
      11, "bad state count 'many'"),
     ("flochain-block-states-above-limit", F + "states 999999999\n",
      11, "state count 999999999 above the limit 262144"),
+    ("flochain-block-cells-above-limit", R3 + "floating 1\nstates 262144\nlabel 0 0\n",
+     10, "262144 states times 3 symbols above the limit of 524288 cells"),
     ("flochain-block-unknown-directive", F + FB + "initial 0\n",
      14, "unknown directive 'initial'"),
     ("flochain-block-name-twice", F + FB + 'name 0 "x"\nname 0 "y"\n',
