@@ -3,9 +3,9 @@
 The recursive construction walks a floating chain: in each call it collects,
 inside the current context automaton, the words whose highest accepting level
 has the evenness of the call's color parameter, minimizes the collected
-automaton modulo context markings, recurses into its maximal SCCs with the
-next color, and stitches the returned state groups together with transitions
-one color below.
+tables modulo the context state each of their states pairs, recurses into
+their maximal SCCs with the next color, and stitches the returned state
+groups together with transitions one color below.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cobuchi import decompose_rerailing
-from .floating import (FloatingAutomaton, level0_floating, max_accepting_sccs,
-                       minimize_floating, product_floating, residualize_chain,
-                       restrict_floating, safe_subset)
+from .floating import (level0_floating, minimize_tables, product_tables, residualize_chain,
+                       restrict_tables, safe_subset)
 from .lasso import LassoSweep, enumerate_lassos
 from .raf import AutomatonStructure, complete_reachable_states, validate_complete
 from .scc import reachable
@@ -64,15 +63,18 @@ def recurse_build(ctx, i, chain, acc):
     top-level call.  Every context state ends up represented by at least one
     returned global state.
 
-    The collected automaton is kept as plain tables: each same-parity
-    level's product is appended, shifted by the state count so far, and at
-    an opposite-parity level every transition into or out of a state that
-    the level's product subsumes (it has an equally labeled and marked state
-    whose safe language contains that state's) is cut.  A cut state is reached from no other
-    state, so the others keep the safe languages they would have had with it
-    removed, and `minimize_floating` drops it as a state on no cycle and
-    renumbers the rest in order: one automaton built from the tables equals
-    removing each subsumed state as it is found.
+    The collected automaton is kept as plain tables (`delta`, `labels`,
+    `names`, and `marking`, the context state each product state pairs): each
+    same-parity level's product is appended, shifted by the state count so
+    far, and at an opposite-parity level every transition into or out of a
+    state that the level's product subsumes (it has an equally labeled and
+    marked state whose safe language contains that state's) is cut.  A cut
+    state is reached from no other state, so the others keep the safe
+    languages they would have had with it removed, and `minimize_tables`
+    drops it as a state on no cycle.  The tables are minimized modulo the
+    marking, and a checked `FloatingAutomaton` is built only for each SCC
+    of the result, as the context of the next call; a state of that context
+    maps back to the context state `marking[members[state]]`.
     """
     if ctx.rlta != chain.rlta:
         raise ValueError("context must share the chain's tracker")
@@ -84,29 +86,28 @@ def recurse_build(ctx, i, chain, acc):
     nsym = len(ctx.alphabet)
     delta, labels, marking, names = {}, [], [], []
     for j in range(1, n + 1):
-        prod = product_floating(ctx, chain.levels[j - 1])
+        (pdelta, plabels, pmarking, pnames) = product_tables(ctx, chain.levels[j - 1])
         if j % 2 == i % 2:
             shift = len(labels)
-            delta.update(((src + shift, x), dst + shift) for (src, x), dst in prod.delta.items())
-            labels += prod.labels
-            marking += prod.marking
-            names += prod.names
+            delta.update(((src + shift, x), dst + shift) for (src, x), dst in pdelta.items())
+            labels += plabels
+            marking += pmarking
+            names += pnames
             continue
         doomed = {q for q in range(len(labels))
-                  if any(marking[q] == prod.marking[q2] and labels[q] == prod.labels[q2]
-                         and safe_subset(delta, q, prod.delta, q2, nsym)
-                         for q2 in range(prod.state_count))}
+                  if any(marking[q] == pmarking[q2] and labels[q] == plabels[q2]
+                         and safe_subset(delta, q, pdelta, q2, nsym)
+                         for q2 in range(len(plabels)))}
         delta = {(src, x): dst for (src, x), dst in delta.items()
                  if src not in doomed and dst not in doomed}
-    ab = minimize_floating(FloatingAutomaton(ctx.alphabet, len(labels), delta, labels,
-                                             chain.rlta, marking=marking, names=names))
+    delta, names, groups = minimize_tables(delta, labels, marking, names, nsym)
     new_states = []
     covered = set()
-    for members in max_accepting_sccs(ab):
-        sub = restrict_floating(ab, members)
+    for members in groups:
+        sub = restrict_tables(ctx.alphabet, chain.rlta, delta, labels, names, members)
         for (gid, sub_state) in recurse_build(sub, i + 1, chain, acc):
-            new_states.append((gid, sub.marking[sub_state]))
-        covered.update(ab.marking[q] for q in members)
+            new_states.append((gid, marking[members[sub_state]]))
+        covered.update(marking[q] for q in members)
     for qc in range(ctx.state_count):
         if qc not in covered:
             new_states.append((acc.new_state(ctx.state_name(qc)), qc))

@@ -4,9 +4,11 @@ A floating automaton keeps only safe (accepting) transitions: a partial
 deterministic transition function, plus a label per state tying it to a
 residual language tracker.  A word is accepted when, after some prefix, an
 infinite run exists from a state labeled with the tracker state the prefix
-reaches.  Minimization modulo a marking, products, restrictions and
-safe-language comparisons of floating automata are the building blocks of
-the rerailing-automaton construction.
+reaches.  Minimization, products, restrictions and safe-language
+comparisons are the building blocks of the rerailing-automaton construction;
+they work on plain transition tables, so that the construction can mark the
+states of a product with those of its context and build a checked automaton
+only for each context it recurses into.
 """
 
 from __future__ import annotations
@@ -19,29 +21,24 @@ from .scc import reachable, scc_decomposition
 
 
 class FloatingAutomaton:
-    """Partial deterministic automaton with residual labels and optional marks."""
+    """Partial deterministic automaton with residual labels and optional names."""
 
-    def __init__(self, alphabet, state_count, delta, labels, rlta,
-                 marking=None, names=None):
+    def __init__(self, alphabet, state_count, delta, labels, rlta, names=None):
         self.alphabet = alphabet
         self.state_count = state_count
         self.delta = dict(delta)
         self.labels = list(labels)
         self.rlta = rlta
-        self.marking = list(marking) if marking is not None else None
         self.names = list(names) if names is not None else None
         if len(self.labels) != state_count:
             raise ValueError("need one residual label per state")
         for q, lab in enumerate(self.labels):
             if not 0 <= lab < rlta.state_count:
                 raise SiteError("residual label %r outside the tracker" % (lab,), "label", q)
-        if self.marking is not None and len(self.marking) != state_count:
-            raise ValueError("need one marking per state when marked")
         if self.names is not None and len(self.names) != state_count:
             raise ValueError("need one name per state when named")
         for name in self.names or ():
             _check_name(name)
-        mark_step = {}
         for (src, sym), dst in self.delta.items():
             if not (0 <= src < state_count and 0 <= dst < state_count
                     and 0 <= sym < len(alphabet)):
@@ -50,11 +47,6 @@ class FloatingAutomaton:
             if self.labels[dst] != rlta.step(self.labels[src], sym):
                 raise SiteError("label of state %d breaks tracker compatibility on symbol %s"
                                 % (dst, alphabet.symbols[sym]), "trans", src, sym, dst)
-            if self.marking is not None:
-                key = (self.marking[src], sym)
-                want = self.marking[dst]
-                if mark_step.setdefault(key, want) != want:
-                    raise ValueError("markings do not progress deterministically at %r" % (key,))
 
     def step(self, state, symbol):
         return self.delta.get((state, symbol))
@@ -65,12 +57,6 @@ class FloatingAutomaton:
     def state_name(self, state):
         return str(state) if self.names is None else self.names[state]
 
-    def adjacency(self):
-        adj = [[] for _ in range(self.state_count)]
-        for (src, _sym), dst in self.delta.items():
-            adj[src].append(dst)
-        return adj
-
     def __eq__(self, other):
         if not isinstance(other, FloatingAutomaton):
             return NotImplemented
@@ -78,7 +64,6 @@ class FloatingAutomaton:
                 and self.state_count == other.state_count
                 and self.transitions() == other.transitions()
                 and self.labels == other.labels
-                and self.marking == other.marking
                 and self.rlta == other.rlta)
 
     def __repr__(self):
@@ -241,7 +226,23 @@ def _merge_names(a, b):
 
 
 def minimize_floating(f):
-    """Smallest floating automaton with the same language and marking behavior.
+    """Smallest floating automaton with the same language (see `minimize_tables`)."""
+    delta, names, groups = minimize_tables(f.delta, f.labels, None,
+                                           [f.state_name(q) for q in range(f.state_count)],
+                                           len(f.alphabet))
+    return restrict_tables(f.alphabet, f.rlta, delta, f.labels, names,
+                           sorted(q for members in groups for q in members))
+
+
+def minimize_tables(delta, labels, marking, names, nsym):
+    """Minimize a floating automaton given as tables, modulo an optional marking.
+
+    `delta` maps (state, symbol) to a state, and `labels`, `names` and
+    `marking` (or None) hold one entry per state.  Returns the kept
+    transitions, the names (merged states join theirs) and the surviving
+    states grouped by SCC: each group sorted, the groups by least member.
+    The survivors keep their numbers; every kept transition runs inside a
+    group, and every survivor lies on a cycle.
 
     Each round runs one SCC pass over the current transitions.  It drops
     every state on no cycle and every transition between SCCs: a run
@@ -257,11 +258,9 @@ def minimize_floating(f):
     states, and deleting a state that such an escape path runs through would
     lose words.  Rounds stop when no action applies.
     """
-    n = f.state_count
-    nsym = len(f.alphabet)
-    delta = dict(f.delta)
-    names = [f.state_name(q) for q in range(n)]
-    keys = [(f.labels[q], None if f.marking is None else f.marking[q]) for q in range(n)]
+    n = len(labels)
+    names = list(names)
+    keys = [(labels[q], None if marking is None else marking[q]) for q in range(n)]
 
     def subset(q, q2):
         return safe_subset(delta, q, delta, q2, nsym)
@@ -295,15 +294,15 @@ def minimize_floating(f):
         delta = {(src, x): q if dst == q2 else dst for (src, x), dst in delta.items()
                  if src != q2}
         names[q] = _merge_names(names[q], names[q2])
-    kept = FloatingAutomaton(f.alphabet, n, delta, f.labels, f.rlta,
-                             marking=f.marking, names=names)
-    return restrict_floating(kept, alive)
+    groups = {}
+    for q in alive:                     # each group opens at its least member
+        groups.setdefault(comp[q], []).append(q)
+    return delta, names, list(groups.values())
 
 
-def product_floating(f1, f2):
-    """Intersection: label-equal pairs with componentwise moves, marked by the first."""
-    if f1.alphabet != f2.alphabet or f1.rlta != f2.rlta:
-        raise ValueError("product needs a common alphabet and tracker")
+def product_tables(f1, f2):
+    """Intersection as (delta, labels, marking, names): label-equal pairs with
+    componentwise moves, each marked by its state of `f1`."""
     states = [(q1, q2) for q1 in range(f1.state_count) for q2 in range(f2.state_count)
               if f1.labels[q1] == f2.labels[q2]]
     index = {pair: i for i, pair in enumerate(states)}
@@ -320,31 +319,18 @@ def product_floating(f1, f2):
         head = f1.state_name(q1)
         tail = f2.state_name(q2)
         names.append("%s,%s" % (head, tail) if head else tail)
-    return FloatingAutomaton(f1.alphabet, len(states), delta, labels, f1.rlta,
-                             marking=[q1 for (q1, _q2) in states], names=names)
+    return delta, labels, [q1 for (q1, _q2) in states], names
 
 
-def restrict_floating(f, states):
-    """Sub-automaton on a state subset with only internal transitions."""
-    order = sorted(set(states))
-    renum = {q: i for i, q in enumerate(order)}
-    delta = {(renum[src], x): renum[dst] for (src, x), dst in f.delta.items()
-             if src in renum and dst in renum}
-    marking = [f.marking[q] for q in order] if f.marking is not None else None
-    return FloatingAutomaton(f.alphabet, len(order), delta,
-                             [f.labels[q] for q in order], f.rlta,
-                             marking=marking, names=[f.state_name(q) for q in order])
-
-
-def max_accepting_sccs(f):
-    """Member tuples of the safe-transition SCCs that hold a cycle, ordered by smallest state."""
-    adj = f.adjacency()
-    comp = scc_decomposition(f.state_count, adj)
-    groups = {}
-    for q in range(f.state_count):      # each group opens at its least member
-        if any(comp[d] == comp[q] for d in adj[q]):
-            groups.setdefault(comp[q], []).append(q)
-    return [tuple(members) for members in groups.values()]
+def restrict_tables(alphabet, rlta, delta, labels, names, states):
+    """Checked floating automaton on the sorted `states` of the tables, with
+    only the transitions between them; state k is `states[k]`."""
+    renum = {q: i for i, q in enumerate(states)}
+    return FloatingAutomaton(alphabet, len(states),
+                             {(renum[src], x): renum[dst] for (src, x), dst in delta.items()
+                              if src in renum and dst in renum},
+                             [labels[q] for q in states], rlta,
+                             names=[names[q] for q in states])
 
 
 def serialize_floating_chain(fchain):

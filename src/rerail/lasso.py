@@ -362,9 +362,7 @@ class LassoSweep:
         for (q, j, a, u) in cycle_sets:
             yield (q, m + j), a, u
         succ = self.aut.successors
-        reached = [self._reached[()]]       # reached[k] = R(stem[:k]), walked once
-        for x in stem[:-1]:
-            reached.append(frozenset(dst for q in reached[-1] for (dst, _c) in succ(q, x)))
+        reached = [self._states_after(stem[:k]) for k in range(m)]   # R(stem[:k]), one step each
         # backward pass along the stem, from the entry nodes of the cycle
         later = {q: (a, u) for (q, j, a, u) in cycle_sets if j == 0}
         for k in range(m - 1, -1, -1):

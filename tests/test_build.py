@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from rerail import build
 from rerail.build import (BuildState, build_minimal, check_color_homogeneous,
                           minimize_rerailing, recurse_build, verify_rerailing_bounded)
 from rerail.cobuchi import Rlta, decompose_rerailing
-from rerail.floating import level0_floating
+from rerail.floating import FloatingAutomaton, level0_floating, residualize_chain
 from rerail.lasso import (LassoWord, bounded_equivalence, enumerate_lassos,
                           member_rerailing, membership_function)
 from rerail.raf import (Alphabet, AutomatonStructure, parse_automaton,
@@ -111,6 +112,31 @@ def test_recursion_depth_guard(uniform_flochain):
     ctx = level0_floating(uniform_flochain.rlta)
     with pytest.raises(RuntimeError, match="weakly falling"):
         recurse_build(ctx, 5, uniform_flochain, BuildState())
+
+
+def test_rebuild_builds_one_floating_automaton_per_call(monkeypatch):
+    # the tables of a recursion step become a checked automaton only as the
+    # context of a call: level 0 for the top call, one SCC for every other
+    rng = random.Random(23)
+    chains = [residualize_chain(decompose_rerailing(oracles.random_dpw(rng, 3 + k % 5, 2, 3)))
+              for k in range(30)]
+    counts = {"built": 0, "calls": 0}
+    init, recurse = FloatingAutomaton.__init__, build.recurse_build
+
+    def counting_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_recurse(*args):
+        counts["calls"] += 1
+        return recurse(*args)
+
+    monkeypatch.setattr(FloatingAutomaton, "__init__", counting_init)
+    monkeypatch.setattr(build, "recurse_build", counting_recurse)
+    for fchain in chains:
+        build_minimal(fchain)
+    assert counts["calls"] > 2 * len(chains)
+    assert counts["built"] == counts["calls"]
 
 
 def test_minimize_universal_and_empty():

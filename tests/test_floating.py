@@ -5,10 +5,9 @@ import pytest
 from rerail.cobuchi import (CoBuchiAutomaton, Rlta, decompose_rerailing,
                             residual_tracking_single)
 from rerail.floating import (FloatingAutomaton, FloatingChain, cobuchi_reading,
-                             level0_floating, max_accepting_sccs,
-                             minimize_floating, parse_floating_chain,
-                             product_floating, residualize, residualize_chain,
-                             restrict_floating, safe_subset,
+                             level0_floating, minimize_floating, minimize_tables,
+                             parse_floating_chain, product_tables, residualize,
+                             residualize_chain, restrict_tables, safe_subset,
                              serialize_floating_chain)
 from rerail.lasso import enumerate_lassos, membership_function, parse_lasso
 from rerail.raf import Alphabet, RafError
@@ -34,6 +33,12 @@ def eventually_only(alphabet, symbols):
     delta = {(0, alphabet.index(s)): 0 for s in symbols}
     return FloatingAutomaton(alphabet, 1, delta, [0], rlta)
 
+
+def product_automaton(f1, f2):
+    """The product tables of `f1` and `f2` as one automaton, and its marking."""
+    delta, labels, marking, names = product_tables(f1, f2)
+    return FloatingAutomaton(f1.alphabet, len(labels), delta, labels, f1.rlta,
+                             names=names), marking
 
 
 @pytest.mark.parametrize("name", ["q#1", "a\nb"])
@@ -76,14 +81,6 @@ def test_validation_tracker_compatibility():
     assert ok.step(1, 0) == 0
 
 
-def test_validation_marking_determinism():
-    rlta = trivial_rlta(Alphabet(("a",)))
-    with pytest.raises(ValueError, match="markings"):
-        FloatingAutomaton(Alphabet(("a",)), 3,
-                          {(0, 0): 1, (2, 0): 0}, [0, 0, 0], rlta,
-                          marking=[0, 1, 0])
-
-
 def test_accessors():
     f = eventually_only(AB, "ab")
     assert f.step(0, 0) == 0
@@ -91,7 +88,6 @@ def test_accessors():
     g = eventually_only(AB, "a")
     assert g.step(0, 1) is None
     assert g.transitions() == [(0, 0, 0)]
-    assert g.adjacency() == [[0]]
     assert g != f
     assert g == eventually_only(AB, "a")
 
@@ -237,21 +233,18 @@ def test_minimize_drops_dominated_and_acyclic():
 
 
 def test_minimize_respects_markings():
-    rlta = trivial_rlta(Alphabet(("a",)))
-    f = FloatingAutomaton(Alphabet(("a",)), 2, {(0, 0): 0, (1, 0): 1},
-                          [0, 0], rlta, marking=[5, 7])
-    out = minimize_floating(f)
-    assert out.state_count == 2
-    assert out.marking == [5, 7]
+    # unmarked, the two equal states merge; marked apart, both stay
+    delta = {(0, 0): 0, (1, 0): 1}
+    assert minimize_tables(delta, [0, 0], None, ["p", "q"], 1) == ({(0, 0): 0}, ["p/q", "q"],
+                                                                  [[0]])
+    assert minimize_tables(delta, [0, 0], [5, 7], ["p", "q"], 1) == (delta, ["p", "q"],
+                                                                    [[0], [1]])
 
 
 def test_minimize_removes_cross_component_transitions():
-    rlta = trivial_rlta(AB)
-    f = FloatingAutomaton(AB, 2, {(0, 0): 0, (0, 1): 1, (1, 0): 1},
-                          [0, 0], rlta, marking=[1, 2])
-    out = minimize_floating(f)
-    assert out.state_count == 2
-    assert out.transitions() == [(0, 0, 0), (1, 0, 1)]
+    delta = {(0, 0): 0, (0, 1): 1, (1, 0): 1}
+    assert minimize_tables(delta, [0, 0], [1, 2], ["p", "q"], 2) == (
+        {(0, 0): 0, (1, 0): 1}, ["p", "q"], [[0], [1]])
 
 
 def test_minimize_dominated_state_behind_bridge():
@@ -273,8 +266,9 @@ def test_minimize_dominated_state_behind_bridge():
 def test_minimize_random_residuals_and_products():
     # Residualized random co-Buchi levels over 1- and 2-state trackers, with
     # deterministic and nondeterministic accepting parts (the grouped subset
-    # seeding), and the marked products of each pair of levels: minimization
-    # is a fixpoint, never grows and keeps the floating language.
+    # seeding), and the products of each pair of levels: minimization is a
+    # fixpoint, never grows and keeps the floating language, also modulo a
+    # product's marking.
     rng = random.Random(4)
     lassos = list(enumerate_lassos(2, 3, 3))
     cases = []
@@ -287,57 +281,55 @@ def test_minimize_random_residuals_and_products():
                     else Rlta(level.alphabet, 2,
                               [(0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0)], 0))
             pair.append(residualize(level, rlta))
-        cases += pair + [product_floating(pair[0], pair[1]),
-                         product_floating(pair[1], pair[0])]
-    assert any("+" in name for f in cases for name in f.names)
-    for f in cases:
+        cases += [(f, None) for f in pair] + [product_automaton(pair[0], pair[1]),
+                                              product_automaton(pair[1], pair[0])]
+    assert any("+" in name for (f, _marking) in cases for name in f.names)
+    for (f, marking) in cases:
         small = minimize_floating(f)
         assert minimize_floating(small) == small
         assert small.state_count <= f.state_count
         for w in lassos:
             assert oracles.floating_member(small, w) == oracles.floating_member(f, w)
+        if marking is not None:
+            delta, names, groups = minimize_tables(f.delta, f.labels, marking, f.names,
+                                                   len(f.alphabet))
+            marked = restrict_tables(f.alphabet, f.rlta, delta, f.labels, names,
+                                     sorted(q for members in groups for q in members))
+            for w in lassos:
+                assert oracles.floating_member(marked, w) == oracles.floating_member(f, w)
 
 
 def test_product_intersects(uniform_flochain):
     f2, f3 = uniform_flochain.level(2), uniform_flochain.level(3)
-    both = product_floating(f2, f3)
+    both, marking = product_automaton(f2, f3)
     assert both.state_count == f2.state_count * f3.state_count
-    assert both.marking == [q1 for q1 in range(f2.state_count)
-                            for _ in range(f3.state_count)]
+    assert marking == [q1 for q1 in range(f2.state_count) for _ in range(f3.state_count)]
     member_both, member2, member3 = (bind_floating(f) for f in (both, f2, f3))
     for w in enumerate_lassos(4, 2, 2):
         assert member_both(w) == (member2(w) and member3(w))
 
 
-def test_product_requires_shared_tracker():
-    with pytest.raises(ValueError):
-        product_floating(eventually_only(AB, "a"), eventually_only(ABCD, "a"))
-
-
 def test_restrict(uniform_chain, uniform_flochain):
     f1 = residualize(uniform_chain.level(1), uniform_flochain.rlta)
-    only = restrict_floating(f1, {0})
+    only = restrict_tables(f1.alphabet, f1.rlta, f1.delta, f1.labels, f1.names, [0])
     assert only.state_count == 1
     assert only.transitions() == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
     assert only.labels == [0]
 
 
-def test_max_accepting_sccs(uniform_chain, uniform_flochain):
-    f1 = residualize(uniform_chain.level(1), uniform_flochain.rlta)
-    assert max_accepting_sccs(f1) == [(0,), (1,)]
-    f2 = residualize(uniform_chain.level(2), uniform_flochain.rlta)
-    assert max_accepting_sccs(f2) == [(0, 1), (2,)]
-
-
-def test_max_accepting_sccs_match_transitive_closure():
-    # oracle: the states with a path back to themselves, grouped by mutual
-    # reachability under a Warshall closure, the groups by least member
+def test_minimize_groups_match_transitive_closure():
+    # With a distinct marking per state nothing is dropped or merged, so the
+    # groups are the SCCs holding a cycle.  Oracle: the states with a path
+    # back to themselves, grouped by mutual reachability under a Warshall
+    # closure, the groups by least member.
     rng = random.Random(19)
     for _ in range(80):
         n = 1 + rng.randrange(7)
         delta = {(q, x): rng.randrange(n) for q in range(n) for x in range(len(AB))
                  if rng.random() < 0.6}
-        f = FloatingAutomaton(AB, n, delta, [0] * n, trivial_rlta(AB))
+        names = [str(q) for q in range(n)]
+        kept, kept_names, groups = minimize_tables(delta, [0] * n, list(range(n)), names, 2)
+        assert kept_names == names
         path = [[False] * n for _ in range(n)]
         for (q, _x), r in delta.items():
             path[q][r] = True
@@ -348,7 +340,9 @@ def test_max_accepting_sccs_match_transitive_closure():
         on_cycle = [q for q in range(n) if path[q][q]]
         classes = sorted({tuple(r for r in on_cycle if path[q][r] and path[r][q])
                           for q in on_cycle})
-        assert max_accepting_sccs(f) == classes
+        assert [tuple(members) for members in groups] == classes
+        assert kept == {(q, x): r for (q, x), r in delta.items()
+                        if path[q][r] and path[r][q]}
 
 
 def test_floating_chain_roundtrip(uniform_flochain):
