@@ -317,6 +317,16 @@ def test_restrict(uniform_chain, uniform_flochain):
     assert only.labels == [0]
 
 
+def test_minimize_groups_on_residual_levels(uniform_chain, uniform_flochain):
+    # a distinct marking per state keeps every state, so the groups are the
+    # residualized levels' SCCs holding a cycle, by least member
+    for level, groups in ((1, [[0], [1]]), (2, [[0, 1], [2]])):
+        f = residualize(uniform_chain.level(level), uniform_flochain.rlta)
+        n = f.state_count
+        assert minimize_tables(f.delta, f.labels, list(range(n)), f.names,
+                               len(f.alphabet))[2] == groups
+
+
 def test_minimize_groups_match_transitive_closure():
     # With a distinct marking per state nothing is dropped or merged, so the
     # groups are the SCCs holding a cycle.  Oracle: the states with a path
