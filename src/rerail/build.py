@@ -127,7 +127,11 @@ def recurse_build(ctx, i, chain, acc):
 
 
 def build_minimal(chain):
-    """Minimal rerailing automaton for the language of a floating chain."""
+    """Minimal rerailing automaton for the language of a floating chain.
+
+    Needs levels in the normalized form `residualize_chain` returns, each an
+    output of `minimize_floating`; from others it keeps the language, not minimality.
+    """
     acc = BuildState()
     pairs = recurse_build(level0_floating(chain.rlta), 1, chain, acc)
     initial = min(gid for (gid, s) in pairs if s == chain.rlta.initial)

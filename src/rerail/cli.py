@@ -96,7 +96,10 @@ def cmd_build_min(args):
     obj = _load_any(args.chain)
     if isinstance(obj, cobuchi.Chain):
         obj = floating.residualize_chain(obj)
-    if not isinstance(obj, floating.FloatingChain):
+    elif isinstance(obj, floating.FloatingChain):
+        # a flochain file need not hold the normalized levels build_minimal relies on
+        obj = floating.FloatingChain(obj.rlta, map(floating.minimize_floating, obj.levels))
+    else:
         raise ValueError("%s: expected a 'cocoa 1' or 'flochain 1' file" % args.chain)
     aut = build_mod.build_minimal(obj)
     _write_text(args.output, serialize_automaton(aut))

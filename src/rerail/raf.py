@@ -84,7 +84,8 @@ class AutomatonStructure:
 
     Transitions are stored as a sorted tuple of (src, symbol, dst, color)
     quadruples with symbols given by alphabet index.  A (src, symbol, dst)
-    triple may appear with at most one color.
+    triple may appear with at most one color.  `transitions`, any iterable, is
+    walked once, and an error names the first faulty transition in input order.
     """
 
     def __init__(self, alphabet, state_count, transitions, initial, state_names=None):
@@ -96,18 +97,22 @@ class AutomatonStructure:
         self.state_count = state_count
         self.initial = initial
         nsym = len(alphabet)
-        transitions = list(transitions)         # walked again when a check fails
         seen = {}
         setdefault = seen.setdefault
         for (src, sym, dst, color) in transitions:
-            if setdefault((src, sym, dst), color) != color:
-                _raise_first_fault(transitions, state_count, nsym)
-        srcs, syms, dsts = tuple(zip(*seen)) or ((), (), ())
-        ends = srcs + dsts
-        if ends and (min(ends) < 0 or max(ends) >= state_count or min(syms) < 0
-                     or max(syms) >= nsym or min(seen.values()) < 0):
-            _raise_first_fault(transitions, state_count, nsym)
-        self.transitions = tuple(sorted(zip(srcs, syms, dsts, seen.values())))
+            if not 0 <= src < state_count or not 0 <= dst < state_count:
+                fault = "transition endpoint out of range: %r"
+            elif not 0 <= sym < nsym:
+                fault = "symbol index out of range: %r"
+            elif color < 0:
+                fault = "negative color: %r"
+            elif setdefault((src, sym, dst), color) == color:
+                continue
+            else:
+                raise SiteError("conflicting colors for transition %r" % ((src, sym, dst),),
+                                "trans", src, sym, dst)
+            raise SiteError(fault % ((src, sym, dst, color),), "trans", src, sym, dst)
+        self.transitions = tuple(sorted(key + (c,) for key, c in seen.items()))
         if state_names is not None:
             state_names = dict(state_names)
             stray = sorted(q for q in state_names if not 0 <= q < state_count)
@@ -165,21 +170,6 @@ def _check_name(name):
     """Refuse a state name that a `name` line cannot carry: `#` or a line break."""
     if "#" in name or name.splitlines() not in ([], [name]):
         raise ValueError("state name %r holds '#' or a line break" % (name,))
-
-
-def _raise_first_fault(transitions, state_count, nsym):
-    """Raise the error of the first faulty transition, in order, with that transition as site."""
-    seen = {}
-    for (src, sym, dst, color) in transitions:
-        t = (src, sym, dst, color)
-        if not 0 <= src < state_count or not 0 <= dst < state_count:
-            raise SiteError("transition endpoint out of range: %r" % (t,), "trans", *t[:3])
-        if not 0 <= sym < nsym:
-            raise SiteError("symbol index out of range: %r" % (t,), "trans", *t[:3])
-        if color < 0:
-            raise SiteError("negative color: %r" % (t,), "trans", *t[:3])
-        if seen.setdefault(t[:3], color) != color:
-            raise SiteError("conflicting colors for transition %r" % (t[:3],), "trans", *t[:3])
 
 
 def validate_complete(aut):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from rerail.floating import parse_floating_chain
 from rerail.raf import (Alphabet, AutomatonStructure, parse_automaton,
                         serialize_automaton)
 
+import oracles
 from conftest import data_path
 
 
@@ -90,14 +92,54 @@ def test_build_min_and_verify(tmp_path, capsys):
     assert capsys.readouterr().out == "rerailing property holds (stem<=2, cycle<=2)\n"
 
 
-def test_build_min_from_cocoa_matches_floating_route(tmp_path, capsys):
-    via_cocoa = str(tmp_path / "a.raf")
-    via_floating = str(tmp_path / "b.raf")
-    assert run_cli("build-min", "--chain", CHAIN3, "-o", via_cocoa) == 0
-    assert run_cli("build-min", "--chain", FLOCHAIN3, "-o", via_floating) == 0
+def _chain3_files(tmp_path):
+    return CHAIN3, FLOCHAIN3
+
+
+def _unnormalized_files(tmp_path):
+    """A DPW's chain, and its residualized levels left unminimized, which normalization shrinks."""
+    rng = random.Random(111)
+    chain = cobuchi_mod.decompose_rerailing(
+        oracles.random_dpw(rng, rng.randint(3, 6), 2, rng.randint(1, 4)))
+    rlta, _tuples = cobuchi_mod.build_rlta_chain(chain)
+    fchain = floating_mod.FloatingChain(
+        rlta, [floating_mod.residualize(a, rlta) for a in chain.levels])
+    (tmp_path / "in.chain").write_text(cobuchi_mod.serialize_chain(chain))
+    (tmp_path / "in.flochain").write_text(floating_mod.serialize_floating_chain(fchain))
+    return str(tmp_path / "in.chain"), str(tmp_path / "in.flochain")
+
+
+@pytest.mark.parametrize("chain_files", [_chain3_files, _unnormalized_files],
+                         ids=["chain3", "unnormalized"])
+def test_build_min_from_cocoa_matches_floating_route(tmp_path, capsys, chain_files):
+    cocoa, flochain = chain_files(tmp_path)
+    via_cocoa = tmp_path / "a.raf"
+    via_floating = tmp_path / "b.raf"
+    assert run_cli("build-min", "--chain", cocoa, "-o", str(via_cocoa)) == 0
+    assert run_cli("build-min", "--chain", flochain, "-o", str(via_floating)) == 0
     capsys.readouterr()
-    assert run_cli("equiv", "-a", via_cocoa, "-b", via_floating,
+    assert via_cocoa.read_text() == via_floating.read_text()
+    assert run_cli("equiv", "-a", str(via_cocoa), "-b", str(via_floating),
                    "--bound-stem", "2", "--bound-cycle", "2") == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["minimize", "-i", CHAIN3, "-o"], "%s: expected an automaton file ('raf 1')" % CHAIN3),
+    (["rlta", "--chain", MINIMAL5, "-o"], "%s: expected a 'cocoa 1' chain file" % MINIMAL5),
+    (["build-min", "--chain", MINIMAL5, "-o"],
+     "%s: expected a 'cocoa 1' or 'flochain 1' file" % MINIMAL5),
+])
+def test_command_refuses_the_wrong_kind_of_file(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, str(out)) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+def test_equiv_refuses_two_alphabets(capsys):
+    assert run_cli("equiv", "-a", MINIMAL5, "-b", str(data_path("hd_cobuchi5.raf"))) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: operands use different alphabets\n")
 
 
 def test_minimize_idempotent_files(tmp_path, capsys):

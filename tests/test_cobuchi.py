@@ -510,6 +510,11 @@ def test_inclusion_tiny():
     assert (0, 0) not in inclusion_table(u, e)
 
 
+def test_inclusion_needs_a_common_alphabet():
+    with pytest.raises(ValueError, match="^inclusion needs a common alphabet$"):
+        inclusion_table(universal(), universal(ABCD))
+
+
 def test_inclusion_classes_on_hd_example(hd5):
     level = CoBuchiAutomaton(hd5.alphabet, hd5.state_count, hd5.transitions, hd5.initial)
     table = inclusion_table(level, level)

@@ -69,6 +69,8 @@ def test_validation_label_count():
         FloatingAutomaton(AB, 2, {}, [0], trivial_rlta(AB))
     with pytest.raises(ValueError):
         FloatingAutomaton(AB, 1, {}, [3], trivial_rlta(AB))
+    with pytest.raises(ValueError, match="^need one name per state when named$"):
+        FloatingAutomaton(AB, 2, {}, [0, 0], trivial_rlta(AB), names=["x"])
 
 
 def test_validation_tracker_compatibility():

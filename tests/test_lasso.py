@@ -308,6 +308,11 @@ def test_bounded_equivalence_counterexample():
     assert witness == LassoWord((), (0,))
 
 
+def test_bounded_equivalence_needs_a_common_alphabet(minimal5, hd5):
+    with pytest.raises(ValueError, match="^operands use different alphabets$"):
+        bounded_equivalence(minimal5, "rerailing", hd5, "rerailing", 2, 2)
+
+
 def test_enumerate_lassos_rejects_empty_bounds():
     with pytest.raises(ValueError, match="lasso bounds"):
         enumerate_lassos(2, 2, 0)

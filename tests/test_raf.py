@@ -69,6 +69,9 @@ def test_structure_validation():
     ([(0, 0, 1, 1), (0, 0, 1, 1), (1, 5, 0, 1), (-1, 0, 0, 0)],
      "symbol index out of range: (1, 5, 0, 1)"),
     ([(1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 1, 3)], "conflicting colors for transition (1, 1, 1)"),
+    ([[0, 0, 1, 1], [0, 1, 7, 1]], "transition endpoint out of range: (0, 1, 7, 1)"),
+    ([[1, 0, 0, 2], [1, 0, 0, 3]], "conflicting colors for transition (1, 0, 0)"),
+    (iter([(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 1, -2)]), "negative color: (1, 1, 1, -2)"),
 ])
 def test_structure_reports_first_fault(transitions, message):
     with pytest.raises(ValueError) as err:
