@@ -88,22 +88,16 @@ class ArenaBuilder:
         """Id of the vertex `key`, added with owner and color when new."""
         vid = self.ids.get(key)
         if vid is None:
-            vid = self.ids[key] = self.fresh(key, owner, color)
+            vid = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.owners.append(owner)
+            self.colors.append(color)
+            self.edges.append([])
         return vid
 
-    def fresh(self, key, owner, color):
-        """Id of a vertex `key` added without a lookup, for a key known to be new."""
-        self.keys.append(key)
-        self.owners.append(owner)
-        self.colors.append(color)
-        self.edges.append([])
-        return len(self.keys) - 1
-
-    def arena(self, initial=0, name=None):
-        """The finished arena, adopting sorted rows; `name(key)` names vertices on demand."""
-        keys = self.keys
-        names = None if name is None else lambda v: name(keys[v])
-        return GameArena(self.owners, self.colors, self.edges, initial, names)
+    def arena(self, initial=0):
+        """The finished arena, adopting sorted rows."""
+        return GameArena(self.owners, self.colors, self.edges, initial)
 
 
 def solve(arena):

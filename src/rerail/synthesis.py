@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .games import ArenaBuilder, solve
+from .games import GameArena, solve
 from .raf import Alphabet, complete_reachable_states
 
 
@@ -48,60 +48,75 @@ def build_realizability_game(r, io):
     Vertices: automaton states (system), state/output pairs (environment),
     and color classes of successors — system-owned on odd colors,
     environment-owned on even ones.  Class vertices carry their color; all
-    others the automaton's maximum color.  A reachable state without a move
-    on some symbol is a ValueError, for the environment could play it.  An
-    unreachable one may lack moves: each missing move leads to the empty
-    class {}:1, a system vertex looping on color 1, which the environment
-    wins.
+    others the automaton's maximum color.  State q is vertex q; then, state
+    by state and output by output, come the state/output vertex and each
+    class its moves meet first, in symbol order and within a move in color
+    order (the numbering `PINNED_ARENA_SHA256` in tests/test_synthesis.py
+    fixes).  A class is one vertex per (members, color), whichever move
+    leads to it.  A reachable state without a move on some symbol is a
+    ValueError, for the environment could play it.  An unreachable one may
+    lack moves: each missing move leads to the empty class {}:1, a system
+    vertex looping on color 1, which the environment wins.
     """
     if r.alphabet != io.combined:
         raise ValueError("specification alphabet must be the combined "
                          "input/output alphabet (input-major, '<in>|<out>' names)")
-    (top, nout, nsym) = (r.max_color, len(io.outputs), len(r.alphabet))
-
-    def name(key):
-        if key[0] == "q":
-            return r.state_name(key[1])
-        if key[0] == "y":
-            return "%s / %s" % (r.state_name(key[1]), io.outputs.symbols[key[2]])
-        (members, c) = key
-        return "{%s}:%d" % (",".join(r.state_name(m) for m in members), c)
-
-    builder = ArenaBuilder()
-    fresh, ids, edges, successors = builder.fresh, builder.ids, builder.edges, r.successors
-    for q in range(r.state_count):
-        fresh(("q", q), 0, top)           # state q is vertex q
+    (n, top, nout, nsym) = (r.state_count, r.max_color, len(io.outputs), len(r.alphabet))
+    # keys[v]: None for a state, q * nout + yi for a state/output vertex, the key of a class
+    (owners, colors, rows, keys, ids) = ([0] * n, [top] * n, [None] * n, [None] * n, {})
     homogeneous = complete = True
-    for q in range(r.state_count):
-        for yi in range(nout):
-            out_id = fresh(("y", q, yi), 1, top)
-            edges[q].append(out_id)
-            row = edges[out_id]
-            for x in range(yi, nsym, nout):       # the symbols (xi, yi), input-major
-                pairs = successors(q, x)          # sorted by target
-                if len(pairs) == 1:
-                    ((dst, c),) = pairs
-                    classes = (((dst,), c),)
+    columns = [range(yi, nsym, nout) for yi in range(nout)]   # the symbols (xi, yi), input-major
+    for (q, moves) in enumerate(r._succ):           # moves[x]: (dst, color) pairs sorted by dst
+        rows[q] = out_ids = []
+        for (yi, column) in enumerate(columns):
+            out_ids.append(len(keys))
+            owners.append(1)
+            colors.append(top)
+            keys.append(q * nout + yi)
+            rows.append(row := [])
+            for x in column:
+                pairs = moves[x]
+                if len(pairs) == 1:               # a one-member class is keyed by its pair
+                    classes = pairs
                 elif not pairs:                   # no move: the empty class
                     complete = False
                     classes = (((), 1),)
-                else:                             # a class (members, color) per color
-                    colors = sorted({c for (_dst, c) in pairs})
-                    homogeneous = homogeneous and len(colors) < 2
-                    classes = [(tuple([d for (d, e) in pairs if e == c]), c) for c in colors]
+                else:
+                    (dsts, cs) = zip(*pairs)
+                    if cs.count(cs[0]) == len(cs):
+                        classes = ((dsts, cs[0]),)
+                    else:                         # a class per color, in color order
+                        homogeneous = False
+                        classes = [pairs[cs.index(c)] if cs.count(c) == 1 else
+                                   (tuple([d for (d, e) in pairs if e == c]), c)
+                                   for c in sorted(set(cs))]
                 for key in classes:
                     class_id = ids.get(key)
                     if class_id is None:
+                        class_id = ids[key] = len(keys)
                         (members, c) = key
-                        class_id = ids[key] = fresh(key, 0 if c % 2 else 1, c)
-                        edges[class_id].extend(members or [class_id])
+                        owners.append(0 if c % 2 else 1)
+                        colors.append(c)
+                        keys.append(key)
+                        rows.append([members] if type(members) is int
+                                    else list(members) or [class_id])
                     row.append(class_id)
     if not complete:                      # the environment must not be denied a move
         complete_reachable_states(r)
     if not homogeneous:
         warnings.warn("specification is not color-homogeneous; the game is built anyway "
                       "but the construction is only proven for color-homogeneous automata")
-    return builder.arena(initial=r.initial, name=name)
+
+    def name(v):
+        key = keys[v]
+        if key is None:
+            return r.state_name(v)
+        if type(key) is int:
+            return "%s / %s" % (r.state_name(key // nout), io.outputs.symbols[key % nout])
+        members = key[:1] if type(key[0]) is int else key[0]
+        return "{%s}:%d" % (",".join(r.state_name(m) for m in members), key[1])
+
+    return GameArena(owners, colors, rows, r.initial, name)
 
 
 def realizability(r, io):

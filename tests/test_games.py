@@ -85,11 +85,10 @@ def test_arena_builder():
     assert builder.vertex("a", 1, 5) == a          # repeated key: same id, unchanged
     builder.edges[b].append(a)
     builder.edges[a].append(b)
-    arena = builder.arena(initial=b, name=lambda key: str(key).upper())
+    arena = builder.arena(initial=b)
     assert (arena.owners, arena.colors, arena.edges) == ([0, 1], [2, 1], [[1], [0]])
     assert arena.initial == 1
-    assert [arena.vertex_name(v) for v in (0, 1)] == ["A", "('B', 1)"]
-    assert builder.arena().vertex_name(1) == "1"
+    assert [arena.vertex_name(v) for v in (0, 1)] == ["0", "1"]
 
 
 def test_dump_table():

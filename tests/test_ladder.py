@@ -1,4 +1,4 @@
-"""Smoke test of the scaling ladder script (scripts/ladder.py) on one tiny rung."""
+"""Smoke test of the scaling ladder script (scripts/ladder.py) on one tiny rung of each kind."""
 
 import json
 import os
@@ -27,6 +27,12 @@ def test_ladder_runs_one_rung_and_keeps_earlier_passes(tmp_path):
     [run] = rung["runs"]
     assert run["outcome"] == "ok" and run["seed"] == 8
     assert run["states"] >= 1 and run["wall_s"] > 0 and run["peak_rss_mb"] > 0
-    [late] = results["late"]["rungs"]
-    assert late["ok"] == 0 and [r["outcome"] for r in late["runs"]] == ["timeout"]
-    assert "wall_s" not in late
+    [realize] = results["ok"]["realize_rungs"]
+    assert (realize["n"], realize["ok"], realize["of"]) == (8, 1, 1)
+    [run] = realize["runs"]
+    assert run["outcome"] == "ok" and run["seed"] == 8
+    assert run["realizable"] in (True, False) and run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+    for key in ("rungs", "realize_rungs"):
+        [late] = results["late"][key]
+        assert late["ok"] == 0 and [r["outcome"] for r in late["runs"]] == ["timeout"]
+        assert "wall_s" not in late

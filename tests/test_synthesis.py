@@ -300,3 +300,35 @@ def test_warns_exactly_on_non_homogeneous_specs():
             with pytest.warns(UserWarning, match="not color-homogeneous"):
                 build_realizability_game(spec, io)
     assert seen == {True, False}
+
+
+def test_every_vertex_kind_of_a_named_arena():
+    """State, state/output and class vertices: one-member, shared, multi-member and empty."""
+    (idle, busy, done, lost) = range(4)
+    (rg, rw, ng, nw) = range(4)
+    spec = AutomatonStructure(RG_IO.combined, 4, [
+        (idle, rg, busy, 2), (idle, rg, done, 1),      # two one-member color classes
+        (idle, rw, idle, 2), (idle, ng, idle, 2), (idle, nw, idle, 2),
+        (busy, rg, busy, 2),                           # the class {busy}:2 of idle / g
+        (busy, rw, idle, 1), (busy, rw, done, 1),      # a two-member class
+        (busy, ng, idle, 2), (busy, nw, idle, 2),
+        (done, rg, idle, 2), (done, rw, done, 1),      # the class {done}:1 of idle / g
+        (done, ng, idle, 2), (done, nw, done, 1),
+        (lost, rg, idle, 2)], idle,                    # unreachable, three moves missing
+        state_names={idle: "idle", busy: "busy", done: "done", lost: "lost"})
+    with pytest.warns(UserWarning, match="not color-homogeneous"):
+        arena = build_realizability_game(spec, RG_IO)
+        assert realizability(spec, RG_IO)
+    names = [arena.vertex_name(v) for v in range(arena.vertex_count)]
+    assert names == [
+        "idle", "busy", "done", "lost", "idle / g", "{done}:1", "{busy}:2", "{idle}:2",
+        "idle / w", "busy / g", "busy / w", "{idle,done}:1", "done / g", "done / w",
+        "lost / g", "{}:1", "lost / w"]
+    assert len(set(names)) == len(names)
+    v = names.index
+    assert arena.edges[v("idle / g")] == [v("{done}:1"), v("{busy}:2"), v("{idle}:2")]
+    assert v("{busy}:2") in arena.edges[v("busy / g")]
+    assert arena.edges[v("done / w")] == [v("{done}:1")]
+    assert arena.edges[v("{idle,done}:1")] == [idle, done]
+    assert arena.edges[v("{}:1")] == [v("{}:1")]
+    assert [arena.owners[v(name)] for name in ("{done}:1", "{busy}:2", "{}:1")] == [0, 1, 0]
