@@ -86,6 +86,8 @@ class AutomatonStructure:
     quadruples with symbols given by alphabet index.  A (src, symbol, dst)
     triple may appear with at most one color.  `transitions`, any iterable, is
     walked once, and an error names the first faulty transition in input order.
+    `colors` is the sorted tuple of the colors used and `max_color` the
+    largest of them, 0 when there is no transition.
     """
 
     def __init__(self, alphabet, state_count, transitions, initial, state_names=None):
@@ -123,25 +125,39 @@ class AutomatonStructure:
             if len(set(state_names.values())) != len(state_names):
                 raise ValueError("state display names must be unique")
         self.state_names = state_names
-        succ = [[[] for _ in range(nsym)] for _ in range(state_count)]
+        self.colors = tuple(sorted(set(seen.values())))
+        self.max_color = self.colors[-1] if self.colors else 0
+        # Rows are tuples, which the cyclic collector stops tracking once it has
+        # seen them hold ints only.  A cell holds a 1-tuple until a second
+        # successor arrives, then a list, made a tuple once at the end.  The
+        # table itself stays a list: as small automata die, tuples of their
+        # state counts would fill the interpreter's tuple free lists.
+        succ = [[()] * nsym for _ in range(state_count)]
+        wide = []
         for (src, sym, dst, color) in self.transitions:
-            succ[src][sym].append((dst, color))
-        self._succ = succ
+            row = succ[src]
+            cell = row[sym]
+            if not cell:
+                row[sym] = ((dst, color),)
+            elif type(cell) is tuple:
+                row[sym] = [cell[0], (dst, color)]
+                wide.append((row, sym))
+            else:
+                cell.append((dst, color))
+        for (row, sym) in wide:
+            row[sym] = tuple(row[sym])
+        self._succ = list(map(tuple, succ))
 
     def successors(self, state, symbol):
-        """All (dst, color) pairs for the given state and symbol index."""
+        """All (dst, color) pairs for the given state and symbol index, sorted by dst.
+
+        The result is the automaton's own row, a read-only tuple shared by every
+        call; the constructor builds all rows in time linear in the transitions.
+        """
         return self._succ[state][symbol]
 
     def successor_states(self, state, symbol):
         return [dst for (dst, _c) in self._succ[state][symbol]]
-
-    @property
-    def max_color(self):
-        return max((c for (_s, _a, _d, c) in self.transitions), default=0)
-
-    @property
-    def colors(self):
-        return sorted({c for (_s, _a, _d, c) in self.transitions})
 
     def state_name(self, state):
         if self.state_names and state in self.state_names:

@@ -144,12 +144,12 @@ def test_minimize_universal_and_empty():
                                            (1, 0, 0, 0), (1, 1, 1, 0)], 0)
     out = minimize_rerailing(universal)
     assert out.state_count == 1
-    assert out.colors == [0]
+    assert out.colors == (0,)
     empty = AutomatonStructure(AB, 2, [(0, 0, 1, 1), (0, 1, 0, 1),
                                        (1, 0, 0, 1), (1, 1, 1, 1)], 0)
     out = minimize_rerailing(empty)
     assert out.state_count == 1
-    assert out.colors == [1]
+    assert out.colors == (1,)
 
 
 def test_minimize_bridged_level_scc():

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import sys
 import string
 import tracemalloc
 
@@ -36,11 +38,59 @@ def test_alphabet_rejects_duplicates():
 def test_structure_accessors():
     aut = small([(0, 0, 1, 2), (0, 1, 0, 1), (1, 0, 0, 0), (1, 1, 1, 3)])
     assert aut.successor_states(0, 0) == [1]
-    assert aut.successors(1, 1) == [(1, 3)]
+    assert aut.successors(1, 1) == ((1, 3),)
     assert aut.max_color == 3
-    assert aut.colors == [0, 1, 2, 3]
+    assert aut.colors == (0, 1, 2, 3)
     assert aut.state_name(1) == "1"
     assert aut.reachable_states() == {0, 1}
+
+
+def expected_rows(transitions, states, nsym):
+    """The successor table of distinct `transitions` built as lists: (dst, color) pairs by dst."""
+    rows = [[[] for _ in range(nsym)] for _ in range(states)]
+    for (src, sym, dst, color) in sorted(set(transitions)):
+        rows[src][sym].append((dst, color))
+    return rows
+
+
+@pytest.mark.parametrize("states, symbols, transitions", [
+    (3, ("a", "b"), [(q, x, (q + x) % 3, q) for q in range(3) for x in range(2)]),
+    (3, ("a", "b"), [(q, x, d, (q + d) % 3) for q in range(3) for x in range(2)
+                     for d in (2 - q, (q + x) % 3) if (q, x) != (1, 1)]),
+    (3000, ("a",), [(0, 0, d, d % 4) for d in range(2999, -1, -1)] * 2),
+], ids=["deterministic", "fanout-2", "wide-reversed"])
+def test_successor_rows_are_sorted_tuples_of_int_pairs(states, symbols, transitions):
+    aut = small(transitions, states=states, symbols=symbols)
+    assert [[list(row) for row in rows] for rows in aut._succ] == expected_rows(
+        transitions, states, len(symbols))
+    for q, rows in enumerate(aut._succ):
+        assert type(rows) is tuple
+        for x, row in enumerate(rows):
+            assert type(row) is tuple
+            assert all(type(pair) is tuple and type(pair[0]) is int and type(pair[1]) is int
+                       for pair in row)
+            assert aut.successors(q, x) is row
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's collector")
+def test_successor_rows_leave_the_collector():
+    """Rows hold ints only, so the collector stops tracking every state's row.
+
+    A full collection untracks a tuple whose items are untracked and, as it
+    meets a container before its items, one level of nesting at a time: the
+    pairs, the cells, then the states' rows.
+    """
+    aut = small([(0, 0, 1, 2), (0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 0), (1, 1, 1, 3)])
+    for _ in range(3):
+        gc.collect()
+    assert not any(gc.is_tracked(rows) for rows in aut._succ)
+
+
+def test_structure_without_transitions_has_no_colors():
+    aut = small([], states=3)
+    assert aut.colors == ()
+    assert aut.max_color == 0
+    assert aut._succ == [((), ())] * 3
 
 
 def test_structure_validation():
