@@ -159,8 +159,7 @@ def minimize_rerailing(aut):
 
 def check_color_homogeneous(aut):
     """Whether all outgoing transitions of each (state, symbol) share a color."""
-    moves = {(q, x, c) for (q, x, _dst, c) in aut.transitions}
-    return len(moves) == len({(q, x) for (q, x, _c) in moves})
+    return all(len({c for (_dst, c) in cell}) < 2 for row in aut._succ for cell in row)
 
 
 @dataclass(frozen=True)

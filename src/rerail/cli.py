@@ -160,7 +160,8 @@ def cmd_realizability(args):
 def _automaton_stats(aut, heading=None):
     prefix = "" if heading is None else heading + " "
     print("%sstates: %d" % (prefix, aut.state_count))
-    print("%stransitions: %d" % (prefix, len(aut.transitions)))
+    count = sum(len(cell) for row in aut._succ for cell in row)
+    print("%stransitions: %d" % (prefix, count))
     if heading is None:
         print("alphabet: %s" % " ".join(aut.alphabet.symbols))
         print("initial: %d" % aut.initial)
@@ -168,7 +169,7 @@ def _automaton_stats(aut, heading=None):
         print("colors: %s" % " ".join(str(c) for c in aut.colors))
         complete = not validate_complete(aut)
         # complete, so one transition per (state, symbol) exactly when deterministic
-        deterministic = complete and len(aut.transitions) == aut.state_count * len(aut.alphabet)
+        deterministic = complete and count == aut.state_count * len(aut.alphabet)
         print("complete: %s" % ("yes" if complete else "no"))
         print("deterministic: %s" % ("yes" if deterministic else "no"))
         print("color-homogeneous: %s"

@@ -142,8 +142,9 @@ def decompose_rerailing(aut):
         keep = {q: k for k, q in enumerate(sorted(reach))}
         names = {keep[q]: name for q, name in (aut.state_names or {}).items() if q in keep}
         aut = AutomatonStructure(aut.alphabet, len(keep),
-                                 [(keep[s], x, keep[d], c) for (s, x, d, c) in aut.transitions
-                                  if s in keep], keep[aut.initial], names or None)
+                                 [(k, x, keep[d], c) for s, k in keep.items()
+                                  for x, cell in enumerate(aut._succ[s]) for (d, c) in cell],
+                                 keep[aut.initial], names or None)
     relation = equireach_relation(aut)
     mates = [[] for _ in range(aut.state_count)]
     for (p, q) in sorted(relation):
@@ -151,12 +152,14 @@ def decompose_rerailing(aut):
     levels = []
     for i in range(1, aut.max_color + 1):
         colors = {}
-        for (src, sym, dst, color) in aut.transitions:
-            if color >= i:
-                colors[(src, sym, dst)] = 2
-            else:
-                for mate in mates[dst]:
-                    colors.setdefault((src, sym, mate), 1)
+        for src, row in enumerate(aut._succ):
+            for sym, cell in enumerate(row):
+                for (dst, color) in cell:
+                    if color >= i:
+                        colors[(src, sym, dst)] = 2
+                    else:
+                        for mate in mates[dst]:
+                            colors.setdefault((src, sym, mate), 1)
         levels.append(CoBuchiAutomaton(aut.alphabet, aut.state_count,
                                        [key + (c,) for key, c in colors.items()],
                                        aut.initial, aut.state_names))

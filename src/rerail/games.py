@@ -124,8 +124,7 @@ def solve(arena):
         for w in row:
             preds[w].append(v)
 
-    def attractor(targets, player, alive):
-        attr = set(targets)
+    def attractor(attr, player, alive):      # grows the caller's target set in place
         counts = {}
         queue = list(attr)
         for u in queue:

@@ -82,12 +82,12 @@ class Alphabet:
 class AutomatonStructure:
     """Complete-or-partial transition structure with colored transitions.
 
-    Transitions are stored as a sorted tuple of (src, symbol, dst, color)
-    quadruples with symbols given by alphabet index.  A (src, symbol, dst)
-    triple may appear with at most one color.  `transitions`, any iterable, is
-    walked once, and an error names the first faulty transition in input order.
-    `colors` is the sorted tuple of the colors used and `max_color` the
-    largest of them, 0 when there is no transition.
+    The moves are stored once, as successor rows that library code reads:
+    `_succ[src][symbol]` is the tuple of (dst, color) pairs of a state and symbol
+    index, sorted by dst.  A (src, symbol, dst) triple may appear with at most one
+    color.  `transitions`, any iterable, is walked once, and an error names the
+    first faulty transition in input order.  `colors` is the sorted tuple of the
+    colors used and `max_color` the largest of them, 0 when there is no transition.
     """
 
     def __init__(self, alphabet, state_count, transitions, initial, state_names=None):
@@ -114,7 +114,6 @@ class AutomatonStructure:
                 raise SiteError("conflicting colors for transition %r" % ((src, sym, dst),),
                                 "trans", src, sym, dst)
             raise SiteError(fault % ((src, sym, dst, color),), "trans", src, sym, dst)
-        self.transitions = tuple(sorted(key + (c,) for key, c in seen.items()))
         if state_names is not None:
             state_names = dict(state_names)
             stray = sorted(q for q in state_names if not 0 <= q < state_count)
@@ -129,12 +128,12 @@ class AutomatonStructure:
         self.max_color = self.colors[-1] if self.colors else 0
         # Rows are tuples, which the cyclic collector stops tracking once it has
         # seen them hold ints only.  A cell holds a 1-tuple until a second
-        # successor arrives, then a list, made a tuple once at the end.  The
-        # table itself stays a list: as small automata die, tuples of their
-        # state counts would fill the interpreter's tuple free lists.
+        # successor arrives, then a list, sorted by dst and made a tuple once at
+        # the end.  The table itself stays a list: as small automata die, tuples
+        # of their state counts would fill the interpreter's tuple free lists.
         succ = [[()] * nsym for _ in range(state_count)]
         wide = []
-        for (src, sym, dst, color) in self.transitions:
+        for (src, sym, dst), color in seen.items():
             row = succ[src]
             cell = row[sym]
             if not cell:
@@ -145,14 +144,21 @@ class AutomatonStructure:
             else:
                 cell.append((dst, color))
         for (row, sym) in wide:
-            row[sym] = tuple(row[sym])
+            row[sym] = tuple(sorted(row[sym]))
         self._succ = list(map(tuple, succ))
+
+    @property
+    def transitions(self):
+        """The sorted tuple of (src, symbol, dst, color) quadruples, derived from the
+        rows on each access and never stored; library code reads the rows instead."""
+        return tuple([(src, sym, dst, color) for src, row in enumerate(self._succ)
+                      for sym, cell in enumerate(row) for (dst, color) in cell])
 
     def successors(self, state, symbol):
         """All (dst, color) pairs for the given state and symbol index, sorted by dst.
 
         The result is the automaton's own row, a read-only tuple shared by every
-        call; the constructor builds all rows in time linear in the transitions.
+        call; the constructor builds all rows in one pass over the distinct transitions.
         """
         return self._succ[state][symbol]
 
@@ -175,11 +181,11 @@ class AutomatonStructure:
         return (self.alphabet == other.alphabet
                 and self.state_count == other.state_count
                 and self.initial == other.initial
-                and self.transitions == other.transitions)
+                and self._succ == other._succ)
 
     def __repr__(self):
         return "AutomatonStructure(states=%d, transitions=%d, initial=%d)" % (
-            self.state_count, len(self.transitions), self.initial)
+            self.state_count, sum(len(cell) for row in self._succ for cell in row), self.initial)
 
 
 def _check_name(name):
@@ -238,13 +244,9 @@ def _body_lines(aut, with_colors=True):
     if aut.state_names:
         for q in sorted(aut.state_names):
             out.append('name %d "%s"' % (q, aut.state_names[q]))
-    symbols = aut.alphabet.symbols
-    if with_colors:
-        out.extend("trans %d %s %d %d" % (src, symbols[sym], dst, color)
-                   for (src, sym, dst, color) in aut.transitions)
-    else:
-        out.extend("trans %d %s %d" % (src, symbols[sym], dst)
-                   for (src, sym, dst, _color) in aut.transitions)
+    form = "trans %d %s %d %d" if with_colors else "trans %d %s %d%.0s"   # %.0s drops the color
+    out.extend([form % (src, symbol, dst, color) for src, row in enumerate(aut._succ)
+                for symbol, cell in zip(aut.alphabet.symbols, row) for (dst, color) in cell])
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rerail.build import check_color_homogeneous
 from rerail.cobuchi import CoBuchiAutomaton, parse_chain, serialize_chain
 from rerail.floating import parse_floating_chain
 from rerail.raf import (MAX_STATES, Alphabet, AutomatonStructure, RafError, equireach_relation,
@@ -84,6 +85,85 @@ def test_successor_rows_leave_the_collector():
     for _ in range(3):
         gc.collect()
     assert not any(gc.is_tracked(rows) for rows in aut._succ)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's object sizes")
+def test_structure_keeps_one_table_of_moves():
+    """The moves are held once, as successor rows, with no stored 4-tuple per transition."""
+    rng = random.Random(7)
+    transitions = [(q, x, rng.randrange(4096), rng.randrange(4))
+                   for q in range(4096) for x in range(4)]
+    tracemalloc.start()
+    try:
+        aut = small(transitions, states=4096, symbols=("a", "b", "c", "d"))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "transitions" not in vars(aut)
+    assert held / len(transitions) <= 160
+
+
+def random_moves(rng, states, nsym, fanout, ncolors=4, cell_colored=False):
+    """Transitions with 1..fanout distinct targets per (state, symbol), each cell
+    of one color when `cell_colored`."""
+    moves = []
+    for q in range(states):
+        for x in range(nsym):
+            color = rng.randrange(ncolors)
+            for d in rng.sample(range(states), rng.randint(1, min(fanout, states))):
+                moves.append((q, x, d, color if cell_colored else rng.randrange(ncolors)))
+    return moves
+
+
+@pytest.mark.parametrize("fanout", [1, 2, 3])
+@pytest.mark.parametrize("order", ["shuffled", "reversed", "duplicated"])
+def test_transitions_view_is_the_sorted_distinct_quadruples(order, fanout):
+    rng = random.Random("%s-%d" % (order, fanout))
+    for _ in range(30):
+        states, nsym = rng.randint(1, 8), rng.randint(1, 3)
+        moves = random_moves(rng, states, nsym, fanout)
+        given = {"shuffled": rng.sample(moves, len(moves)), "reversed": moves[::-1],
+                 "duplicated": moves + rng.sample(moves, len(moves))}[order]
+        aut = small(given, states=states, symbols=("a", "b", "c")[:nsym])
+        assert aut.transitions == tuple(sorted(set(moves)))
+        assert [[list(row) for row in rows] for rows in aut._succ] == expected_rows(
+            moves, states, nsym)
+
+
+def test_equality_compares_the_moves_not_their_order():
+    rng = random.Random(27)
+    for _ in range(60):
+        states, nsym = rng.randint(4, 8), rng.randint(1, 3)
+        symbols = ("a", "b", "c")[:nsym]
+        moves = random_moves(rng, states, nsym, 3)
+        aut = small(moves, states=states, symbols=symbols)
+        assert aut == small(rng.sample(moves, len(moves)), states=states, symbols=symbols)
+        assert aut == small(moves + moves[::-1], states=states, symbols=symbols)
+        k = rng.randrange(len(moves))
+        (q, x, d, c) = moves[k]
+        free = [e for e in range(states) if (q, x, e) not in {m[:3] for m in moves}]
+        for changed in [(q, x, d, c + 1), (q, x, rng.choice(free), c)]:
+            other = moves[:k] + [changed] + moves[k + 1:]
+            assert set(other) != set(moves)
+            assert aut != small(other, states=states, symbols=symbols)
+        assert aut != small(moves, states=states + 1, symbols=symbols)
+
+
+def test_color_homogeneity_matches_a_check_over_transitions():
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(200):
+        states, nsym = rng.randint(1, 6), rng.randint(1, 3)
+        moves = random_moves(rng, states, nsym, 3, ncolors=rng.randint(1, 3),
+                             cell_colored=rng.random() < 0.5)
+        colors = {}
+        for (q, x, _d, c) in moves:
+            colors.setdefault((q, x), set()).add(c)
+        expected = all(len(cs) == 1 for cs in colors.values())
+        aut = small(rng.sample(moves, len(moves)), states=states, symbols=("a", "b", "c")[:nsym])
+        assert check_color_homogeneous(aut) == expected
+        verdicts.append(expected)
+    assert set(verdicts) == {True, False}
 
 
 def test_structure_without_transitions_has_no_colors():
