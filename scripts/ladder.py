@@ -1,7 +1,10 @@
 """Scaling ladder: `minimize_rerailing` and `realizability` on seeded inputs of growing size.
 
 A minimize run minimizes `random_dpw(Random(seed), n, 3, 3)` (from
-tests/oracles.py); a realize run decides `realizability` of a random
+tests/oracles.py); a split run minimizes the split of that DPW, in which
+each state q becomes 2q and 2q + 1 and every move goes to both copies of its
+target with its color, so its levels are nondeterministic and its letter
+games are parity games; a realize run decides `realizability` of a random
 deterministic, hence color-homogeneous, spec over 2 inputs and 2 outputs
 with REALIZE_SCALE * n states and colors 0..3, drawn from Random(seed).
 Each run is a child process of its own, under a 3 GiB address-space limit
@@ -20,14 +23,14 @@ runs the seeds n, n + 1, ... and reports per run the wall time of the
 minimization, the child's peak RSS and the output's state count, and per
 rung the median and maximum of wall time and peak RSS over its ok runs.
 A pass stores its minimize rungs under `rungs` and, next to them, its
-realize rungs (one per size n, with the same seeds) under `realize_rungs`;
+realize rungs under `realize_rungs` and its split rungs under `split_rungs`;
+each kind has its own sizes n (SIZES), which `--sizes` replaces for all, and
 a realize run reports the verdict in place of a state count.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -38,7 +41,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIZES = (20, 40, 80, 120, 200, 300, 400)
+SIZES = {"minimize": (20, 40, 80, 120, 200, 300, 400),
+         "realize": (20, 40, 80, 120, 200, 300, 400), "split": (10, 20, 40, 60, 80)}
 SYMBOLS = 3
 REALIZE_SCALE = 80          # states of a realize run per unit of n: 1,600 to 32,000
 LIMIT_BYTES = 3 << 30
@@ -50,6 +54,17 @@ def minimize_run(n, seed):
     from oracles import random_dpw
     from rerail.build import minimize_rerailing
     aut = random_dpw(random.Random(seed), n, SYMBOLS, 3)
+    start = time.perf_counter()
+    out = minimize_rerailing(aut)
+    return time.perf_counter() - start, {"states": out.state_count}
+
+
+def split_run(n, seed):
+    """The wall time of one minimization of a split DPW and the output's state count."""
+    import random
+    from oracles import random_dpw, split_states
+    from rerail.build import minimize_rerailing
+    aut = split_states(random_dpw(random.Random(seed), n, SYMBOLS, 3))
     start = time.perf_counter()
     out = minimize_rerailing(aut)
     return time.perf_counter() - start, {"states": out.state_count}
@@ -71,7 +86,7 @@ def realize_run(n, seed):
     return time.perf_counter() - start, {"realizable": verdict}
 
 
-RUNS = {"minimize": minimize_run, "realize": realize_run}
+RUNS = {"minimize": minimize_run, "realize": realize_run, "split": split_run}
 
 
 def child(src, kind, n, seed):
@@ -120,7 +135,8 @@ def main(argv=None):
     parser.add_argument("--label", default="after", help="key of this pass in the output")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory the children import rerail from")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--sizes", type=int, nargs="+",
+                        help="sizes n of every kind's rungs (default: each kind's own)")
     parser.add_argument("--seeds", type=int, default=3, help="seeds per rung")
     parser.add_argument("--timeout", type=float, default=120.0, help="seconds per run")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_ladder.json"))
@@ -132,14 +148,15 @@ def main(argv=None):
         child(src, args.child[0], int(args.child[1]), int(args.child[2]))
         return 0
     rungs = {kind: [] for kind in RUNS}
-    for (kind, n) in itertools.product(RUNS, args.sizes):
-        runs = []
-        for seed in range(n, n + args.seeds):
-            run = {"seed": seed}
-            run.update(run_one(src, kind, n, seed, args.timeout))
-            runs.append(run)
-            print("%s n=%d %s" % (kind, n, json.dumps(run)), file=sys.stderr, flush=True)
-        rungs[kind].append({"n": n, "runs": runs, **rung_summary(runs)})
+    for kind in RUNS:
+        for n in args.sizes or SIZES[kind]:
+            runs = []
+            for seed in range(n, n + args.seeds):
+                run = {"seed": seed}
+                run.update(run_one(src, kind, n, seed, args.timeout))
+                runs.append(run)
+                print("%s n=%d %s" % (kind, n, json.dumps(run)), file=sys.stderr, flush=True)
+            rungs[kind].append({"n": n, "runs": runs, **rung_summary(runs)})
     results = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as handle:
@@ -148,10 +165,12 @@ def main(argv=None):
         "workload": "minimize_rerailing(random_dpw(Random(seed), n, %d, 3))" % SYMBOLS,
         "realize_workload": "realizability of a random deterministic 2x2 I/O spec with "
                             "%d * n states and colors 0..3, from Random(seed)" % REALIZE_SCALE,
+        "split_workload": "minimize_rerailing of the split of random_dpw(Random(seed), n, "
+                          "%d, 3): state q becomes 2q and 2q + 1" % SYMBOLS,
         "limit_mb": LIMIT_BYTES >> 20, "timeout_s": args.timeout,
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count(), "rungs": rungs["minimize"],
-        "realize_rungs": rungs["realize"]}
+        "realize_rungs": rungs["realize"], "split_rungs": rungs["split"]}
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=1, sort_keys=True)
         handle.write("\n")

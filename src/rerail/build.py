@@ -23,37 +23,20 @@ from .scc import reachable
 
 @dataclass
 class BuildState:
-    """Global state/transition accumulator shared across recursive calls."""
+    """Global states and moves accumulated across recursive calls:
+    `moves[(state, symbol)]` lists the (dst, color) moves of a state on a symbol."""
 
     names: list = field(default_factory=list)
-    transitions: set = field(default_factory=set)
-    state_index: dict = field(default_factory=dict)
-    _outgoing: set = field(default_factory=set)
-
-    @property
-    def state_count(self):
-        return len(self.names)
+    moves: dict = field(default_factory=dict)
 
     def new_state(self, name):
-        base = name if name else "·"
-        candidate = base
+        base = candidate = name or "·"
         serial = 1
-        while candidate in self.state_index:
+        while candidate in self.names:
             serial += 1
             candidate = "%s~%d" % (base, serial)
-        index = len(self.names)
         self.names.append(candidate)
-        self.state_index[candidate] = index
-        return index
-
-    def has_outgoing(self, state, symbol):
-        return (state, symbol) in self._outgoing
-
-    def add_transition(self, src, sym, dst, color):
-        if not (0 <= src < self.state_count and 0 <= dst < self.state_count):
-            raise ValueError("transition endpoints must exist before linking")
-        self.transitions.add((src, sym, dst, color))
-        self._outgoing.add((src, sym))
+        return len(self.names) - 1
 
 
 def recurse_build(ctx, i, chain, acc):
@@ -113,16 +96,15 @@ def recurse_build(ctx, i, chain, acc):
             new_states.append((acc.new_state(ctx.state_name(qc)), qc))
     for (gid, qc) in new_states:
         for x in range(len(ctx.alphabet)):
-            if acc.has_outgoing(gid, x):
+            if (gid, x) in acc.moves:
                 continue
             dst_ctx = ctx.step(qc, x)
             if dst_ctx is None:
                 continue
-            targets = [g2 for (g2, qc2) in new_states if qc2 == dst_ctx]
+            targets = [(g2, i - 1) for (g2, qc2) in new_states if qc2 == dst_ctx]
             if not targets:
                 raise RuntimeError("context successor %d lost during recursion" % dst_ctx)
-            for g2 in targets:
-                acc.add_transition(gid, x, g2, i - 1)
+            acc.moves[(gid, x)] = targets
     return new_states
 
 
@@ -135,8 +117,9 @@ def build_minimal(chain):
     acc = BuildState()
     pairs = recurse_build(level0_floating(chain.rlta), 1, chain, acc)
     initial = min(gid for (gid, s) in pairs if s == chain.rlta.initial)
-    result = AutomatonStructure(chain.alphabet, acc.state_count,
-                                sorted(acc.transitions), initial,
+    result = AutomatonStructure(chain.alphabet, len(acc.names),
+                                [(src, x, dst, c) for ((src, x), targets) in acc.moves.items()
+                                 for (dst, c) in targets], initial,
                                 state_names=dict(enumerate(acc.names)))
     missing = validate_complete(result)
     if missing:

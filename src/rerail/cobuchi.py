@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .games import ArenaBuilder, solve
+from .games import GameArena, solve
 from .raf import (AutomatonStructure, RafError, SiteError, complete_reachable_states,
                   equireach_relation, validate_complete, _body_lines, _expect_header, _line_of,
                   _numbered_lines, _parse_alphabet, _parse_raf_body)
@@ -287,13 +287,24 @@ def _arena_winners(ai, ai1, aj, aj1, starts, twin_step):
     """
     symbols = range(len(ai.alphabet))
     succ_i, succ_i1, succ_j, succ_j1 = (a._succ for a in (ai, ai1, aj, aj1))
-    builder = ArenaBuilder()
-    vertex, keys, edges = builder.vertex, builder.keys, builder.edges
-    ids = [vertex(("s",) + qs + (0,), 0, 3) for qs in starts]
-    for vid, key in enumerate(keys):              # `vertex` appends to the keys walked
-        out = edges[vid]
+    firsts = list(dict.fromkeys(starts))          # vertex v < len(firsts) starts firsts[v]
+    keys = [("s",) + qs + (0,) for qs in firsts]  # keys[v]: the key of vertex v
+    ids = {key: v for (v, key) in enumerate(keys)}
+    owners, colors, rows = [], [], []
+
+    def vertex(key):                              # the id of `key`, numbered on first lookup
+        v = ids.get(key)
+        if v is None:
+            v = ids[key] = len(keys)
+            keys.append(key)
+        return v
+
+    for (v, key) in enumerate(keys):              # `vertex` appends to the keys walked
+        rows.append(out := [])
         if key[0] == "s":
             (_t, qi, qi1, qj, qj1, z) = key
+            owners.append(0)
+            colors.append(2 if z == 2 else 3)
             if z == 2:                    # pays out color 2 and plays on as z = 0
                 z = 0
             for x in symbols:
@@ -302,22 +313,26 @@ def _arena_winners(ai, ai1, aj, aj1, starts, twin_step):
                 bs = succ_j[qj][x]
                 for (a2, ca) in succ_i[qi][x]:
                     for (b2, cb) in bs:
-                        color = 1 if ca == 1 or cb == 1 else 3
-                        out.append(vertex(("x", a2, qi1, b2, qj1, z, x, color), 1, color))
+                        out.append(vertex(("x", a2, qi1, b2, qj1, z, x,
+                                           1 if ca == 1 or cb == 1 else 3)))
             if not out:
-                out.append(vertex(("sink",), 0, 3))
+                out.append(vertex(("sink",)))
         elif key[0] == "x":               # z is 0 or 1 here
-            (_t, qi, qi1, qj, qj1, z, x, _c) = key
+            (_t, qi, qi1, qj, qj1, z, x, color) = key
+            owners.append(1)
+            colors.append(color)
             for (r, ci) in succ_i1[qi1][x]:
                 for (s2, cj) in succ_j1[qj1][x]:
-                    z2 = 2 - ci if z == 0 else 3 - cj
-                    out.append(vertex(("s", qi, r, qj, s2, z2), 0, 2 if z2 == 2 else 3))
+                    out.append(vertex(("s", qi, r, qj, s2, 2 - ci if z == 0 else 3 - cj)))
         else:                             # ("sink",): stuck, color 3 forever
-            out.append(vid)
-    arena = builder.arena()
-    del builder, vertex, keys, edges      # free the vertex keys before solving
+            owners.append(0)
+            colors.append(3)
+            out.append(v)
+    arena = GameArena(owners, colors, rows)
+    # free the vertex table and the lists before solving: the arena copies owners and colors
+    del ids, keys, owners, colors, rows
     w0, _w1 = solve(arena)
-    return {qs for qs, vid in zip(starts, ids) if vid in w0}
+    return {qs for (v, qs) in enumerate(firsts) if v in w0}
 
 
 def inclusion_table(a, b):

@@ -1,4 +1,4 @@
-"""Vertex-colored parity games, an arena builder and an iterative solver.
+"""Vertex-colored parity game arenas and an iterative solver.
 
 Player 0 wins a play iff the lowest vertex color occurring infinitely often
 is even.  Arenas must be total: every vertex needs at least one successor.
@@ -67,37 +67,6 @@ class GameArena:
             out.append("vertex %d owner %d color %d name \"%s\" succ %s"
                        % (v, self.owners[v], self.colors[v], self.vertex_name(v), succ))
         return "\n".join(out) + "\n"
-
-
-class ArenaBuilder:
-    """Incremental arena construction over hashable vertex keys.
-
-    Vertex ids follow first insertion and `keys[id]` is the key of a vertex,
-    so a construction expands the arena by walking `keys` while `vertex`
-    appends to it; edges are appended to `edges[id]`.
-    """
-
-    def __init__(self):
-        self.ids = {}
-        self.keys = []
-        self.owners = []
-        self.colors = []
-        self.edges = []
-
-    def vertex(self, key, owner, color):
-        """Id of the vertex `key`, added with owner and color when new."""
-        vid = self.ids.get(key)
-        if vid is None:
-            vid = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.owners.append(owner)
-            self.colors.append(color)
-            self.edges.append([])
-        return vid
-
-    def arena(self, initial=0):
-        """The finished arena, adopting sorted rows."""
-        return GameArena(self.owners, self.colors, self.edges, initial)
 
 
 def solve(arena):

@@ -428,6 +428,17 @@ def random_dpw(rng, n_states, n_symbols, max_color):
     return AutomatonStructure(_alphabet(n_symbols), len(seen), transitions, 0)
 
 
+def split_states(aut, kind=AutomatonStructure):
+    """`aut` with each state q split into the copies 2q and 2q + 1 of its
+    language, built as a `kind`: every move goes to both copies of its target
+    with its color, so the automaton keeps its language and is
+    nondeterministic, but every level of a DPW's split is still
+    history-deterministic."""
+    return kind(aut.alphabet, 2 * aut.state_count,
+                [(2 * q + b, x, 2 * d + e, c) for (q, x, d, c) in aut.transitions
+                 for b in (0, 1) for e in (0, 1)], 2 * aut.initial)
+
+
 def random_complete_automaton(rng, n_states, n_symbols, max_color, fanout=2):
     """Complete nondeterministic automaton; each (state, symbol) gets 1..fanout edges."""
     chosen = {}

@@ -11,7 +11,7 @@ from rerail.floating import FloatingAutomaton, level0_floating, residualize_chai
 from rerail.lasso import (LassoWord, bounded_equivalence, enumerate_lassos,
                           member_rerailing, membership_function)
 from rerail.raf import (Alphabet, AutomatonStructure, parse_automaton,
-                        validate_complete)
+                        serialize_automaton, validate_complete)
 
 import oracles
 from conftest import load_text
@@ -41,16 +41,17 @@ def test_build_state_naming():
     assert acc.names[1:] == ["x", "x~2", "x~3"]
 
 
-def test_build_state_transitions():
+def test_build_state_transitions(uniform_flochain):
+    # one (dst, color) list per state and symbol, each move into a state that exists
     acc = BuildState()
-    acc.new_state("p")
-    with pytest.raises(ValueError):
-        acc.add_transition(0, 0, 1, 0)
-    acc.new_state("q")
-    acc.add_transition(0, 0, 1, 2)
-    assert acc.has_outgoing(0, 0)
-    assert not acc.has_outgoing(1, 0)
-    assert acc.transitions == {(0, 0, 1, 2)}
+    assert acc.moves == {}
+    recurse_build(level0_floating(uniform_flochain.rlta), 1, uniform_flochain, acc)
+    n, nsym = len(acc.names), len(uniform_flochain.alphabet)
+    assert sorted(acc.moves) == [(q, x) for q in range(n) for x in range(nsym)]
+    for targets in acc.moves.values():
+        assert targets and len({c for (_d, c) in targets}) == 1
+        assert all(0 <= d < n for (d, _c) in targets)
+        assert len({d for (d, _c) in targets}) == len(targets)
 
 
 def test_check_color_homogeneous(minimal5, hd5):
@@ -178,6 +179,24 @@ def test_minimize_random_deterministic():
         assert validate_complete(out) == []
         assert check_color_homogeneous(out)
         assert bounded_equivalence(out, "rerailing", aut, "parity-det", 3, 3) is None
+
+
+# sha256 of the concatenated serialize_automaton texts of the minimized split DPWs
+SPLIT_OUTPUTS_DIGEST = "78b2f0809b6b4a31dfad09fcd08c1d057a5f5378c6bac61a95638b2af8220bc6"
+
+
+def test_minimize_split_dpws():
+    """Levels with split states are nondeterministic, so their letter games are
+    parity games (`cobuchi._arena_winners`): the split of a DPW keeps its
+    language and minimizes to as many states as the DPW does."""
+    digest = hashlib.sha256()
+    for s in range(60):
+        aut = oracles.random_dpw(random.Random(s), 3 + s % 4, 2, 1 + s % 4)
+        out = minimize_rerailing(oracles.split_states(aut))
+        assert out.state_count == minimize_rerailing(aut).state_count, s
+        assert bounded_equivalence(out, "rerailing", aut, "parity-det", 3, 3) is None, s
+        digest.update(serialize_automaton(out).encode())
+    assert digest.hexdigest() == SPLIT_OUTPUTS_DIGEST
 
 
 # A deterministic parity automaton is itself a rerailing automaton, so the

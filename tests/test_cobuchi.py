@@ -440,9 +440,7 @@ def split_states(level):
     """`level` with each state q split into the copies 2q and 2q + 1 of its
     language: every move goes to both copies of its target, so the level is
     nondeterministic but still history-deterministic."""
-    return CoBuchiAutomaton(level.alphabet, 2 * level.state_count,
-                            [(2 * q + b, x, 2 * d + e, c) for (q, x, d, c) in level.transitions
-                             for b in (0, 1) for e in (0, 1)], 2 * level.initial)
+    return oracles.split_states(level, CoBuchiAutomaton)
 
 
 def test_graph_and_arena_deciders_agree(monkeypatch):

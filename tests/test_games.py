@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from rerail.games import ArenaBuilder, GameArena, solve
+from rerail.games import GameArena, solve
 
 import oracles
 
@@ -30,18 +30,12 @@ def test_arena_edges_sorted_deduped():
 
 
 def test_arena_adopts_sorted_list_rows():
-    builder = ArenaBuilder()
-    for key in range(4):
-        builder.vertex(key, key % 2, key)
-    builder.edges[0].extend([1, 3])
-    builder.edges[1].extend([2, 0, 2])
-    builder.edges[2].extend([3, 3])
-    builder.edges[3].append(0)
-    arena = builder.arena()
+    rows = [[1, 3], [2, 0, 2], [3, 3], [0]]
+    arena = GameArena([0, 1, 0, 1], [0, 1, 2, 3], rows)
     assert arena.edges == [[1, 3], [0, 2], [3], [0]]
-    assert arena.edges[0] is builder.edges[0]
-    assert arena.edges[3] is builder.edges[3]
-    assert builder.edges[1] == [2, 0, 2]            # a row needing a copy stays untouched
+    assert arena.edges[0] is rows[0]
+    assert arena.edges[3] is rows[3]
+    assert rows[1] == [2, 0, 2]                     # a row needing a copy stays untouched
     arena = GameArena([0, 1], [0, 1], [(0, 1), (1,)])
     assert arena.edges == [[0, 1], [1]]
     assert all(type(row) is list for row in arena.edges)
@@ -75,20 +69,6 @@ def test_arena_initial_out_of_range():
 def test_arena_rejects_wrong_names_length():
     with pytest.raises(ValueError):
         GameArena([0, 0], [0, 0], [[1], [0]], names=["only one"])
-
-
-def test_arena_builder():
-    builder = ArenaBuilder()
-    a = builder.vertex("a", 0, 2)
-    b = builder.vertex(("b", 1), 1, 1)
-    assert (a, b) == (0, 1)
-    assert builder.vertex("a", 1, 5) == a          # repeated key: same id, unchanged
-    builder.edges[b].append(a)
-    builder.edges[a].append(b)
-    arena = builder.arena(initial=b)
-    assert (arena.owners, arena.colors, arena.edges) == ([0, 1], [2, 1], [[1], [0]])
-    assert arena.initial == 1
-    assert [arena.vertex_name(v) for v in (0, 1)] == ["0", "1"]
 
 
 def test_dump_table():

@@ -32,7 +32,12 @@ def test_ladder_runs_one_rung_and_keeps_earlier_passes(tmp_path):
     [run] = realize["runs"]
     assert run["outcome"] == "ok" and run["seed"] == 8
     assert run["realizable"] in (True, False) and run["wall_s"] > 0 and run["peak_rss_mb"] > 0
-    for key in ("rungs", "realize_rungs"):
+    [split] = results["ok"]["split_rungs"]
+    assert (split["n"], split["ok"], split["of"]) == (8, 1, 1)
+    [run] = split["runs"]
+    assert run["outcome"] == "ok" and run["seed"] == 8
+    assert run["states"] >= 1 and run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+    for key in ("rungs", "realize_rungs", "split_rungs"):
         [late] = results["late"][key]
         assert late["ok"] == 0 and [r["outcome"] for r in late["runs"]] == ["timeout"]
         assert "wall_s" not in late
