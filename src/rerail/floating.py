@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from .cobuchi import CoBuchiAutomaton, Rlta, build_rlta_chain
 from .raf import (RafError, SiteError, _body_lines, _check_cells, _check_name, _expect_header,
-                  _line_of, _numbered_lines, _parse_name_line, _parse_raf_body,
-                  _parse_state_count)
+                  _line_of, _numbered_lines, _parse_raf_body, _read_body)
 from .scc import reachable, scc_decomposition
 
 
@@ -348,76 +347,35 @@ def serialize_floating_chain(fchain):
     return "\n".join(out) + "\n"
 
 
-def _parse_floating_block(lines, start, alphabet, rlta):
-    idx = start
-    state_count = None
-    names = {}
-    labels = {}
-    delta = {}
-    while idx < len(lines):
-        lineno, line = lines[idx]
-        parts = line.split()
-        word = parts[0]
-        if word == "floating":
-            break
-        idx += 1
-        if word == "trans":
-            if len(parts) != 4:
-                raise RafError("trans needs 3 fields", lineno)
-            try:
-                src, dst = int(parts[1]), int(parts[3])
-            except ValueError:
-                raise RafError("bad transition fields %r" % line[5:].strip(), lineno) from None
-            sym = alphabet.positions.get(parts[2])
-            if sym is None:
-                raise RafError("unknown symbol %r" % parts[2], lineno)
-            if delta.setdefault((src, sym), dst) != dst:
-                raise RafError("conflicting targets for state %d on %s"
-                               % (src, parts[2]), lineno)
-            continue
-        rest = line[len(word):].strip()
-        if word == "states":
-            if state_count is not None:
-                raise RafError("duplicate states line", lineno)
-            state_count = _parse_state_count(rest, lineno)
-            _check_cells(state_count, alphabet, lineno)
-        elif word == "name":
-            state, display = _parse_name_line(rest, lineno)
-            if state in names:
-                raise RafError("duplicate name for state %d" % state, lineno)
-            names[state] = display
-        elif word == "label":
-            if len(parts) != 3:
-                raise RafError("label needs a state and a tracker state", lineno)
-            try:
-                state, label = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise RafError("bad label fields %r" % rest, lineno) from None
-            if state in labels:
-                raise RafError("duplicate label for state %d" % state, lineno)
-            labels[state] = label
-        else:
-            raise RafError("unknown directive %r" % word, lineno)
-    if state_count is None:
+def _parse_floating_block(lines, start, rlta):
+    """Read a floating block with `_read_body`; its automaton and the position after it."""
+    idx, got = _read_body(lines, start, ("states", "name", "label"), 4, rlta.alphabet,
+                          ("floating",))
+    if "states" not in got:
         raise RafError("floating block missing state count")
+    body, alphabet, state_count = lines[start:idx], rlta.alphabet, got["states"]
+    _check_cells(state_count, alphabet, body)
+    delta = {}
+    for (src, sym, dst) in got["trans"]:
+        if delta.setdefault((src, sym), dst) != dst:
+            raise RafError("conflicting targets for state %d on %s"
+                           % (src, alphabet.symbols[sym]),
+                           _line_of(body, ("trans", src, sym, dst), alphabet))
+    names, labels = got["name"], got["label"]
     for what, table in (("name", names), ("label", labels)):
         stray = sorted(q for q in table if not 0 <= q < state_count)
         if stray:
             raise RafError("%s given for missing state %d" % (what, stray[0]),
-                           _line_of(lines[start:idx], (what, stray[0]), alphabet))
+                           _line_of(body, (what, stray[0]), alphabet))
     missing = [q for q in range(state_count) if q not in labels]
     if missing:
         raise RafError("floating states missing labels: %s" % missing[:5])
-    name_list = None
-    if names:
-        name_list = [names.get(q, str(q)) for q in range(state_count)]
+    named = [names.get(q, str(q)) for q in range(state_count)] if names else None
     try:
         f = FloatingAutomaton(alphabet, state_count, delta,
-                              [labels[q] for q in range(state_count)], rlta,
-                              names=name_list)
+                              [labels[q] for q in range(state_count)], rlta, names=named)
     except ValueError as exc:
-        raise RafError(str(exc), _line_of(lines[start:idx], getattr(exc, "site", ()),
-                                          alphabet)) from None
+        raise RafError(str(exc), _line_of(body, getattr(exc, "site", ()), alphabet)) from None
     return f, idx
 
 
@@ -438,6 +396,6 @@ def _read_floating_chain(lines):
         if parts[0] != "floating" or len(parts) != 2 or parts[1] != str(len(levels) + 1):
             raise RafError("floating blocks must be numbered consecutively from 1", lineno)
         idx += 1
-        f, idx = _parse_floating_block(lines, idx, rlta.alphabet, rlta)
+        f, idx = _parse_floating_block(lines, idx, rlta)
         levels.append(f)
     return FloatingChain(rlta, levels)

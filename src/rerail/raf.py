@@ -3,7 +3,8 @@
 An automaton here is a finite transition structure whose transitions carry
 non-negative integer colors.  Acceptance is supplied by the membership
 functions, not stored with the structure, so the same object can be read as a
-rerailing automaton, a parity automaton, or a co-Buchi automaton.
+rerailing automaton, a parity automaton, or a co-Buchi automaton.  The `raf`,
+`cocoa` and `flochain` formats read every automaton body with one reader.
 """
 
 from __future__ import annotations
@@ -277,20 +278,6 @@ def _line_of(body, site, alphabet):
     return None
 
 
-def _parse_name_line(rest, lineno):
-    parts = rest.split(None, 1)
-    if len(parts) != 2:
-        raise RafError("name needs a state and a quoted display string", lineno)
-    try:
-        state = int(parts[0])
-    except ValueError:
-        raise RafError("bad state index %r" % parts[0], lineno) from None
-    display = parts[1].strip()
-    if len(display) < 2 or display[0] != '"' or display[-1] != '"':
-        raise RafError("display name must be double-quoted", lineno)
-    return state, display[1:-1]
-
-
 def _parse_alphabet(symbols, lineno):
     """The alphabet of an `alphabet` line's symbols; a bad one is a RafError naming the line."""
     try:
@@ -299,43 +286,29 @@ def _parse_alphabet(symbols, lineno):
         raise RafError(str(exc), lineno) from None
 
 
-def _parse_state_count(rest, lineno):
-    """The count of a `states` line; below 0 or above MAX_STATES it is refused
-    before any allocation."""
-    try:
-        count = int(rest)
-    except ValueError:
-        raise RafError("bad state count %r" % rest, lineno) from None
-    if count < 0:
-        raise RafError("negative state count %d" % count, lineno)
-    if count > MAX_STATES:
-        raise RafError("state count %d above the limit %d" % (count, MAX_STATES), lineno)
-    return count
-
-
-def _check_cells(state_count, alphabet, lineno):
-    """Refuse a body of more than 2 * MAX_STATES cells, states times symbols."""
+def _check_cells(state_count, alphabet, body):
+    """Refuse a body of over 2 * MAX_STATES cells, states times symbols, at its states line."""
     if state_count * len(alphabet) > 2 * MAX_STATES:
         raise RafError("%d states times %d symbols above the limit of %d cells"
-                       % (state_count, len(alphabet), 2 * MAX_STATES), lineno)
+                       % (state_count, len(alphabet), 2 * MAX_STATES),
+                       _line_of(body, ("states",), alphabet))
 
 
-def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStructure, label=""):
-    """Shared parser for automaton bodies, built as `cls` once the body is read.
+def _read_body(lines, start, directives, width, alphabet=None, stop_words=()):
+    """Read the directive lines of a body up to a line starting with one of `stop_words`
+    or the end of `lines`; returns the position after the body and a dict of what it gives.
 
-    Returns the automaton and the position after its body, which ends at a
-    line starting with one of `stop_words` or at the end of `lines`.  A
-    SiteError names the first line holding its site; an error no single
-    line holds, such as a subclass's, is prefixed with `label` instead.
+    `directives` names the lines the body takes besides `trans` lines of `width` fields (five
+    with a color): `alphabet`, `states`, `initial` and `name` for a raf body, a cocoa level
+    or an rlta block; `states`, `name` and `label` for a floating block, whose symbols are its
+    tracker's `alphabet`.  A fault one line shows is a RafError naming it; whole-body checks
+    are the caller's.  The dict holds the value of each `alphabet`, `states` and `initial`
+    line; under `name` and `label`, state -> display name or tracker state; under `trans`,
+    each distinct (src, symbol index, dst) -> its color, 0 without one.
     """
-    idx = body = start
-    alphabet = None
-    state_count = None
-    initial = None
-    names = {}
-    colors = {}
-    given = set()
-    width = 5 if with_colors else 4
+    got = {"name": {}, "label": {}, "trans": {}}
+    colors = got["trans"]
+    idx = start
     while idx < len(lines):
         lineno, line = lines[idx]
         parts = line.split()
@@ -349,7 +322,7 @@ def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStruc
             try:
                 src = int(parts[1])
                 dst = int(parts[3])
-                color = int(parts[4]) if with_colors else 0
+                color = int(parts[4]) if width == 5 else 0
             except ValueError:
                 raise RafError("bad transition fields %r" % line[5:].strip(), lineno) from None
             sym = alphabet.positions.get(parts[2])
@@ -363,38 +336,72 @@ def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStruc
             break
         idx += 1
         rest = line[len(word):].strip()
-        if word in ("alphabet", "states", "initial"):
-            if word in given:
-                raise RafError("duplicate %s line" % word, lineno)
-            given.add(word)
+        if word not in directives:
+            raise RafError("unknown directive %r" % word, lineno)
+        if word in got and word not in ("name", "label"):
+            raise RafError("duplicate %s line" % word, lineno)
         if word == "alphabet":
-            alphabet = _parse_alphabet(parts[1:], lineno)
+            got[word] = alphabet = _parse_alphabet(parts[1:], lineno)
         elif word == "states":
-            state_count, states_line = _parse_state_count(rest, lineno), lineno
+            try:
+                count = got[word] = int(rest)
+            except ValueError:
+                raise RafError("bad state count %r" % rest, lineno) from None
+            if count < 0:
+                raise RafError("negative state count %d" % count, lineno)
+            if count > MAX_STATES:
+                raise RafError("state count %d above the limit %d" % (count, MAX_STATES), lineno)
         elif word == "initial":
             try:
-                initial = int(rest)
+                got[word] = int(rest)
             except ValueError:
                 raise RafError("bad initial state %r" % rest, lineno) from None
-        elif word == "name":
-            state, display = _parse_name_line(rest, lineno)
-            if state in names:
-                raise RafError("duplicate name for state %d" % state, lineno)
-            names[state] = display
         else:
-            raise RafError("unknown directive %r" % word, lineno)
-    if alphabet is None:
-        raise RafError("missing alphabet")
-    if state_count is None:
-        raise RafError("missing state count")
-    if initial is None:
-        raise RafError("missing initial state")
-    _check_cells(state_count, alphabet, states_line)
+            if word == "name":
+                fields = rest.split(None, 1)
+                if len(fields) != 2:
+                    raise RafError("name needs a state and a quoted display string", lineno)
+                try:
+                    state = int(fields[0])
+                except ValueError:
+                    raise RafError("bad state index %r" % fields[0], lineno) from None
+                value = fields[1].strip()
+                if len(value) < 2 or value[0] != '"' or value[-1] != '"':
+                    raise RafError("display name must be double-quoted", lineno)
+                value = value[1:-1]
+            else:
+                if len(parts) != 3:
+                    raise RafError("label needs a state and a tracker state", lineno)
+                try:
+                    state, value = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise RafError("bad label fields %r" % rest, lineno) from None
+            if state in got[word]:
+                raise RafError("duplicate %s for state %d" % (word, state), lineno)
+            got[word][state] = value
+    return idx, got
+
+
+def _parse_raf_body(lines, with_colors, start, stop_words=(), cls=AutomatonStructure, label=""):
+    """Read an automaton body with `_read_body` and build it as `cls`.
+
+    Returns the automaton and the position after its body.  A SiteError
+    names the first line holding its site; an error no single line holds,
+    such as a subclass's, is prefixed with `label` instead.
+    """
+    idx, got = _read_body(lines, start, ("alphabet", "states", "initial", "name"),
+                          5 if with_colors else 4, stop_words=stop_words)
+    for word, missing in (("alphabet", "alphabet"), ("states", "state count"),
+                          ("initial", "initial state")):
+        if word not in got:
+            raise RafError("missing " + missing)
+    body, alphabet = lines[start:idx], got["alphabet"]
+    _check_cells(got["states"], alphabet, body)
     try:
-        aut = cls(alphabet, state_count, [key + (c,) for key, c in colors.items()], initial,
-                  state_names=names or None)
+        aut = cls(alphabet, got["states"], [key + (c,) for key, c in got["trans"].items()],
+                  got["initial"], state_names=got["name"] or None)
     except ValueError as exc:
-        lineno = _line_of(lines[body:idx], getattr(exc, "site", ()), alphabet)
+        lineno = _line_of(body, getattr(exc, "site", ()), alphabet)
         raise RafError((label if lineno is None else "") + str(exc), lineno) from None
     return aut, idx
 

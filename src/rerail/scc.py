@@ -30,8 +30,7 @@ def scc_decomposition(node_count, adjacency):
     """
     index = [-1] * node_count
     low = [0] * node_count
-    on_stack = [False] * node_count
-    stack = []
+    stack = []                          # visited nodes not yet in a component
     component_of = [-1] * node_count
     closed = 0
     counter = 0
@@ -42,35 +41,27 @@ def scc_decomposition(node_count, adjacency):
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         while work:
             node, it = work[-1]
-            advanced = False
             for succ in it:
                 if index[succ] == -1:
                     index[succ] = low[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack[succ] = True
                     work.append((succ, iter(adjacency[succ])))
-                    advanced = True
                     break
-                elif on_stack[succ]:
-                    if index[succ] < low[node]:
-                        low[node] = index[succ]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component_of[w] = closed
-                    if w == node:
-                        break
-                closed += 1
+                if component_of[succ] == -1 and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    w = -1
+                    while w != node:
+                        w = stack.pop()
+                        component_of[w] = closed
+                    closed += 1
     return component_of

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -265,6 +266,20 @@ trans 3 b 2 2
 def test_minimize_never_grows_complete_dpw(name):
     aut = parse_automaton(GROWING_DPWS[name])
     assert minimize_rerailing(aut).state_count <= aut.state_count
+
+
+def test_minimize_never_grows_any_two_state_dpw():
+    """Every complete DPW with 2 states over a b, colors 0..3 and initial state 0:
+    4,096 automata, enumerated without a seed.  No output has more states than
+    its input has reachable ones; the histogram of output sizes is pinned."""
+    cells = [(q, x) for q in range(2) for x in range(2)]
+    sizes = {}
+    for moves in itertools.product(itertools.product(range(2), range(4)), repeat=len(cells)):
+        aut = AutomatonStructure(AB, 2, [(q, x, d, c) for (q, x), (d, c) in zip(cells, moves)], 0)
+        out = minimize_rerailing(aut)
+        assert out.state_count <= len(aut.reachable_states())
+        sizes[out.state_count] = sizes.get(out.state_count, 0) + 1
+    assert sizes == {1: 2824, 2: 1272}
 
 
 def test_minimize_idempotent():

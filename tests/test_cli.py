@@ -391,6 +391,20 @@ def test_argparse_failures(capsys):
         assert "bounds must be >= 1" in capsys.readouterr().err
 
 
+def test_bounds_past_the_lasso_limit_are_refused(capsys):
+    # minimal5 has four symbols: stem 10^9 is refused at once, and 5/5 would build
+    # 1,365 * 1,364 candidate lassos, above the limit of 2^20.
+    for command in (("verify", "-i", MINIMAL5), ("equiv", "-a", MINIMAL5, "-b", MINIMAL5)):
+        assert run_cli(*command, "--bound-stem", "1000000000") == 1
+        assert capsys.readouterr().err == (
+            "error: lasso bounds stem 1000000000, cycle 4 over 4 symbols give over 2^64 "
+            "candidate lassos, above the limit of 1048576\n")
+        assert run_cli(*command, "--bound-stem", "5", "--bound-cycle", "5") == 1
+        assert capsys.readouterr().err == (
+            "error: lasso bounds stem 5, cycle 5 over 4 symbols give 1861860 "
+            "candidate lassos, above the limit of 1048576\n")
+
+
 def test_stem_bound_zero(tmp_path, capsys):
     out = str(tmp_path / "min.raf")
     assert run_cli("build-min", "--chain", FLOCHAIN3, "-o", out) == 0

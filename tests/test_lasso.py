@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from rerail import lasso as lasso_mod
 from rerail.cobuchi import Chain, CoBuchiAutomaton, decompose_rerailing
 from rerail.floating import FloatingAutomaton, FloatingChain, residualize_chain
-from rerail.lasso import (LassoProduct, LassoSweep, LassoWord, bounded_equivalence,
-                          enumerate_lassos, format_lasso, member_cobuchi,
+from rerail.lasso import (MAX_LASSO_CANDIDATES, LassoProduct, LassoSweep, LassoWord,
+                          bounded_equivalence, enumerate_lassos, format_lasso, member_cobuchi,
                           member_parity_det, member_parity_exists, member_rerailing,
                           membership_function, parse_lasso)
 from rerail.raf import Alphabet, AutomatonStructure
@@ -85,6 +86,16 @@ def test_enumerate_lassos_counts():
     assert len(words) == 8
     assert len(set(words)) == 8
     assert all(w.canonical() == w for w in words)
+
+
+@pytest.mark.parametrize("args,count", [((1, 10 ** 9, 4), "4000000004"),
+                                        ((2, 4, 10 ** 9), "over 2^64"),
+                                        ((3, 8, 8), "96835440"),
+                                        ((2, 10, 9), "2092034")])
+def test_enumerate_lassos_refuses_bounds_past_the_limit(args, count):
+    with pytest.raises(ValueError, match="give %s candidate lassos, above the limit of %d"
+                       % (re.escape(count), MAX_LASSO_CANDIDATES)):
+        enumerate_lassos(*args)
 
 
 def test_enumerate_lassos_distinct_as_words():

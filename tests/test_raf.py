@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rerail.build import check_color_homogeneous
-from rerail.cobuchi import CoBuchiAutomaton, parse_chain, serialize_chain
-from rerail.floating import parse_floating_chain
+from rerail.cobuchi import CoBuchiAutomaton, decompose_rerailing, parse_chain, serialize_chain
+from rerail.floating import parse_floating_chain, residualize_chain, serialize_floating_chain
 from rerail.raf import (MAX_STATES, Alphabet, AutomatonStructure, RafError, equireach_relation,
                         parse_automaton, serialize_automaton, validate_complete)
 
@@ -722,6 +722,41 @@ def test_parse_matches_direct_construction(data):
     text = serialize_automaton(direct)
     assert serialize_automaton(parsed) == text
     assert serialize_automaton(parse_automaton(text)) == text
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_floating_blocks_parse_in_any_line_order(data):
+    """The floating chain of a random DPW, each `floating` block rewritten with its lines
+    shuffled, comments, blank lines, uneven spacing and repeated identical trans lines,
+    parses back to the same chain: equal levels, names and labels."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dpw = oracles.random_dpw(rng, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3)),
+                             data.draw(st.integers(0, 4)))
+    chain = residualize_chain(decompose_rerailing(dpw))
+    lines = serialize_floating_chain(chain).splitlines()
+    cut = [i for i, line in enumerate(lines) if line.startswith("floating ")] + [len(lines)]
+    out = lines[:cut[0]]
+    for begin, end in zip(cut, cut[1:]):
+        block = lines[begin + 1:end]
+        trans = [line for line in block if line.startswith("trans ")]
+        block += rng.sample(trans, rng.randint(0, len(trans)))   # repeated identical lines
+        rng.shuffle(block)
+        out.append(lines[begin] + rng.choice(["", " # level"]))
+        for line in block:
+            if rng.random() < 0.2:
+                out.append(rng.choice(["", "   ", "# note", "\t# indented note"]))
+            fields = line.split(" ", 2) if line.startswith("name ") else line.split(" ")
+            out.append(rng.choice(["", " ", "\t"]) + fields[0]
+                       + "".join(rng.choice([" ", "  ", "\t"]) + f for f in fields[1:])
+                       + rng.choice(["", "", " # trailing", "  "]))
+    parsed = parse_floating_chain("\n".join(out) + "\n")
+    assert parsed.rlta == chain.rlta
+    assert parsed.levels == chain.levels
+    # an empty level's names [] has no name line, so names compare as state_name shows them
+    assert ([([f.state_name(q) for q in range(f.state_count)], f.labels) for f in parsed.levels]
+            == [([f.state_name(q) for q in range(f.state_count)], f.labels)
+                for f in chain.levels])
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
