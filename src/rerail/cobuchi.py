@@ -9,7 +9,6 @@ the minimization pipeline.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,12 +56,6 @@ class Chain:
 
     def __len__(self):
         return len(self.levels)
-
-    def level(self, i):
-        """1-based level access."""
-        if not 1 <= i <= len(self.levels):
-            raise ValueError("level index %d outside 1..%d" % (i, len(self.levels)))
-        return self.levels[i - 1]
 
 
 def serialize_chain(chain):
@@ -281,9 +274,10 @@ def _arena_winners(ai, ai1, aj, aj1, starts, twin_step):
     waits for a rejecting `ai1` move (z = 0), then for a rejecting `aj1`
     move (z = 1); a round start with z = 2 pays out color 2 and plays on as
     z = 0.  Every other vertex has color 3, and a round start left without
-    a move goes to a sink of color 3.  So the lowest color seen infinitely
-    often is even iff player 0 wins the play, and since the winner of a
-    round start does not depend on z, each start is played from z = 0.
+    a move has color 3 and loops on itself.  So the lowest color seen
+    infinitely often is even iff player 0 wins the play, and since the
+    winner of a round start does not depend on z, each start is played from
+    z = 0.
     """
     symbols = range(len(ai.alphabet))
     succ_i, succ_i1, succ_j, succ_j1 = (a._succ for a in (ai, ai1, aj, aj1))
@@ -304,30 +298,25 @@ def _arena_winners(ai, ai1, aj, aj1, starts, twin_step):
         if key[0] == "s":
             (_t, qi, qi1, qj, qj1, z) = key
             owners.append(0)
-            colors.append(2 if z == 2 else 3)
-            if z == 2:                    # pays out color 2 and plays on as z = 0
-                z = 0
+            on = 0 if z == 2 else z       # z = 2 pays out color 2 and plays on as z = 0
             for x in symbols:
                 if twin_step is not None and twin_step[qi1][x] == twin_step[qj][x]:
                     continue
                 bs = succ_j[qj][x]
                 for (a2, ca) in succ_i[qi][x]:
                     for (b2, cb) in bs:
-                        out.append(vertex(("x", a2, qi1, b2, qj1, z, x,
+                        out.append(vertex(("x", a2, qi1, b2, qj1, on, x,
                                            1 if ca == 1 or cb == 1 else 3)))
-            if not out:
-                out.append(vertex(("sink",)))
-        elif key[0] == "x":               # z is 0 or 1 here
+            colors.append(2 if z == 2 and out else 3)
+            if not out:                   # stuck: color 3 forever
+                out.append(v)
+        else:                             # a player-1 vertex; z is 0 or 1 here
             (_t, qi, qi1, qj, qj1, z, x, color) = key
             owners.append(1)
             colors.append(color)
             for (r, ci) in succ_i1[qi1][x]:
                 for (s2, cj) in succ_j1[qj1][x]:
                     out.append(vertex(("s", qi, r, qj, s2, 2 - ci if z == 0 else 3 - cj)))
-        else:                             # ("sink",): stuck, color 3 forever
-            owners.append(0)
-            colors.append(3)
-            out.append(v)
     arena = GameArena(owners, colors, rows)
     # free the vertex table and the lists before solving: the arena copies owners and colors
     del ids, keys, owners, colors, rows
@@ -440,7 +429,7 @@ def _level(chain, trackers, k):
     return aut, [0], [[0] * len(chain.alphabet)]
 
 
-def compute_Rij(chain, trackers, i, j, domain=None):
+def compute_Rij(chain, trackers, i, j, domain):
     """The level-(i, j) distinguishing relation over tracker states.
 
     A tracker tuple is in R_ij iff player 0 wins `_letter_game` on levels
@@ -462,18 +451,15 @@ def compute_Rij(chain, trackers, i, j, domain=None):
     i < j.
 
     `domain` holds the tracker tuples to decide, and the result is the
-    relation restricted to it; without a domain the whole tracker product
-    is decided.  For j = i + 1 a tuple whose components at i+1 and j are
-    equal names one residual twice, which no word can both leave and enter,
-    so it is never in R_{i,i+1}: such tuples leave the domain, and the game
-    makes no move onto one.  With no tuple left no game is played.
+    relation restricted to it.  For j = i + 1 a tuple whose components at
+    i+1 and j are equal names one residual twice, which no word can both
+    leave and enter, so it is never in R_{i,i+1}: such tuples leave the
+    domain, and the game makes no move onto one.  With no tuple left no game is played.
     """
     n = len(chain.levels)
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("level indices out of range")
     levels = [_level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
-    if domain is None:
-        domain = itertools.product(*(range(len(d)) for (_a, _m, d) in levels))
     twins = j == i + 1
     domain = [t for t in domain if not (twins and t[1] == t[2])]
     if not domain:
@@ -527,8 +513,7 @@ def build_rlta_chain(chain):
     def step(t, x):
         return (0,) + tuple(d[t[k]][x] for k, d in enumerate(deltas, start=1)) + (0,)
 
-    initial = (0,) + tuple(state_map[level.initial]
-                           for (_tracker, state_map), level in zip(trackers, chain.levels)) + (0,)
+    initial = (0,) + tuple(tracker.initial for (tracker, _map) in trackers) + (0,)
     product = reachable([initial], lambda t: [step(t, x) for x in range(nsym)])
     pairs = [{(t[k], t[k + 1]) for t in product} for k in range(n + 1)]
     relations = [compute_Rij(chain, trackers, i, j,

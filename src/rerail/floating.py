@@ -61,7 +61,7 @@ class FloatingAutomaton:
             return NotImplemented
         return (self.alphabet == other.alphabet
                 and self.state_count == other.state_count
-                and self.transitions() == other.transitions()
+                and self.delta == other.delta
                 and self.labels == other.labels
                 and self.rlta == other.rlta)
 
@@ -83,14 +83,6 @@ class FloatingChain:
 
     def __len__(self):
         return len(self.levels)
-
-    def level(self, i):
-        """1-based level access; level 0 is the tracker itself."""
-        if not 0 <= i <= len(self.levels):
-            raise ValueError("level index %d outside 0..%d" % (i, len(self.levels)))
-        if i == 0:
-            return level0_floating(self.rlta)
-        return self.levels[i - 1]
 
 
 def level0_floating(rlta):

@@ -48,11 +48,6 @@ class LassoWord:
             cyc.insert(0, cyc.pop())
         return LassoWord(tuple(stem), tuple(cyc))
 
-    def letter_at(self, k):
-        if k < len(self.stem):
-            return self.stem[k]
-        return self.cycle[(k - len(self.stem)) % len(self.cycle)]
-
 
 def parse_lasso(text, alphabet):
     """Parse "sym.sym;sym.sym" notation; the part before ';' (the stem) may be empty."""
@@ -66,11 +61,7 @@ def parse_lasso(text, alphabet):
             return ()
         return tuple(alphabet.index(tok) for tok in chunk.split("."))
 
-    stem = part(stem_text)
-    cycle = part(cycle_text)
-    if not cycle:
-        raise ValueError("lasso cycle must not be empty")
-    return LassoWord(stem, cycle)
+    return LassoWord(part(stem_text), part(cycle_text))
 
 
 def _check_letters(letters, nsym):
@@ -135,21 +126,21 @@ class LassoProduct:
     """Finite (state, position) graph of an automaton run over a lasso.
 
     Positions 0..len(stem)+len(cycle)-1 index the letter about to be read;
-    the last position wraps back to the start of the cycle.  Nodes are the
-    pairs reachable from the distinct (state, position) pairs `starts`, by
-    default (initial, 0) alone.  They are numbered in the order the walk
-    discovers them, the starts first and in their given order: nodes[i] is
-    the (state, position) pair of node i and adjacency[i] its list of
-    (child, color) edges.  A letter outside the alphabet is a ValueError.
+    the last position wraps back to the start of the cycle.  The walk starts
+    from the distinct (state, position) pairs `starts`, and the nodes are the
+    pairs it reaches, numbered in the order it discovers them, the starts
+    first and in their given order: nodes[i] is the (state, position) pair
+    of node i and adjacency[i] its list of (child, color) edges.  A letter
+    outside the alphabet is a ValueError.
     """
 
-    def __init__(self, aut, lasso, starts=None):
+    def __init__(self, aut, lasso, starts):
         lasso = lasso.canonical()
         letters = lasso.stem + lasso.cycle
         _check_letters(letters, len(aut.alphabet))
         wrap = len(lasso.stem)
         last = len(letters) - 1
-        nodes = [(aut.initial, 0)] if starts is None else list(starts)
+        nodes = list(starts)
         number = {node: i for i, node in enumerate(nodes)}
         adjacency = []
         for (state, pos) in nodes:
@@ -279,7 +270,7 @@ class LassoSweep:
     and a cycle enters its class through its primitive root.  `node_sets`
     numbers positions along the lasso, so it takes canonical lassos, as
     those of enumerate_lassos are; on each, every node's sets equal those of
-    LassoProduct(aut, lasso).analysis().
+    LassoProduct(aut, lasso, [(aut.initial, 0)]).analysis().
     """
 
     def __init__(self, aut):

@@ -231,7 +231,7 @@ def rerailing_violations(aut, lasso):
 def chain_color(chain, lasso):
     best = 0
     for i in range(1, len(chain) + 1):
-        if member_cobuchi(chain.level(i), lasso):
+        if member_cobuchi(chain.levels[i - 1], lasso):
             best = i
     return best
 
@@ -279,7 +279,7 @@ def floating_member(f, lasso):
 def floating_chain_color(fchain, lasso):
     best = 0
     for i in range(1, len(fchain) + 1):
-        if floating_member(fchain.level(i), lasso):
+        if floating_member(fchain.levels[i - 1], lasso):
             best = i
     return best
 

@@ -208,8 +208,8 @@ def test_inclusion_game_soundness(hd5):
         if not len(chain_a) or not len(chain_b):
             continue
         checked += 1
-        a = chain_a.level(1 + rng.randrange(len(chain_a)))
-        b = chain_b.level(1 + rng.randrange(len(chain_b)))
+        a = chain_a.levels[rng.randrange(len(chain_a))]
+        b = chain_b.levels[rng.randrange(len(chain_b))]
         if (a.initial, b.initial) in inclusion_table(a, b):
             positives += 1
             for w in enumerate_lassos(2, BOUND, BOUND):

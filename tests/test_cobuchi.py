@@ -54,18 +54,9 @@ def test_accepting_successors(hd5):
 
 def test_chain_basics(uniform_chain):
     assert len(uniform_chain) == 3
-    assert uniform_chain.level(1).state_count == 2
-    assert uniform_chain.level(2).state_count == 3
+    assert uniform_chain.levels[0].state_count == 2
+    assert uniform_chain.levels[1].state_count == 3
     assert uniform_chain.alphabet == ABCD
-
-
-def test_chain_level_refuses_indices_outside_its_levels(minimal5):
-    chain = decompose_rerailing(minimal5)
-    n = len(chain)
-    assert chain.level(n) is chain.levels[-1]
-    for i in (0, -1, n + 1):
-        with pytest.raises(ValueError, match="level index %d outside 1..%d" % (i, n)):
-            chain.level(i)
 
 
 def test_chain_needs_shared_alphabet():
@@ -150,8 +141,7 @@ def test_parse_chain_errors(text, hint):
 def test_decompose_shape(minimal5):
     chain = decompose_rerailing(minimal5)
     assert len(chain) == minimal5.max_color == 3
-    for i in (1, 2, 3):
-        level = chain.level(i)
+    for level in chain.levels:
         assert isinstance(level, CoBuchiAutomaton)
         assert level.state_count == minimal5.state_count
 
@@ -162,8 +152,8 @@ def test_decompose_color_inhomogeneous_levels(level_color):
     # as a rejecting mate-move; the accepting copy is kept.
     aut = parse_automaton(load_text("inhomogeneous3.raf"))
     chain = decompose_rerailing(aut)
-    assert (2, 1, 0, 2) in chain.level(1).transitions
-    assert (2, 1, 0, 1) not in chain.level(1).transitions
+    assert (2, 1, 0, 2) in chain.levels[0].transitions
+    assert (2, 1, 0, 1) not in chain.levels[0].transitions
     color_of = level_color(chain.levels)
     for w in enumerate_lassos(2, 4, 4):
         assert color_of(w) == max(oracles.dominating_colors(aut, w))
@@ -192,7 +182,7 @@ def test_decompose_level_claim_fails_on_a_non_rerailing_input():
     # b;c stays in 1 with color 1.
     aut = parse_automaton(NOT_RERAILING3)
     w = parse_lasso("b;c", aut.alphabet)
-    assert membership_function(decompose_rerailing(aut).level(2), "cobuchi")(w)
+    assert membership_function(decompose_rerailing(aut).levels[1], "cobuchi")(w)
     assert oracles.dominating_colors(aut, w) == {1}
     assert build.verify_rerailing_bounded(aut, 1, 1)
 
@@ -287,12 +277,19 @@ def test_build_rlta_collapse(collapse_chain):
     assert rlta.state_count == 1
 
 
+def whole_rij(chain, trackers, i, j):
+    """R_ij decided on the whole product of the tracker states of levels i, i+1, j, j+1."""
+    sizes = [1] + [tracker.state_count for (tracker, _map) in trackers] + [1]
+    return compute_Rij(chain, trackers, i, j,
+                       itertools.product(*(range(sizes[k]) for k in (i, i + 1, j, j + 1))))
+
+
 def test_compute_rij_bounds(collapse_chain):
     trackers = [residual_tracking_single(a) for a in collapse_chain.levels]
     with pytest.raises(ValueError):
-        compute_Rij(collapse_chain, trackers, 0, 3)
+        compute_Rij(collapse_chain, trackers, 0, 3, [])
     with pytest.raises(ValueError):
-        compute_Rij(collapse_chain, trackers, -1, 0)
+        compute_Rij(collapse_chain, trackers, -1, 0, [])
 
 
 def test_rij_symmetric_and_matches_bounded_witnesses():
@@ -323,8 +320,8 @@ def test_rij_symmetric_and_matches_bounded_witnesses():
                 if (i + j) % 2 == 0:
                     continue
                 ks = (i, i + 1, j, j + 1)
-                rel = compute_Rij(chain, trackers, i, j).tuples
-                swapped = compute_Rij(chain, trackers, j, i).tuples
+                rel = whole_rij(chain, trackers, i, j).tuples
+                swapped = whole_rij(chain, trackers, j, i).tuples
                 assert swapped == {(c, d, a, b) for (a, b, c, d) in rel}
                 witnessed = {
                     tuple(maps[k][q] for k, q in zip(ks, qs))
@@ -348,13 +345,13 @@ def test_rij_on_build_domains_matches_whole_relation(monkeypatch):
     """
     calls = []
 
-    def recording(chain, trackers, i, j, domain=None):
+    def recording(chain, trackers, i, j, domain):
         rel = compute_Rij(chain, trackers, i, j, domain)
         calls.append((chain, trackers, domain, rel))
         return rel
 
-    def whole_relation(chain, trackers, i, j, domain=None):
-        return compute_Rij(chain, trackers, i, j)
+    def whole_relation(chain, trackers, i, j, _domain):
+        return whole_rij(chain, trackers, i, j)
 
     rng = random.Random(61)
     for _ in range(20):
@@ -368,12 +365,12 @@ def test_rij_on_build_domains_matches_whole_relation(monkeypatch):
     restricted = 0
     for (chain, trackers, domain, rel) in calls:
         i, j = rel.i, rel.j
-        whole = compute_Rij(chain, trackers, i, j).tuples
+        whole = whole_rij(chain, trackers, i, j).tuples
         assert rel.tuples == whole & domain, (i, j)
         sizes = [1] + [tracker.state_count for (tracker, _map) in trackers] + [1]
         restricted += len(domain) < sizes[i] * sizes[i + 1] * sizes[j] * sizes[j + 1]
         if j == i + 1:
-            mirrored = compute_Rij(chain, trackers, j, i).tuples
+            mirrored = whole_rij(chain, trackers, j, i).tuples
             assert {(c, d, a, b) for (a, b, c, d) in mirrored} == whole
             assert not any(a == d for (a, _b, _c, d) in mirrored), (i, j)
     assert restricted > 0
@@ -405,7 +402,7 @@ def test_rij_verdict_is_one_per_tracker_class(collapse_chain, seed):
                       for t in tuples}
             won = cobuchi._letter_game(*(a for (a, _m, _d) in levels),
                                        [qs for t in tuples for qs in combos[t]])
-            rel = compute_Rij(chain, trackers, i, j).tuples
+            rel = compute_Rij(chain, trackers, i, j, tuples).tuples
             for t in tuples:
                 assert {qs in won for qs in combos[t]} == {t in rel}, (i, j, t)
                 shared += len(combos[t]) > 1

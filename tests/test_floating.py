@@ -134,13 +134,10 @@ def test_floating_member_matches_oracle(uniform_flochain):
 
 
 def test_chain_level_zero(uniform_flochain):
-    assert uniform_flochain.level(0).state_count == uniform_flochain.rlta.state_count == 1
+    level0 = level0_floating(uniform_flochain.rlta)
+    assert level0.state_count == uniform_flochain.rlta.state_count == 1
     # a one-state tracker leaves its state unnamed, as in residualized names
-    assert uniform_flochain.level(0).names == [""]
-    assert uniform_flochain.level(1) is uniform_flochain.levels[0]
-    for i in (-1, 4):
-        with pytest.raises(ValueError, match="level index %d outside 0..3" % i):
-            uniform_flochain.level(i)
+    assert level0.names == [""]
 
 
 def test_chain_rejects_foreign_tracker():
@@ -151,7 +148,7 @@ def test_chain_rejects_foreign_tracker():
 def test_residualize_deterministic_pairs(uniform_chain, uniform_flochain):
     # Deterministic accepting parts keep the (state, tracker) pairs as-is.
     rlta = uniform_flochain.rlta
-    f1 = residualize(uniform_chain.level(1), rlta)
+    f1 = residualize(uniform_chain.levels[0], rlta)
     assert f1.state_count == 2
     assert [f1.state_name(q) for q in range(2)] == ["1", "2"]
     assert f1.labels == [0, 0]
@@ -159,7 +156,7 @@ def test_residualize_deterministic_pairs(uniform_chain, uniform_flochain):
     assert f1.step(0, 3) is None
     assert f1.step(1, 0) is None
     assert f1.step(1, 3) == 1
-    f2 = residualize(uniform_chain.level(2), rlta)
+    f2 = residualize(uniform_chain.levels[1], rlta)
     assert [f2.state_name(q) for q in range(3)] == ["3", "4", "5"]
     assert f2.transitions() == [(0, 0, 0), (0, 1, 0), (0, 2, 1),
                                 (1, 1, 0), (1, 2, 0), (2, 2, 2), (2, 3, 2)]
@@ -216,7 +213,7 @@ def test_minimize_keeps_minimal_levels(uniform_flochain):
 
 
 def test_minimize_merges_duplicates(uniform_flochain):
-    f = uniform_flochain.level(1)
+    f = uniform_flochain.levels[0]
     n = f.state_count
     delta = dict(f.delta)
     delta.update(((src + n, x), dst + n) for (src, x), dst in f.delta.items())
@@ -302,7 +299,7 @@ def test_minimize_random_residuals_and_products():
 
 
 def test_product_intersects(uniform_flochain):
-    f2, f3 = uniform_flochain.level(2), uniform_flochain.level(3)
+    f2, f3 = uniform_flochain.levels[1], uniform_flochain.levels[2]
     both, marking = product_automaton(f2, f3)
     assert both.state_count == f2.state_count * f3.state_count
     assert marking == [q1 for q1 in range(f2.state_count) for _ in range(f3.state_count)]
@@ -312,7 +309,7 @@ def test_product_intersects(uniform_flochain):
 
 
 def test_restrict(uniform_chain, uniform_flochain):
-    f1 = residualize(uniform_chain.level(1), uniform_flochain.rlta)
+    f1 = residualize(uniform_chain.levels[0], uniform_flochain.rlta)
     only = restrict_tables(f1.alphabet, f1.rlta, f1.delta, f1.labels, f1.names, [0])
     assert only.state_count == 1
     assert only.transitions() == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
@@ -323,7 +320,7 @@ def test_minimize_groups_on_residual_levels(uniform_chain, uniform_flochain):
     # a distinct marking per state keeps every state, so the groups are the
     # residualized levels' SCCs holding a cycle, by least member
     for level, groups in ((1, [[0], [1]]), (2, [[0, 1], [2]])):
-        f = residualize(uniform_chain.level(level), uniform_flochain.rlta)
+        f = residualize(uniform_chain.levels[level - 1], uniform_flochain.rlta)
         n = f.state_count
         assert minimize_tables(f.delta, f.labels, list(range(n)), f.names,
                                len(f.alphabet))[2] == groups

@@ -48,13 +48,20 @@ def test_canonical_examples():
     assert LassoWord((), (1, 0)).canonical() == LassoWord((), (1, 0))
 
 
+def letter_at(w, k):
+    """Letter k of the word the lasso `w` spells."""
+    if k < len(w.stem):
+        return w.stem[k]
+    return w.cycle[(k - len(w.stem)) % len(w.cycle)]
+
+
 def test_canonical_preserves_the_word():
     rng = random.Random(3)
     for _ in range(200):
         w = oracles.random_lasso(rng, 3, 4, 4)
         c = w.canonical()
         assert c.canonical() == c
-        assert [w.letter_at(k) for k in range(24)] == [c.letter_at(k) for k in range(24)]
+        assert [letter_at(w, k) for k in range(24)] == [letter_at(c, k) for k in range(24)]
 
 
 @given(st.lists(st.integers(0, 2), max_size=5),
@@ -64,8 +71,8 @@ def test_canonical_is_stable_and_faithful(stem, cycle):
     c = w.canonical()
     assert c.canonical() == c
     horizon = 2 * (len(stem) + len(cycle)) + 4
-    assert [w.letter_at(k) for k in range(horizon)] == \
-        [c.letter_at(k) for k in range(horizon)]
+    assert [letter_at(w, k) for k in range(horizon)] == \
+        [letter_at(c, k) for k in range(horizon)]
 
 
 @given(st.lists(st.integers(0, 3), max_size=4),
@@ -73,11 +80,6 @@ def test_canonical_is_stable_and_faithful(stem, cycle):
 def test_parse_format_roundtrip(stem, cycle):
     w = LassoWord(tuple(stem), tuple(cycle))
     assert parse_lasso(format_lasso(w, ABCD), ABCD) == w
-
-
-def test_letter_at_wraps():
-    w = LassoWord((0,), (1, 2))
-    assert [w.letter_at(k) for k in range(6)] == [0, 1, 2, 1, 2, 1]
 
 
 def test_enumerate_lassos_counts():
@@ -100,7 +102,7 @@ def test_enumerate_lassos_refuses_bounds_past_the_limit(args, count):
 
 def test_enumerate_lassos_distinct_as_words():
     words = list(enumerate_lassos(2, 2, 3))
-    unfolded = {tuple(w.letter_at(k) for k in range(12)) for w in words}
+    unfolded = {tuple(letter_at(w, k) for k in range(12)) for w in words}
     assert len(unfolded) == len(words)
 
 
@@ -294,7 +296,7 @@ def test_lasso_product_refuses_letters_outside_the_alphabet(stem, cycle, letter)
     det = AutomatonStructure(AB, 1, [(0, 0, 0, 2), (0, 1, 0, 1)], 0)
     with pytest.raises(ValueError, match="^lasso letter %d outside the alphabet of 2 symbols$"
                        % letter):
-        LassoProduct(det, LassoWord(stem, cycle))
+        LassoProduct(det, LassoWord(stem, cycle), [(det.initial, 0)])
 
 
 def test_cobuchi_binder_refuses_other_colors():
@@ -352,7 +354,7 @@ def test_sweep_node_sets_match_one_lasso_products():
         sweep = LassoSweep(aut)
         long_stem = LassoWord(tuple(stems.randrange(2) for _ in range(2000)), (1,))
         for w in list(enumerate_lassos(len(aut.alphabet), 2, 4 - k % 2)) + [long_stem.canonical()]:
-            product = LassoProduct(aut, w)
+            product = LassoProduct(aut, w, [(aut.initial, 0)])
             analysis = product.analysis()
             expected = sorted(zip(product.nodes, analysis.achievable, analysis.uniform))
             assert sorted(sweep.node_sets(w)) == expected, (k, w)
