@@ -440,6 +440,20 @@ def split_states(level):
     return oracles.split_states(level, CoBuchiAutomaton)
 
 
+def test_arena_start_without_a_move_loses():
+    """A round start whose every symbol is a twin step has no move in the
+    parity arena, and player 0 loses there; with moves it wins the same
+    start, on a word accepted from qi and qj but not from qi1 or qj1."""
+    # state 0 accepts nothing, state 1 everything
+    level = split_states(CoBuchiAutomaton(AB, 2, [(q, x, q, 1 + q) for q in (0, 1)
+                                                  for x in (0, 1)], 0))
+    start = (0, 0, 2, 0)        # qi1 is a copy of state 0, qj one of state 1
+    game = (universal(), level, level, split_states(empty_language()), [start])
+    assert cobuchi._arena_winners(*game, None) == {start}
+    assert cobuchi._arena_winners(*game, [[q // 2] * 2 for q in range(4)]) == {start}
+    assert cobuchi._arena_winners(*game, [[0] * 2 for q in range(4)]) == set()
+
+
 def test_graph_and_arena_deciders_agree(monkeypatch):
     """The letter game is a graph search when both resolver levels are
     deterministic and a parity game otherwise.  Splitting the states of the

@@ -140,6 +140,15 @@ def test_chain_level_zero(uniform_flochain):
     assert level0.names == [""]
 
 
+def test_floating_automata_compare_by_their_moves():
+    rlta = trivial_rlta(AB)
+    f = FloatingAutomaton(AB, 2, {(0, 0): 1, (1, 1): 0}, [0, 0], rlta)
+    assert f == FloatingAutomaton(AB, 2, {(1, 1): 0, (0, 0): 1}, [0, 0], rlta)
+    assert f != FloatingAutomaton(AB, 2, {(0, 0): 0, (1, 1): 0}, [0, 0], rlta)
+    assert f != FloatingAutomaton(AB, 2, {(0, 0): 1}, [0, 0], rlta)
+    assert f != FloatingAutomaton(AB, 2, {(0, 0): 1, (1, 1): 0, (0, 1): 0}, [0, 0], rlta)
+
+
 def test_chain_rejects_foreign_tracker():
     with pytest.raises(ValueError):
         FloatingChain(trivial_rlta(AB), [eventually_only(ABCD, "a")])

@@ -40,6 +40,12 @@ def test_parse_rejects(text):
         parse_lasso(text, ABCD)
 
 
+@pytest.mark.parametrize("text", ["a;", ";", "a.b;  "])
+def test_parse_names_an_empty_cycle(text):
+    with pytest.raises(ValueError, match="^lasso cycle must not be empty$"):
+        parse_lasso(text, ABCD)
+
+
 def test_canonical_examples():
     assert LassoWord((0,), (0,)).canonical() == LassoWord((), (0,))
     assert LassoWord((), (0, 1, 0, 1)).canonical() == LassoWord((), (0, 1))
