@@ -271,6 +271,9 @@ def main(argv=None):
     except (RafError, ValueError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

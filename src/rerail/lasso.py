@@ -1,8 +1,8 @@
 """Ultimately periodic words, lasso products, and membership oracles.
 
 A lasso word stem . cycle^omega is the universal finite test vehicle here:
-all membership semantics are decided on the finite product of an automaton
-with the lasso's positions.
+all membership semantics are decided from the states the stem reaches and
+the finite product of an automaton with the cycle.
 """
 
 from __future__ import annotations
@@ -123,42 +123,20 @@ def enumerate_lassos(n_symbols, stem_bound, cycle_bound):
 
 
 class LassoProduct:
-    """Finite (state, position) graph of an automaton run over a lasso.
+    """Finite (state, offset) graph of an automaton run over cycle^omega.
 
-    Positions 0..len(stem)+len(cycle)-1 index the letter about to be read;
-    the last position wraps back to the start of the cycle.  The walk starts
-    from the distinct (state, position) pairs `starts`, and the nodes are the
-    pairs it reaches, numbered in the order it discovers them, the starts
-    first and in their given order: nodes[i] is the (state, position) pair
-    of node i and adjacency[i] its list of (child, color) edges.  A letter
-    outside the alphabet is a ValueError.
+    Node k*|Q| + q is the automaton in state q about to read cycle[k], and
+    adjacency[k*|Q| + q] its list of (child, color) edges, the children at
+    offset k + 1, which wraps to 0.  A letter outside the alphabet is a
+    ValueError.
     """
 
-    def __init__(self, aut, lasso, starts):
-        lasso = lasso.canonical()
-        letters = lasso.stem + lasso.cycle
-        _check_letters(letters, len(aut.alphabet))
-        wrap = len(lasso.stem)
-        last = len(letters) - 1
-        nodes = list(starts)
-        number = {node: i for i, node in enumerate(nodes)}
-        adjacency = []
-        for (state, pos) in nodes:
-            nxt = pos + 1 if pos < last else wrap
-            children = []
-            for (dst, color) in aut.successors(state, letters[pos]):
-                key = (dst, nxt)
-                child = number.get(key)
-                if child is None:
-                    child = number[key] = len(nodes)
-                    nodes.append(key)
-                children.append((child, color))
-            adjacency.append(children)
-        self.nodes = nodes
-        self.adjacency = adjacency
-
-    def analysis(self):
-        return _ProductAnalysis(self)
+    def __init__(self, aut, cycle):
+        _check_letters(cycle, len(aut.alphabet))
+        n, size = aut.state_count, len(cycle)
+        self.adjacency = [[((k + 1) % size * n + dst, color)
+                           for (dst, color) in aut.successors(q, cycle[k])]
+                          for k in range(size) for q in range(n)]
 
 
 def cycle_minima(edges):
@@ -252,25 +230,25 @@ class LassoSweep:
 
     So the sweep analyses each conjugacy class of primitive cycles once, on
     first use, keyed by its least rotation w: one LassoProduct of the
-    automaton with w^omega walked from every (state, offset) node, where
-    node k*|Q| + q is (q, k).  Rotation mapping: the cycle v = w[r:] + w[:r]
-    enters w at offset r, so the lasso node (q, len(u) + j) is the class
-    node (q, (r + j) mod |w|).  Stem positions only grow, so each stem node
-    is a trivial SCC: its achievable set is the union over its children, and
-    its uniform set the union over its children plus the achievable set when
-    that is a single color.  Hence an achievable color d of a stem node that
-    no uniform color c >= d of the verdict's evenness covers is achievable
-    and uncovered at one of its children too: a lasso whose cycle nodes
-    violate the rerailing property nowhere has no violation at all (see
-    verify_rerailing_bounded).
+    automaton with w, whose node k*|Q| + q is (q, k).  Rotation mapping:
+    the cycle v = w[r:] + w[:r] enters w at offset r, so the lasso node
+    (q, len(u) + j) is the class node (q, (r + j) mod |w|).  Stem positions
+    only grow, so each stem node is a trivial SCC: its achievable set is the
+    union over its children, and its uniform set the union over its children
+    plus the achievable set when that is a single color.  Hence an
+    achievable color d of a stem node that no uniform color c >= d of the
+    verdict's evenness covers is achievable and uncovered at one of its
+    children too: a lasso whose cycle nodes violate the rerailing property
+    nowhere has no violation at all (see verify_rerailing_bounded).
 
     R(u) per stem u, and the colors and cycle nodes per key (v, R(u))
     (cycle_key), are memoized.  `colors` takes any spelling of a lasso: the
     runs over a word do not depend on how it is split into stem and cycle,
     and a cycle enters its class through its primitive root.  `node_sets`
     numbers positions along the lasso, so it takes canonical lassos, as
-    those of enumerate_lassos are; on each, every node's sets equal those of
-    LassoProduct(aut, lasso, [(aut.initial, 0)]).analysis().
+    those of enumerate_lassos are.  On each, node (q, p) gets the dominating
+    colors of the runs from q over the lasso's suffix from position p, and
+    the colors c such that a node reachable from it has exactly {c}.
     """
 
     def __init__(self, aut):
@@ -290,9 +268,8 @@ class LassoSweep:
             word = root[shift:] + root[:shift]
             analysed = self._classes.get(word)
             if analysed is None:
-                starts = [(q, k) for k in range(size) for q in range(self.aut.state_count)]
-                product = LassoProduct(self.aut, LassoWord((), word), starts)
-                analysed = self._classes[word] = (product, product.analysis())
+                product = LassoProduct(self.aut, word)
+                analysed = self._classes[word] = (product, _ProductAnalysis(product))
             found = self._cycles[cycle] = analysed + ((size - shift) % size,)
         return found
 
@@ -348,13 +325,10 @@ class LassoSweep:
         if found is None:
             (cycle, reached) = key
             (product, analysis, entry) = self._class_of(cycle)
-            adjacency, nodes = product.adjacency, product.nodes
-            size = len(cycle)
-            base = entry * self.aut.state_count
+            adjacency, n, size = product.adjacency, self.aut.state_count, len(cycle)
             found = self._cycle_nodes[key] = [
-                (nodes[i][0], (nodes[i][1] - entry) % size,
-                 analysis.achievable[i], analysis.uniform[i])
-                for i in reachable([base + q for q in reached],
+                (i % n, (i // n - entry) % size, analysis.achievable[i], analysis.uniform[i])
+                for i in reachable([entry * n + q for q in reached],
                                    lambda node: [child for (child, _c) in adjacency[node]])]
         return found
 

@@ -186,16 +186,14 @@ def member_cobuchi(aut, lasso):
     return 2 in dominating_colors(aut, lasso)
 
 
-def rerailing_violations(aut, lasso):
-    """Violations of the bounded rerailing property on one lasso.
+def node_color_sets(aut, lasso):
+    """{(q, pos): (dominating, uniform)} for each node of the lasso product.
 
     Positions are those of `lasso` as given (pass a canonical lasso to
-    compare with the library).  A product node (q, pos) has the dominating
-    colors of the automaton restarted at q over the word from pos on, and
-    the colors c such that some node reachable from it (itself included)
-    has dominating colors {c}.  Every dominating color d of a node that no
-    such c of the verdict's parity reaches (c >= d) is a violation; the
-    list is sorted by node, then d.
+    compare with the library).  dominating holds the dominating colors of
+    the automaton restarted at q over the word from pos on, and uniform the
+    colors c such that some node reachable from (q, pos), itself included,
+    has dominating colors {c}.  Nodes come in sorted order.
     """
     word = lasso.stem + lasso.cycle
     nodes, edges = product_graph(aut, lasso)
@@ -209,13 +207,25 @@ def rerailing_violations(aut, lasso):
                                        aut.transitions, q)
         dominating.append(dominating_colors(restarted,
                                             LassoWord(word[pos:], lasso.cycle)))
-    member = max(dominating[index[(aut.initial, 0)]]) % 2 == 0
+    return {node: (dominating[i], {c for j in _reachable_from(i, succ)
+                                   for c in dominating[j] if len(dominating[j]) == 1})
+            for i, node in enumerate(nodes)}
+
+
+def rerailing_violations(aut, lasso):
+    """Violations of the bounded rerailing property on one lasso.
+
+    Positions are those of `lasso` as given (pass a canonical lasso to
+    compare with the library).  Every dominating color d of a node (see
+    node_color_sets) that no uniform color c >= d of the verdict's parity
+    reaches is a violation; the list is sorted by node, then d.
+    """
+    sets = node_color_sets(aut, lasso)
+    member = max(sets[(aut.initial, 0)][0]) % 2 == 0
     violations = []
-    for i, node in enumerate(nodes):
-        uniform = {c for j in _reachable_from(i, succ)
-                   for c in dominating[j] if len(dominating[j]) == 1}
+    for node, (dominating, uniform) in sets.items():
         good = [c for c in uniform if (c % 2 == 0) == member]
-        for d in sorted(dominating[i]):
+        for d in sorted(dominating):
             if any(c >= d for c in good):
                 continue
             if not uniform:

@@ -268,6 +268,27 @@ def test_minimize_never_grows_complete_dpw(name):
     assert minimize_rerailing(aut).state_count <= aut.state_count
 
 
+# A DPW of the smallest size that minimize_rerailing grows: 3 states (colors
+# 0..3) become 4, with no difference within 4/4 bounded equivalence.
+GROWING_THREE_STATE_DPW = """raf 1
+alphabet a b
+states 3
+initial 0
+trans 0 a 0 0
+trans 0 b 1 1
+trans 1 a 0 1
+trans 1 b 2 3
+trans 2 a 1 3
+trans 2 b 2 2
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: 4 states for a 3-state DPW")
+def test_minimize_never_grows_three_state_dpw():
+    aut = parse_automaton(GROWING_THREE_STATE_DPW)
+    assert minimize_rerailing(aut).state_count <= aut.state_count
+
+
 def test_minimize_never_grows_any_two_state_dpw():
     """Every complete DPW with 2 states over a b, colors 0..3 and initial state 0:
     4,096 automata, enumerated without a seed.  No output has more states than

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rerail
+from rerail import build as build_mod
 from rerail import cli as cli_mod
 from rerail import cobuchi as cobuchi_mod
 from rerail import floating as floating_mod
@@ -162,6 +163,16 @@ def test_minimize_idempotent_files(tmp_path, capsys):
     assert structure_lines(tmp_path / "once.raf") == structure_lines(tmp_path / "twice.raf")
     small = parse_automaton((tmp_path / "once.raf").read_text())
     assert small.state_count <= source.state_count
+
+
+def test_out_of_memory_is_an_error_without_a_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(_aut):
+        raise MemoryError()
+    monkeypatch.setattr(build_mod, "minimize_rerailing", exhausted)
+    assert run_cli("minimize", "-i", MINIMAL5, "-o", str(tmp_path / "out.raf")) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
+    assert not (tmp_path / "out.raf").exists()
 
 
 def test_equiv_reports_counterexample(tmp_path, capsys):

@@ -296,13 +296,13 @@ def test_chain_semantics_refuse_letters_outside_the_alphabet(uniform_chain, unif
             membership_function(obj, semantics)(LassoWord((0,), (4,)))
 
 
-@pytest.mark.parametrize("stem, cycle, letter", [((-1,), (0,), -1), ((0,), (2,), 2)])
-def test_lasso_product_refuses_letters_outside_the_alphabet(stem, cycle, letter):
+@pytest.mark.parametrize("letter", [-1, 2])
+def test_lasso_product_refuses_letters_outside_the_alphabet(letter):
     """A negative letter is no symbol counted from the end of the alphabet."""
     det = AutomatonStructure(AB, 1, [(0, 0, 0, 2), (0, 1, 0, 1)], 0)
     with pytest.raises(ValueError, match="^lasso letter %d outside the alphabet of 2 symbols$"
                        % letter):
-        LassoProduct(det, LassoWord(stem, cycle), [(det.initial, 0)])
+        LassoProduct(det, (letter,))
 
 
 def test_cobuchi_binder_refuses_other_colors():
@@ -348,8 +348,9 @@ def test_bounded_equivalence_rejects_empty_bounds(minimal5):
 
 
 def test_sweep_node_sets_match_one_lasso_products():
-    """Every node of every lasso gets the sets of its one-lasso product, also
-    on a 2000-letter stem whose prefixes the sweep has not met."""
+    """Every node of every lasso gets the sets of the oracle, which restarts
+    the automaton at the node; on a 2000-letter stem whose prefixes the sweep
+    has not met, the sets of a sweep that has met every prefix."""
     rng = random.Random(41)
     stems = random.Random(42)
     for k in range(40):
@@ -358,13 +359,17 @@ def test_sweep_node_sets_match_one_lasso_products():
         if k % 4 == 3:
             aut = _partial(rng, aut)
         sweep = LassoSweep(aut)
-        long_stem = LassoWord(tuple(stems.randrange(2) for _ in range(2000)), (1,))
-        for w in list(enumerate_lassos(len(aut.alphabet), 2, 4 - k % 2)) + [long_stem.canonical()]:
-            product = LassoProduct(aut, w, [(aut.initial, 0)])
-            analysis = product.analysis()
-            expected = sorted(zip(product.nodes, analysis.achievable, analysis.uniform))
-            assert sorted(sweep.node_sets(w)) == expected, (k, w)
-            assert sweep.colors(w) == analysis.achievable[0], (k, w)
+        for w in enumerate_lassos(len(aut.alphabet), 2, 4 - k % 2):
+            expected = oracles.node_color_sets(aut, w)
+            assert sorted(sweep.node_sets(w)) == sorted(
+                (node, a, u) for node, (a, u) in expected.items()), (k, w)
+            assert sweep.colors(w) == expected[(aut.initial, 0)][0], (k, w)
+        long_stem = LassoWord(tuple(stems.randrange(2) for _ in range(2000)), (1,)).canonical()
+        met = LassoSweep(aut)
+        for m in range(len(long_stem.stem) + 1):
+            met.cycle_key(LassoWord(long_stem.stem[:m], long_stem.cycle))
+        assert sorted(sweep.node_sets(long_stem)) == sorted(met.node_sets(long_stem)), k
+        assert sweep.colors(long_stem) == met.colors(long_stem), k
 
 
 def _perturbed(rng, aut, extra):
