@@ -18,7 +18,6 @@ from .floating import (level0_floating, minimize_tables, product_tables, residua
                        restrict_tables, safe_subset)
 from .lasso import LassoSweep, enumerate_lassos
 from .raf import AutomatonStructure, complete_reachable_states, validate_complete
-from .scc import reachable
 
 
 @dataclass
@@ -188,31 +187,28 @@ def verify_rerailing_bounded(aut, stem_bound, cycle_bound):
     lasso fails iff one of its cycle nodes does.  Those and the verdict
     depend on the key (cycle, R(stem)) alone: its cycle nodes are the nodes
     of the cycle's class product reachable from its entry nodes.  So per
-    class product and verdict one backward walk finds the nodes that reach
-    a violating node, and a key fails iff one of its entry nodes is among
-    them.  Only lassos on a failing key walk their stem.
+    class product and verdict one pass over its components, sinks first,
+    dooms those whose shared sets violate or that have a doomed successor,
+    and a key fails iff one of its entry components is doomed.  Only
+    lassos on a failing key walk their stem.
     """
     complete_reachable_states(aut)
     sweep = LassoSweep(aut)
     violations = lru_cache(maxsize=None)(_node_violations)
-    doomed = {}     # (class product, verdict) -> its nodes that reach a violating node
+    doomed = {}     # (class analysis, verdict) -> per component, whether it reaches a violation
     dirty = {}      # cycle key -> the verdict if a cycle node violates, else None
     failures = []
     for lasso in enumerate_lassos(len(aut.alphabet), stem_bound, cycle_bound):
         key = sweep.cycle_key(lasso)
         if key not in dirty:
             member = max(sweep.colors(lasso)) % 2 == 0
-            (product, analysis, entries) = sweep.class_nodes(key)
-            bad = doomed.get((product, member))
+            (analysis, entries) = sweep.entry_components(key)
+            bad = doomed.get((analysis, member))
             if bad is None:
-                preds = [[] for _ in product.adjacency]
-                for u, edges in enumerate(product.adjacency):
-                    for (v, _c) in edges:
-                        preds[v].append(u)
-                bad = doomed[(product, member)] = set(reachable(
-                    [i for i, sets in enumerate(zip(analysis.achievable, analysis.uniform))
-                     if violations(*sets, member)], preds.__getitem__))
-            dirty[key] = None if bad.isdisjoint(entries) else member
+                bad = doomed[(analysis, member)] = []
+                for (sets, later) in zip(analysis.sets, analysis.successors):
+                    bad.append(bool(violations(*sets, member)) or any(bad[c] for c in later))
+            dirty[key] = member if any(bad[c] for c in entries) else None
         member = dirty[key]
         if member is None:
             continue

@@ -371,6 +371,12 @@ def residual_tracking_single(a):
     transition of a class member must stay inside a single class, otherwise
     the level is rejected as not language-deterministic.
 
+    The classes partition the states of any automaton, history-deterministic
+    or not: the letter-game relation `inclusion_table(a, a)` is reflexive, as
+    player 1 may copy player 0's moves, and transitive, as player 1 may
+    compose two winning strategies, the first building a run from the middle
+    state online for the second to answer.
+
     Returns (tracker, state_map) with state_map giving each level state its class.
     """
     table = inclusion_table(a, a)
@@ -379,10 +385,6 @@ def residual_tracking_single(a):
         members = frozenset(p for p in range(a.state_count)
                             if (q, p) in table and (p, q) in table)
         classes[q] = members
-    for q in range(a.state_count):
-        for p in classes[q]:
-            if classes[p] != classes[q]:
-                raise ValueError("mutual-inclusion classes do not partition the states")
     ordered = sorted({members for members in classes.values()}, key=min)
     class_id = {members: i for i, members in enumerate(ordered)}
     state_map = [class_id[classes[q]] for q in range(a.state_count)]

@@ -342,18 +342,12 @@ def serialize_floating_chain(fchain):
 def _parse_floating_block(lines, start, rlta):
     """Read a floating block with `_read_body`; its automaton and the position after it."""
     idx, got = _read_body(lines, start, ("states", "name", "label"), 4, rlta.alphabet,
-                          ("floating",))
+                          ("floating",), floating=True)
     if "states" not in got:
         raise RafError("floating block missing state count")
     body, alphabet, state_count = lines[start:idx], rlta.alphabet, got["states"]
     _check_cells(state_count, alphabet, body)
-    delta = {}
-    for (src, sym, dst) in got["trans"]:
-        if delta.setdefault((src, sym), dst) != dst:
-            raise RafError("conflicting targets for state %d on %s"
-                           % (src, alphabet.symbols[sym]),
-                           _line_of(body, ("trans", src, sym, dst), alphabet))
-    names, labels = got["name"], got["label"]
+    delta, names, labels = got["trans"], got["name"], got["label"]
     for what, table in (("name", names), ("label", labels)):
         stray = sorted(q for q in table if not 0 <= q < state_count)
         if stray:

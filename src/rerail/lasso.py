@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .cobuchi import Chain, _check_cobuchi_colors
 from .floating import FloatingChain, cobuchi_reading
@@ -78,11 +78,13 @@ def format_lasso(lasso, alphabet):
 
 
 # Most (stem, cycle) pairs `enumerate_lassos` builds: about 16 us each, and about 190
-# bytes held in its cache per canonical lasso.
+# bytes held in its cache per canonical lasso.  An enumeration near the cap, such as the
+# 499,712 canonical lassos of 2 symbols at bounds 9 and 9, holds about 96 MB; the cache
+# keeps 4 enumerations, so at worst about 400 MB.
 MAX_LASSO_CANDIDATES = 1 << 20
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def _canonical_lassos(n_symbols, stem_bound, cycle_bound):
     result = []
     rng = range(n_symbols)
@@ -178,21 +180,24 @@ def _scc_edge_sets(edges):
 
 
 class _ProductAnalysis:
-    """Per-node dominating colors of a lasso product.
+    """Dominating colors of a lasso product, per strongly connected component.
 
-    achievable[i] holds the dominating colors of runs continuing from node i:
-    c is achievable iff some reachable strongly connected edge set has
-    minimum color exactly c.  uniform[i] holds the colors c such that some
-    node reachable from i has achievable set {c}.
+    comp_of[i] is the component of node i; successors[c] holds the other
+    components entered by edges from c, all with ids below c.  sets[c] is
+    the pair (achievable, uniform) that all nodes of c share: achievable
+    holds the dominating colors d of runs continuing from them (some
+    reachable strongly connected edge set has minimum color exactly d), and
+    uniform the colors d such that a component reachable from c has
+    achievable set {d}.
     """
 
     def __init__(self, product):
         adjacency = product.adjacency
-        comp_of = scc_decomposition(len(adjacency),
-                                    [[child for (child, _c) in edges] for edges in adjacency])
+        comp_of = self.comp_of = scc_decomposition(
+            len(adjacency), [[child for (child, _c) in edges] for edges in adjacency])
         count = max(comp_of, default=-1) + 1
         internal = [[] for _ in range(count)]
-        succ_comps = [set() for _ in range(count)]
+        successors = self.successors = [set() for _ in range(count)]
         for u, edges in enumerate(adjacency):
             cu = comp_of[u]
             for (v, color) in edges:
@@ -200,22 +205,18 @@ class _ProductAnalysis:
                 if cu == cv:
                     internal[cu].append((u, v, color))
                 else:
-                    succ_comps[cu].add(cv)
-        reach = [None] * count
-        uniform = [None] * count
-        # component ids count up from the sinks, so successors are done first
-        for c in range(count):
+                    successors[cu].add(cv)
+        sets = self.sets = []
+        for c in range(count):      # successors are done first
             acc = cycle_minima(internal[c])
             uni = set()
-            for s in succ_comps[c]:
-                acc |= reach[s]
-                uni |= uniform[s]
+            for s in successors[c]:
+                (a, u) = sets[s]
+                acc |= a
+                uni |= u
             if len(acc) == 1:
                 uni |= acc
-            reach[c] = frozenset(acc)
-            uniform[c] = frozenset(uni)
-        self.achievable = [reach[c] for c in comp_of]
-        self.uniform = [uniform[c] for c in comp_of]
+            sets.append((frozenset(acc), frozenset(uni)))
 
 
 class LassoSweep:
@@ -225,8 +226,8 @@ class LassoSweep:
     R(u), the set of states reached by reading u, and on the analysis of the
     automaton x v product.  The lasso's cycle nodes are the nodes of that
     product reachable from R(u) at the first letter of v, a node's
-    achievable and uniform sets depend only on what is reachable from it,
-    and the rotations of v have the same product up to a shift of offsets.
+    achievable and uniform sets are those of its component, and the
+    rotations of v have the same product up to a shift of offsets.
 
     So the sweep analyses each conjugacy class of primitive cycles once, on
     first use, keyed by its least rotation w: one LassoProduct of the
@@ -241,14 +242,16 @@ class LassoSweep:
     children too: a lasso whose cycle nodes violate the rerailing property
     nowhere has no violation at all (see verify_rerailing_bounded).
 
-    R(u) per stem u, and the colors and cycle nodes per key (v, R(u))
-    (cycle_key), are memoized.  `colors` takes any spelling of a lasso: the
-    runs over a word do not depend on how it is split into stem and cycle,
-    and a cycle enters its class through its primitive root.  `node_sets`
-    numbers positions along the lasso, so it takes canonical lassos, as
-    those of enumerate_lassos are.  On each, node (q, p) gets the dominating
-    colors of the runs from q over the lasso's suffix from position p, and
-    the colors c such that a node reachable from it has exactly {c}.
+    R(u) per stem u, the step from each state set on each symbol, and the
+    colors and cycle nodes per key (v, R(u)) (cycle_key), are memoized.
+    `colors` takes any spelling of a lasso: the runs over a word do not
+    depend on how it is split into stem and cycle, and a cycle enters its
+    class through its primitive root.  `node_sets` numbers positions along
+    the lasso, so it takes canonical lassos, as those of enumerate_lassos
+    are.  On each, node (q, p) gets the dominating colors of the runs from
+    q over the lasso's suffix from position p, and the colors c such that a
+    node reachable from it has exactly {c}; it walks the stem forward once
+    and memoizes none of its prefixes.
     """
 
     def __init__(self, aut):
@@ -256,8 +259,9 @@ class LassoSweep:
         self._classes = {}      # least rotation w -> (product, analysis) of aut x w
         self._cycles = {}       # cycle v -> (class product, analysis, entry offset r)
         self._reached = {(): frozenset((aut.initial,))}
+        self._steps = {}        # (state set, symbol) -> the state set it leads to
         self._colors = {}       # (cycle, reached states) -> colors
-        self._cycle_nodes = {}  # (cycle, reached states) -> cycle_sets
+        self._cycle_nodes = {}  # (cycle, reached states) -> [(state, offset, achievable, uniform)]
 
     def _class_of(self, cycle):
         found = self._cycles.get(cycle)
@@ -273,6 +277,14 @@ class LassoSweep:
             found = self._cycles[cycle] = analysed + ((size - shift) % size,)
         return found
 
+    def _step(self, states, x):
+        """The set of states one move on symbol `x` leads to from `states`."""
+        found = self._steps.get((states, x))
+        if found is None:
+            found = self._steps[(states, x)] = frozenset(
+                dst for q in states for (dst, _c) in self.aut.successors(q, x))
+        return found
+
     def _states_after(self, stem):
         """The set of states reached from the initial state by reading `stem`.
 
@@ -282,74 +294,65 @@ class LassoSweep:
         states = self._reached.get(stem)
         if states is None:
             prefix = stem[:-1] if stem[:-1] in self._reached else ()
-            states, succ = self._reached[prefix], self.aut.successors
             _check_letters(stem[len(prefix):], len(self.aut.alphabet))
-            for x in stem[len(prefix):]:
-                states = frozenset(dst for q in states for (dst, _c) in succ(q, x))
-            self._reached[stem] = states
+            states = self._reached[stem] = reduce(
+                self._step, stem[len(prefix):], self._reached[prefix])
         return states
 
     def cycle_key(self, lasso):
         """(cycle, R(stem)): the key that the colors and cycle nodes of `lasso` depend on."""
         return (lasso.cycle, self._states_after(lasso.stem))
 
-    def class_nodes(self, key):
-        """(product, analysis, entry nodes) of the class of a cycle_key.
+    def entry_components(self, key):
+        """(analysis, entry components) of the class product of a cycle_key.
 
-        The entry nodes are the ids of the class-product nodes at which the
-        key's lasso enters its cycle: (q, r) for q in R(stem), where r is the
+        The entry components hold the class-product nodes at which the key's
+        lasso enters its cycle: (q, r) for q in R(stem), where r is the
         cycle's entry offset into the class word.
         """
         (cycle, reached) = key
-        (product, analysis, entry) = self._class_of(cycle)
+        (_product, analysis, entry) = self._class_of(cycle)
         base = entry * self.aut.state_count
-        return product, analysis, [base + q for q in reached]
+        return analysis, {analysis.comp_of[base + q] for q in reached}
 
     def colors(self, lasso):
         """Dominating colors of the runs over `lasso` (achievable set of its node 0)."""
         key = self.cycle_key(lasso)
         colors = self._colors.get(key)
         if colors is None:
-            (_product, analysis, entries) = self.class_nodes(key)
+            (analysis, entries) = self.entry_components(key)
             colors = self._colors[key] = frozenset().union(
-                *(analysis.achievable[i] for i in entries))
+                *(analysis.sets[c][0] for c in entries))
         return colors
-
-    def cycle_sets(self, key):
-        """[(state, offset j, achievable, uniform)] for the cycle nodes of a cycle_key.
-
-        The cycle nodes are the class-product nodes reachable from the entry
-        nodes (q, 0), q in R(stem); offset j counts from the start of the cycle.
-        """
-        found = self._cycle_nodes.get(key)
-        if found is None:
-            (cycle, reached) = key
-            (product, analysis, entry) = self._class_of(cycle)
-            adjacency, n, size = product.adjacency, self.aut.state_count, len(cycle)
-            found = self._cycle_nodes[key] = [
-                (i % n, (i // n - entry) % size, analysis.achievable[i], analysis.uniform[i])
-                for i in reachable([entry * n + q for q in reached],
-                                   lambda node: [child for (child, _c) in adjacency[node]])]
-        return found
 
     def node_sets(self, lasso):
         """Yield ((state, position), achievable, uniform) for each node of `lasso`.
 
-        The cycle nodes come first, then the stem nodes from the last stem
-        position back to position 0.
+        The cycle nodes, the class-product nodes reachable from the entry
+        nodes, come first; then the stem nodes from the last stem position
+        back to position 0.
         """
         stem = lasso.stem
-        cycle_sets = self.cycle_sets(self.cycle_key(lasso))
+        key = self.cycle_key(lasso)
+        cycle_nodes = self._cycle_nodes.get(key)
+        if cycle_nodes is None:
+            (cycle, reached) = key
+            (product, analysis, entry) = self._class_of(cycle)
+            adjacency, n, size = product.adjacency, self.aut.state_count, len(cycle)
+            cycle_nodes = self._cycle_nodes[key] = [
+                (i % n, (i // n - entry) % size) + analysis.sets[analysis.comp_of[i]]
+                for i in reachable([entry * n + q for q in reached],
+                                   lambda node: [child for (child, _c) in adjacency[node]])]
         m = len(stem)
-        for (q, j, a, u) in cycle_sets:
+        for (q, j, a, u) in cycle_nodes:
             yield (q, m + j), a, u
+        before = list(itertools.accumulate(stem[:-1], self._step, initial=self._reached[()]))
         succ = self.aut.successors
-        reached = [self._states_after(stem[:k]) for k in range(m)]   # R(stem[:k]), one step each
-        # backward pass along the stem, from the entry nodes of the cycle
-        later = {q: (a, u) for (q, j, a, u) in cycle_sets if j == 0}
+        # backward pass along the stem from the cycle's entry nodes; before[k] is R(stem[:k])
+        later = {q: (a, u) for (q, j, a, u) in cycle_nodes if j == 0}
         for k in range(m - 1, -1, -1):
             current = {}
-            for q in reached[k]:
+            for q in before[k]:
                 acc = set()
                 uni = set()
                 for (dst, _c) in succ(q, stem[k]):

@@ -294,20 +294,21 @@ def _check_cells(state_count, alphabet, body):
                        _line_of(body, ("states",), alphabet))
 
 
-def _read_body(lines, start, directives, width, alphabet=None, stop_words=()):
+def _read_body(lines, start, directives, width, alphabet=None, stop_words=(), floating=False):
     """Read the directive lines of a body up to a line starting with one of `stop_words`
     or the end of `lines`; returns the position after the body and a dict of what it gives.
 
     `directives` names the lines the body takes besides `trans` lines of `width` fields (five
     with a color): `alphabet`, `states`, `initial` and `name` for a raf body, a cocoa level
-    or an rlta block; `states`, `name` and `label` for a floating block, whose symbols are its
-    tracker's `alphabet`.  A fault one line shows is a RafError naming it; whole-body checks
-    are the caller's.  The dict holds the value of each `alphabet`, `states` and `initial`
-    line; under `name` and `label`, state -> display name or tracker state; under `trans`,
-    each distinct (src, symbol index, dst) -> its color, 0 without one.
+    or an rlta block; `states`, `name` and `label` for a `floating` block, whose symbols are
+    its tracker's `alphabet`.  A fault one line shows is a RafError naming it; whole-body
+    checks are the caller's.  The dict holds the value of each `alphabet`, `states` and
+    `initial` line; under `name` and `label`, state -> display name or tracker state; under
+    `trans`, each distinct (src, symbol index, dst) -> its color, 0 without one, or for a
+    floating block each (src, symbol index) -> its one dst.
     """
     got = {"name": {}, "label": {}, "trans": {}}
-    colors = got["trans"]
+    moves = got["trans"]
     idx = start
     while idx < len(lines):
         lineno, line = lines[idx]
@@ -328,9 +329,12 @@ def _read_body(lines, start, directives, width, alphabet=None, stop_words=()):
             sym = alphabet.positions.get(parts[2])
             if sym is None:
                 raise RafError("unknown symbol %r" % parts[2], lineno)
-            key = (src, sym, dst)
-            if colors.setdefault(key, color) != color:
-                raise RafError("conflicting colors for transition %r" % (key,), lineno)
+            if floating:
+                if moves.setdefault((src, sym), dst) != dst:
+                    raise RafError("conflicting targets for state %d on %s" % (src, parts[2]),
+                                   lineno)
+            elif moves.setdefault((src, sym, dst), color) != color:
+                raise RafError("conflicting colors for transition %r" % ((src, sym, dst),), lineno)
             continue
         if word in stop_words:
             break

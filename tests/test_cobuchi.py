@@ -226,6 +226,42 @@ def test_residual_tracker_rejects_language_nondeterminism():
         residual_tracking_single(split)
 
 
+# Over {a, b}, states 0-3 accept the words with finitely many a or finitely many b
+# by a guess at 0: 1 reads a forever, 2 reads b forever, 3 is a rejecting sink.
+# States 4 and 5 accept the same words deterministically, by the last letter read.
+LAST_CHANGE_GUESS = [(0, 0, 0, 1), (0, 0, 1, 2), (0, 1, 0, 1), (0, 1, 2, 2),
+                     (1, 0, 1, 2), (1, 1, 3, 1), (2, 1, 2, 2), (2, 0, 3, 1),
+                     (3, 0, 3, 1), (3, 1, 3, 1),
+                     (4, 0, 4, 2), (4, 1, 5, 1), (5, 1, 5, 2), (5, 0, 4, 1)]
+
+
+def test_inclusion_relation_is_a_preorder():
+    """inclusion_table(a, a) is reflexive and transitive for any automaton, so
+    residual_tracking_single's mutual-inclusion classes partition the states.
+    Checked on seeded nondeterministic automata, alone and beside the guessing
+    automaton, whose state 0 is not history-deterministic: it has the language
+    of state 4, but player 0 wins the letter game from (4, 0) by playing a
+    until player 1 leaves 0 for 1, as accepting a^omega needs, then b."""
+    guess = AutomatonStructure(AB, 6, LAST_CHANGE_GUESS, 0)
+    from_4 = AutomatonStructure(AB, 6, LAST_CHANGE_GUESS, 4)
+    for w in enumerate_lassos(2, 3, 3):
+        assert oracles.member_cobuchi(guess, w) == oracles.member_cobuchi(from_4, w), w
+    table = inclusion_table(guess, guess)
+    assert (0, 4) in table and (4, 0) not in table
+    rng = random.Random(0x1C1)
+    for k in range(100):
+        a = oracles.random_cobuchi_automaton(rng, 1 + rng.randrange(4), 2, 3)
+        n = a.state_count
+        beside = AutomatonStructure(AB, n + 6, list(a.transitions) + [
+            (q + n, x, d + n, c) for (q, x, d, c) in LAST_CHANGE_GUESS], 0)
+        for aut in (a, beside):
+            table = inclusion_table(aut, aut)
+            states = range(aut.state_count)
+            assert all((q, q) in table for q in states), k
+            assert all((p, r) in table for (p, q) in table for r in states
+                       if (q, r) in table), k
+
+
 def test_rlta_validation():
     with pytest.raises(SiteError, match="state 1 symbol a has 0 successors") as err:
         Rlta(AB, 2, [(0, 0, 0, 0), (0, 1, 1, 0)], 0)

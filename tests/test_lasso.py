@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -371,6 +372,22 @@ def test_sweep_node_sets_match_one_lasso_products():
         assert sorted(sweep.node_sets(long_stem)) == sorted(met.node_sets(long_stem)), k
         assert sweep.colors(long_stem) == met.colors(long_stem), k
 
+
+def test_sweep_node_sets_walks_the_stem_once():
+    """node_sets on a fresh sweep holds nothing per stem prefix: a memo of
+    every prefix of a 2000-letter stem would hold about 16 MB of tuples."""
+    rng = random.Random(43)
+    aut = oracles.random_complete_automaton(rng, 3, 2, 3)
+    w = LassoWord(tuple(rng.randrange(2) for _ in range(2000)), (1,)).canonical()
+    sweep = LassoSweep(aut)
+    tracemalloc.start()
+    try:
+        nodes = sum(1 for _ in sweep.node_sets(w))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert nodes > len(w.stem)
+    assert held < 2 << 20
 
 def _perturbed(rng, aut, extra):
     """`aut` with one transition recolored and `extra` random transitions added."""

@@ -604,6 +604,8 @@ MALFORMED = [
      14, "label of state 1 breaks tracker compatibility on symbol b"),
     ("flochain-multi-out-of-range-then-label", F + "states 2\ntrans 0 a 5\nlabel 0 0\nlabel 1 9\n",
      14, "residual label 9 outside the tracker"),
+    ("flochain-multi-conflict-then-directive", F + FB + "trans 0 a 1\ntrans 0 a 0\nbogus\n",
+     15, "conflicting targets for state 0 on a"),
     ("flochain-multi-fault-repeated",
      F + FB + "trans 0 a 1\ntrans 1 b 1\ntrans 0 a 1\ntrans 1 b 1\n",
      15, "label of state 1 breaks tracker compatibility on symbol b"),
