@@ -201,8 +201,8 @@ def verify_rerailing_bounded(aut, stem_bound, cycle_bound):
     for lasso in enumerate_lassos(len(aut.alphabet), stem_bound, cycle_bound):
         key = sweep.cycle_key(lasso)
         if key not in dirty:
-            member = max(sweep.colors(lasso)) % 2 == 0
             (analysis, entries) = sweep.entry_components(key)
+            member = max(d for c in entries for d in analysis.sets[c][0]) % 2 == 0
             bad = doomed.get((analysis, member))
             if bad is None:
                 bad = doomed[(analysis, member)] = []

@@ -41,10 +41,13 @@ class CoBuchiAutomaton(AutomatonStructure):
 
 
 class Chain:
-    """Ordered levels of co-Buchi automata over one alphabet."""
+    """Ordered levels over one alphabet, each a `CoBuchiAutomaton`."""
 
     def __init__(self, levels, alphabet=None):
         self.levels = list(levels)
+        for a in self.levels:
+            if not isinstance(a, CoBuchiAutomaton):
+                raise ValueError("chain level is not a CoBuchiAutomaton: %s" % type(a).__name__)
         if alphabet is None:
             if not self.levels:
                 raise ValueError("empty chain needs an explicit alphabet")
@@ -380,25 +383,30 @@ def residual_tracking_single(a):
     Returns (tracker, state_map) with state_map giving each level state its class.
     """
     table = inclusion_table(a, a)
-    classes = {}
-    for q in range(a.state_count):
-        members = frozenset(p for p in range(a.state_count)
-                            if (q, p) in table and (p, q) in table)
-        classes[q] = members
-    ordered = sorted({members for members in classes.values()}, key=min)
-    class_id = {members: i for i, members in enumerate(ordered)}
-    state_map = [class_id[classes[q]] for q in range(a.state_count)]
+    openers, state_map = _first_match_classes(
+        range(a.state_count), lambda q, r: (q, r) in table and (r, q) in table)
     transitions = []
-    for s, members in enumerate(ordered):
+    for s in range(len(openers)):
+        members = [q for q, c in enumerate(state_map) if c == s]
         for x in range(len(a.alphabet)):
             targets = {state_map[dst] for q in members for dst in a.successor_states(q, x)}
             if len(targets) != 1:
                 raise ValueError(
                     "not language-deterministic: class %s splits on symbol %s into classes %s"
-                    % (sorted(members), a.alphabet.symbols[x], sorted(targets)))
+                    % (members, a.alphabet.symbols[x], sorted(targets)))
             transitions.append((s, x, targets.pop(), 0))
-    tracker = Rlta(a.alphabet, len(ordered), transitions, state_map[a.initial])
-    return tracker, state_map
+    return Rlta(a.alphabet, len(openers), transitions, state_map[a.initial]), state_map
+
+
+def _first_match_classes(items, same):
+    """(openers, class of each item); each joins the first class whose opener it is `same` as."""
+    openers, class_of = [], []
+    for t in items:
+        s = next((s for s, r in enumerate(openers) if same(t, r)), len(openers))
+        if s == len(openers):
+            openers.append(t)
+        class_of.append(s)
+    return openers, class_of
 
 
 @dataclass(frozen=True)
@@ -418,17 +426,14 @@ class RijRelation:
         return item in self.tuples
 
 
-def _level(chain, trackers, k):
-    """(automaton, state-to-tracker map, tracker table) of level k in 0..n+1.
-
-    Level 0 is the implicit universal automaton, level n+1 the implicit
-    empty-language automaton; both track a single residual.
-    """
-    if 1 <= k <= len(chain.levels):
-        tracker, state_map = trackers[k - 1]
-        return chain.levels[k - 1], state_map, tracker.delta
-    aut = _one_state_level(chain.alphabet, 2 if k == 0 else 1)
-    return aut, [0], [[0] * len(chain.alphabet)]
+def _levels(chain, trackers):
+    """(automaton, state-to-tracker map, tracker table) of each level 0..n+1:
+    levels 0 and n+1 are the implicit universal and empty-language automata,
+    each tracking a single residual."""
+    one = [[0] * len(chain.alphabet)]
+    return ([(_one_state_level(chain.alphabet, 2), [0], one)]
+            + [(a, m, tracker.delta) for a, (tracker, m) in zip(chain.levels, trackers)]
+            + [(_one_state_level(chain.alphabet, 1), [0], one)])
 
 
 def compute_Rij(chain, trackers, i, j, domain):
@@ -461,7 +466,8 @@ def compute_Rij(chain, trackers, i, j, domain):
     n = len(chain.levels)
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("level indices out of range")
-    levels = [_level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
+    every = _levels(chain, trackers)
+    levels = [every[k] for k in (i, i + 1, j, j + 1)]
     twins = j == i + 1
     domain = [t for t in domain if not (twins and t[1] == t[2])]
     if not domain:
@@ -488,58 +494,52 @@ def compute_Rij(chain, trackers, i, j, domain):
 def build_rlta_chain(chain):
     """Residual tracker of the whole chain language.
 
-    Worklist construction over tuples of per-level tracker states; a freshly
-    computed successor tuple reuses an existing state unless some
-    distinguishing relation of mixed evenness separates the two, scanning
-    existing states in insertion order (first match wins).  Only R_ij with
-    i < j is computed: R_ji is R_ij with its tuple halves swapped, so each
-    stored relation is probed in both orientations.
+    Its states are the classes of P, the reachable synchronized product of
+    the trackers of levels 0..n+1, classified in breadth-first order by
+    `_first_match_classes`: a tuple joins the first class whose opener no
+    distinguishing relation of mixed evenness separates it from.  When the
+    levels weakly fall, non-separation is an equivalence that the tracker
+    steps respect, so each class moves as its opener does.  An opener that
+    some R_ij separates from itself refuses the chain with a `ValueError`:
+    level j accepts a word that level i + 1, below it, rejects.
 
-    Every tuple this construction meets lies in P, the reachable synchronized
-    product of the per-level trackers, so every probe of R_ij combines the
-    components at i and i+1 of one member of P with those at j and j+1 of
-    another.  Each R_ij is computed on exactly that domain; `compute_Rij`
-    decides every tuple on its own, so the answers are those of the whole
-    relation.
+    Only R_ij with i < j is computed (R_ji is R_ij with its tuple halves
+    swapped), on the tuples a probe combines from the components at i and
+    i+1 of one member of P and those at j and j+1 of another.
 
-    Returns (tracker, per_state_levels) where per_state_levels[s] is the tuple
-    of per-level tracker states represented by state s.
+    Returns (tracker, per_state_levels) where per_state_levels[s] is the
+    tuple of per-level tracker states of the opener of state s.
     """
     n = len(chain.levels)
     nsym = len(chain.alphabet)
     trackers = [residual_tracking_single(a) for a in chain.levels]
-    deltas = [tracker.delta for (tracker, _map) in trackers]
+    levels = _levels(chain, trackers)
+    deltas = [d for (_a, _m, d) in levels]
 
-    # Tuples are padded with the single tracker state of levels 0 and n+1,
-    # so t[k] is the level-k component for every k in 0..n+1.
-    def step(t, x):
-        return (0,) + tuple(d[t[k]][x] for k, d in enumerate(deltas, start=1)) + (0,)
+    def step(t, x):                     # t[k] is the level-k component, k in 0..n+1
+        return tuple(d[s][x] for d, s in zip(deltas, t))
 
-    initial = (0,) + tuple(tracker.initial for (tracker, _map) in trackers) + (0,)
+    initial = tuple(state_map[a.initial] for (a, state_map, _d) in levels)
     product = reachable([initial], lambda t: [step(t, x) for x in range(nsym)])
     pairs = [{(t[k], t[k + 1]) for t in product} for k in range(n + 1)]
     relations = [compute_Rij(chain, trackers, i, j,
                              {a + b for a in pairs[i] for b in pairs[j]})
                  for i in range(n + 1) for j in range(i + 1, n + 1, 2)]
 
-    def separated(t_new, t_old):
+    def separating(t_new, t_old):       # the first relation separating them, or None
         for rel in relations:
             i, j = rel.i, rel.j
             if ((t_new[i], t_new[i + 1], t_old[j], t_old[j + 1]) in rel
                     or (t_old[i], t_old[i + 1], t_new[j], t_new[j + 1]) in rel):
-                return True
-        return False
+                return rel
+        return None
 
-    states = [initial]
-    transitions = []
-    for s, t in enumerate(states):      # new states are appended while walked
-        for x in range(nsym):
-            t2 = step(t, x)
-            target = next((cand for cand, t3 in enumerate(states)
-                           if not separated(t2, t3)), None)
-            if target is None:
-                target = len(states)
-                states.append(t2)
-            transitions.append((s, x, target, 0))
-    rlta = Rlta(chain.alphabet, len(states), transitions, 0)
-    return rlta, tuple(t[1:-1] for t in states)
+    openers, classes = _first_match_classes(product, lambda t, r: separating(t, r) is None)
+    for t in openers:
+        if rel := separating(t, t):
+            raise ValueError("chain levels are not weakly falling: level %d accepts a word "
+                             "that level %d rejects" % (rel.j, rel.i + 1))
+    class_of = dict(zip(product, classes))
+    rlta = Rlta(chain.alphabet, len(openers), [
+        (s, x, class_of[step(t, x)], 0) for s, t in enumerate(openers) for x in range(nsym)], 0)
+    return rlta, tuple(t[1:-1] for t in openers)

@@ -137,6 +137,15 @@ def test_command_refuses_the_wrong_kind_of_file(tmp_path, capsys, argv, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["rlta"], ["build-min", "-o", "out.raf"]])
+def test_rising_chain_is_an_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv[0], "--chain", data_path("chain3_rising.chain"), *argv[1:]) == 1
+    assert capsys.readouterr().err == ("error: chain levels are not weakly falling: level 3 "
+                                       "accepts a word that level 1 rejects\n")
+    assert not (tmp_path / "out.raf").exists()
+
+
 def test_equiv_refuses_two_alphabets(capsys):
     assert run_cli("equiv", "-a", MINIMAL5, "-b", str(data_path("hd_cobuchi5.raf"))) == 1
     captured = capsys.readouterr()

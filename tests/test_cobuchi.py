@@ -7,6 +7,7 @@ from rerail import build, cobuchi
 from rerail.cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain, compute_Rij,
                             decompose_rerailing, inclusion_table, parse_chain,
                             residual_tracking_single, serialize_chain)
+from rerail.floating import residualize_chain
 from rerail.lasso import enumerate_lassos, membership_function, parse_lasso
 from rerail.raf import Alphabet, AutomatonStructure, RafError, SiteError, parse_automaton
 
@@ -65,6 +66,15 @@ def test_chain_needs_shared_alphabet():
     with pytest.raises(ValueError):
         Chain([])
     assert len(Chain([], alphabet=AB)) == 0
+
+
+def test_chain_refuses_a_level_that_is_not_cobuchi():
+    plain = AutomatonStructure(AB, 1, [(0, 0, 0, 2), (0, 1, 0, 2)], 0)
+    with pytest.raises(ValueError, match="chain level is not a CoBuchiAutomaton: "
+                                         "AutomatonStructure"):
+        Chain([universal(AB), plain])
+    with pytest.raises(ValueError, match="CoBuchiAutomaton: str"):
+        Chain(["level"], alphabet=AB)
 
 
 def test_chain_colors_frozen(uniform_chain, level_color):
@@ -313,6 +323,34 @@ def test_build_rlta_collapse(collapse_chain):
     assert rlta.state_count == 1
 
 
+def test_rising_chain_is_refused():
+    """Levels 1 and 2 accept nothing and level 3 everything, so R_{0,3}
+    separates the initial tuple, the first class opener, from itself."""
+    with pytest.raises(ValueError, match="chain levels are not weakly falling: level 3 "
+                                         "accepts a word that level 1 rejects"):
+        residualize_chain(parse_chain(load_text("chain3_rising.chain")))
+
+
+def test_random_chains_build_or_fail_cleanly():
+    """Chains of random co-Buchi levels need not be language-deterministic or
+    weakly falling; each builds a minimal automaton or ends in a ValueError or
+    a RuntimeError, and some end in the refusal of rising levels."""
+    rng = random.Random(3)
+    built = refused = 0
+    for _ in range(300):
+        levels = []
+        for _k in range(1 + rng.randrange(3)):
+            a = oracles.random_cobuchi_automaton(rng, 1 + rng.randrange(4), 2,
+                                                 1 + rng.randrange(2))
+            levels.append(CoBuchiAutomaton(a.alphabet, a.state_count, a.transitions, a.initial))
+        try:
+            build.build_minimal(residualize_chain(Chain(levels)))
+            built += 1
+        except (ValueError, RuntimeError) as exc:
+            refused += "chain levels are not weakly falling" in str(exc)
+    assert built > 0 and refused > 0
+
+
 def whole_rij(chain, trackers, i, j):
     """R_ij decided on the whole product of the tracker states of levels i, i+1, j, j+1."""
     sizes = [1] + [tracker.state_count for (tracker, _map) in trackers] + [1]
@@ -430,7 +468,7 @@ def test_rij_verdict_is_one_per_tracker_class(collapse_chain, seed):
         for j in range(n + 1):
             if (i + j) % 2 == 0:
                 continue
-            levels = [cobuchi._level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
+            levels = [cobuchi._levels(chain, trackers)[k] for k in (i, i + 1, j, j + 1)]
             members = [[[q for q, s in enumerate(m) if s == t] for t in range(len(d))]
                        for (_a, m, d) in levels]
             tuples = list(itertools.product(*(range(len(d)) for (_a, _m, d) in levels)))
@@ -529,7 +567,7 @@ def test_graph_and_arena_deciders_agree(monkeypatch):
             for j in range(len(chain) + 1):
                 if (i + j) % 2 == 0:
                     continue
-                levels = [cobuchi._level(chain, trackers, k) for k in (i, i + 1, j, j + 1)]
+                levels = [cobuchi._levels(chain, trackers)[k] for k in (i, i + 1, j, j + 1)]
                 auts = [a for (a, _m, _d) in levels]
                 (_a, m, d) = levels[1]
                 starts = list(itertools.product(*(range(a.state_count) for a in auts)))
