@@ -49,14 +49,15 @@ def recurse_build(ctx, i, chain, acc):
     `names`, and `marking`, the context state each product state pairs): each
     same-parity level's product is appended, shifted by the state count so
     far, and at an opposite-parity level every transition into or out of a
-    state that the level's product subsumes (it has an equally labeled and
-    marked state whose safe language contains that state's) is cut.  A cut
-    state is reached from no other state, so the others keep the safe
-    languages they would have had with it removed, and `minimize_tables`
-    drops it as a state on no cycle.  The tables are minimized modulo the
-    marking, and a checked `FloatingAutomaton` is built only for each SCC
-    of the result, as the context of the next call; a state of that context
-    maps back to the context state `marking[members[state]]`.
+    collected state q is cut when a label-equal state q2 of that level has a
+    safe language containing q's.  Every move of q follows marking[q], so
+    that is containment in the level's product from (marking[q], q2), which
+    has q's label.  A cut state is reached from no other state, so the others
+    keep the safe languages they would have had with it removed, and
+    `minimize_tables` drops it as a state on no cycle.  The tables are
+    minimized modulo the marking, and a checked `FloatingAutomaton` is built
+    only for each SCC of the result, as the context of the next call; a state
+    of that context maps back to the context state `marking[members[state]]`.
     """
     if ctx.rlta != chain.rlta:
         raise ValueError("context must share the chain's tracker")
@@ -67,38 +68,34 @@ def recurse_build(ctx, i, chain, acc):
             "the level languages are not weakly falling" % (i, n))
     nsym = len(ctx.alphabet)
     delta, labels, marking, names = {}, [], [], []
-    for j in range(1, n + 1):
-        (pdelta, plabels, pmarking, pnames) = product_tables(ctx, chain.levels[j - 1])
+    for j, level in enumerate(chain.levels, start=1):
         if j % 2 == i % 2:
+            (pdelta, plabels, pmarking, pnames) = product_tables(ctx, level)
             shift = len(labels)
             delta.update(((src + shift, x), dst + shift) for (src, x), dst in pdelta.items())
             labels += plabels
             marking += pmarking
             names += pnames
             continue
-        doomed = {q for q in range(len(labels))
-                  if any(marking[q] == pmarking[q2] and labels[q] == plabels[q2]
-                         and safe_subset(delta, q, pdelta, q2, nsym)
-                         for q2 in range(len(plabels)))}
+        doomed = {q for q in range(len(labels)) if any(
+            level.labels[q2] == labels[q] and safe_subset(delta, q, level.delta, q2, nsym)
+            for q2 in range(level.state_count))}
         delta = {(src, x): dst for (src, x), dst in delta.items()
                  if src not in doomed and dst not in doomed}
     delta, names, groups = minimize_tables(delta, labels, marking, names, nsym)
     new_states = []
-    covered = set()
     for members in groups:
         sub = restrict_tables(ctx.alphabet, chain.rlta, delta, labels, names, members)
         for (gid, sub_state) in recurse_build(sub, i + 1, chain, acc):
             new_states.append((gid, marking[members[sub_state]]))
-        covered.update(marking[q] for q in members)
+    covered = {qc for (_gid, qc) in new_states}
     for qc in range(ctx.state_count):
         if qc not in covered:
             new_states.append((acc.new_state(ctx.state_name(qc)), qc))
     for (gid, qc) in new_states:
-        for x in range(len(ctx.alphabet)):
-            if (gid, x) in acc.moves:
-                continue
+        for x in range(nsym):
             dst_ctx = ctx.step(qc, x)
-            if dst_ctx is None:
+            if dst_ctx is None or (gid, x) in acc.moves:
                 continue
             targets = [(g2, i - 1) for (g2, qc2) in new_states if qc2 == dst_ctx]
             if not targets:

@@ -229,11 +229,13 @@ def minimize_tables(delta, labels, marking, names, nsym):
     """Minimize a floating automaton given as tables, modulo an optional marking.
 
     `delta` maps (state, symbol) to a state, and `labels`, `names` and
-    `marking` (or None) hold one entry per state.  Returns the kept
-    transitions, the names (merged states join theirs) and the surviving
-    states grouped by SCC: each group sorted, the groups by least member.
-    The survivors keep their numbers; every kept transition runs inside a
-    group, and every survivor lies on a cycle.
+    `marking` (or None) hold one entry per state.  In the rebuild's tables
+    a label is that of the marked context state, so two states have equal
+    (label, marking) iff equal markings.  Returns the kept transitions,
+    the names (merged states join theirs) and the surviving states grouped
+    by SCC: each group sorted, the groups by least member.  The survivors
+    keep their numbers; every kept transition runs inside a group, and
+    every survivor lies on a cycle.
 
     Each round runs one SCC pass over the current transitions.  It drops
     every state on no cycle and every transition between SCCs: a run

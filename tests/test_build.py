@@ -141,6 +141,38 @@ def test_rebuild_builds_one_floating_automaton_per_call(monkeypatch):
     assert counts["built"] == counts["calls"]
 
 
+def test_rebuild_builds_products_only_with_same_parity_levels(monkeypatch):
+    """A call at color i builds the context's product with the levels j = i mod 2
+    alone, whose states it collects; an opposite-parity level cuts against its
+    own tables."""
+    rng = random.Random(23)
+    dpws = [oracles.random_dpw(rng, 3 + k % 5, 2, 3) for k in range(30)]
+    dpws += [oracles.split_states(oracles.random_dpw(random.Random(s), 3 + s % 4, 2, 1 + s % 4))
+             for s in range(6)]
+    chains = [residualize_chain(decompose_rerailing(aut)) for aut in dpws]
+    frames, calls = [], []
+    product_tables, recurse = build.product_tables, build.recurse_build
+
+    def counting_products(*args):
+        frames[-1][2] += 1
+        return product_tables(*args)
+
+    def counting_recurse(ctx, i, chain, acc):
+        frames.append([i, len(chain.levels), 0])
+        try:
+            return recurse(ctx, i, chain, acc)
+        finally:
+            calls.append(tuple(frames.pop()))
+
+    monkeypatch.setattr(build, "product_tables", counting_products)
+    monkeypatch.setattr(build, "recurse_build", counting_recurse)
+    for fchain in chains:
+        build_minimal(fchain)
+    assert len(calls) > 2 * len(chains)
+    assert all(built == sum(j % 2 == i % 2 for j in range(1, n + 1)) for (i, n, built) in calls)
+    assert sum(built < n for (i, n, built) in calls) > len(chains)
+
+
 def test_minimize_universal_and_empty():
     universal = AutomatonStructure(AB, 2, [(0, 0, 1, 0), (0, 1, 0, 0),
                                            (1, 0, 0, 0), (1, 1, 1, 0)], 0)

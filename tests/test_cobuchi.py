@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,7 +10,8 @@ from rerail.cobuchi import (Chain, CoBuchiAutomaton, Rlta, build_rlta_chain, com
                             residual_tracking_single, serialize_chain)
 from rerail.floating import residualize_chain
 from rerail.lasso import enumerate_lassos, membership_function, parse_lasso
-from rerail.raf import Alphabet, AutomatonStructure, RafError, SiteError, parse_automaton
+from rerail.raf import (Alphabet, AutomatonStructure, RafError, SiteError, parse_automaton,
+                        serialize_automaton)
 
 import oracles
 from conftest import load_text
@@ -349,6 +351,34 @@ def test_random_chains_build_or_fail_cleanly():
         except (ValueError, RuntimeError) as exc:
             refused += "chain levels are not weakly falling" in str(exc)
     assert built > 0 and refused > 0
+
+
+# sha256 over the chains of test_random_chains_build_or_fail_cleanly: the
+# serialize_automaton text of each built output, or the type and message of
+# each refusal, in order
+RANDOM_CHAINS_DIGEST = "fa7b05bc37a117dbd95902562c4ff9548d881ec73a5be269f72e0406a7d35e6c"
+
+
+def test_random_chains_outputs_digest():
+    """The rebuild keeps its outputs and refusals on nondeterministic chains
+    whose levels are neither normalized nor weakly falling."""
+    rng = random.Random(3)
+    digest = hashlib.sha256()
+    built = 0
+    for _ in range(300):
+        levels = []
+        for _k in range(1 + rng.randrange(3)):
+            a = oracles.random_cobuchi_automaton(rng, 1 + rng.randrange(4), 2,
+                                                 1 + rng.randrange(2))
+            levels.append(CoBuchiAutomaton(a.alphabet, a.state_count, a.transitions, a.initial))
+        try:
+            text = serialize_automaton(build.build_minimal(residualize_chain(Chain(levels))))
+            built += 1
+        except (ValueError, RuntimeError) as exc:
+            text = "%s: %s\n" % (type(exc).__name__, exc)
+        digest.update(text.encode())
+    assert built == 209
+    assert digest.hexdigest() == RANDOM_CHAINS_DIGEST
 
 
 def whole_rij(chain, trackers, i, j):
