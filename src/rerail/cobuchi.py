@@ -370,32 +370,57 @@ class Rlta(AutomatonStructure):
 def residual_tracking_single(a):
     """Residual tracker of one language-deterministic history-deterministic level.
 
-    States are the mutual-inclusion classes of the level's states; every
-    transition of a class member must stay inside a single class, otherwise
-    the level is rejected as not language-deterministic.
+    States are the classes of the least partition of the level's states
+    that puts the successors of every cell in one class and is closed under
+    steps: the successors of one class on one symbol lie in one class.  So
+    the tracker is the least quotient that makes the level deterministic,
+    and a deterministic level, such as every level of a DPW, is its own
+    tracker, each state a class of its own.  Classes are numbered by their
+    least state.
 
-    The classes partition the states of any automaton, history-deterministic
-    or not: the letter-game relation `inclusion_table(a, a)` is reflexive, as
-    player 1 may copy player 0's moves, and transitive, as player 1 may
-    compose two winning strategies, the first building a run from the middle
-    state online for the second to answer.
+    The members of a class must accept one language.  On a co-Buchi level
+    x^-1 L(q) is the union of the languages of q's successors on x, so the
+    closure joins only states of one language exactly when the
+    mutual-inclusion classes of the level move as wholes, which is what
+    language-deterministic means.  One letter game, that of
+    `inclusion_table`, decides it from each (member, least member) pair of
+    a class with two or more members, in both directions; a level where
+    player 0 wins one of them is refused as not language-deterministic.
+    A deterministic level plays no game.
 
     Returns (tracker, state_map) with state_map giving each level state its class.
     """
-    table = inclusion_table(a, a)
-    openers, state_map = _first_match_classes(
-        range(a.state_count), lambda q, r: (q, r) in table and (r, q) in table)
-    transitions = []
-    for s in range(len(openers)):
-        members = [q for q, c in enumerate(state_map) if c == s]
-        for x in range(len(a.alphabet)):
-            targets = {state_map[dst] for q in members for dst in a.successor_states(q, x)}
-            if len(targets) != 1:
-                raise ValueError(
-                    "not language-deterministic: class %s splits on symbol %s into classes %s"
-                    % (members, a.alphabet.symbols[x], sorted(targets)))
-            transitions.append((s, x, targets.pop(), 0))
-    return Rlta(a.alphabet, len(openers), transitions, state_map[a.initial]), state_map
+    link = list(range(a.state_count))    # union-find links; a class's root is its least state
+
+    def find(q):
+        while link[q] != q:
+            link[q] = link[link[q]]
+            q = link[q]
+        return q
+
+    step = [[cell[0][0] for cell in row] for row in a._succ]    # a class moves as its root
+    pending = [(cell[0][0], dst) for row in a._succ for cell in row for (dst, _c) in cell[1:]]
+    while pending:
+        p, q = sorted(map(find, pending.pop()))
+        if p != q:
+            link[q] = p
+            pending.extend(zip(step[p], step[q]))
+    ids, state_map, starts = {}, [], []
+    for q in range(a.state_count):          # a root comes first in its class
+        r = find(q)
+        state_map.append(ids.setdefault(r, len(ids)))
+        if r != q:
+            starts += [(q, r, 0, 0), (r, q, 0, 0)]
+    if starts:
+        won = _letter_game(a, a, _one_state_level(a.alphabet, 2),
+                           _one_state_level(a.alphabet, 1), starts)
+        for qs in starts:
+            if qs in won:
+                raise ValueError("not language-deterministic: states %d and %d accept "
+                                 "different languages but the level's steps join them"
+                                 % tuple(sorted(qs[:2])))
+    transitions = [(s, x, state_map[d], 0) for r, s in ids.items() for x, d in enumerate(step[r])]
+    return Rlta(a.alphabet, len(ids), transitions, state_map[a.initial]), state_map
 
 
 def _first_match_classes(items, same):
@@ -444,12 +469,13 @@ def compute_Rij(chain, trackers, i, j, domain):
     That game answers the language question of `RijRelation` for the
     states it starts from, since every level is history-deterministic, and
     its answer does not depend on which states those are: a tracker state
-    is a mutual-inclusion class of its level, whose members all accept one
-    language.  So each tuple is decided from a single start.  That start is
-    on the diagonal where it can be: when levels i and i+1 have one state
-    count, a tracker pair (s_i, s_i1) starts from (q, q) for the least state
-    q in both classes, and likewise for levels j and j+1; other pairs start
-    from the least member of each class.  On a DPW every level has the
+    is a class of the step closure of `residual_tracking_single`, whose
+    members all accept one language.  So each tuple is decided from a
+    single start.  That start is on the diagonal where it can be: when
+    levels i and i+1 have one state count, a tracker pair (s_i, s_i1)
+    starts from (q, q) for the least state q in both classes, and likewise
+    for levels j and j+1; other pairs start from the least member of each
+    class.  On a DPW every level has the
     input's states and its one deterministic transition function, so a
     play from (q, q, q', q') reads one word on both halves and stays on
     tuples (p, p, p', p'): the game has at most |Q|^2 round starts where
@@ -461,7 +487,11 @@ def compute_Rij(chain, trackers, i, j, domain):
     relation restricted to it.  For j = i + 1 a tuple whose components at
     i+1 and j are equal names one residual twice, which no word can both
     leave and enter, so it is never in R_{i,i+1}: such tuples leave the
-    domain, and the game makes no move onto one.  With no tuple left no game is played.
+    domain, and the game makes no move onto one.  With no tuple left no
+    game is played.  The pruning compares tracker states, which on a
+    deterministic level are its own states, so it drops fewer moves than a
+    comparison of languages would; every move it drops still names one
+    language twice.
     """
     n = len(chain.levels)
     if not (0 <= i <= n and 0 <= j <= n):
@@ -495,7 +525,9 @@ def build_rlta_chain(chain):
     """Residual tracker of the whole chain language.
 
     Its states are the classes of P, the reachable synchronized product of
-    the trackers of levels 0..n+1, classified in breadth-first order by
+    the trackers of levels 0..n+1 (`residual_tracking_single`'s, so a
+    deterministic level contributes its own states), classified in
+    breadth-first order by
     `_first_match_classes`: a tuple joins the first class whose opener no
     distinguishing relation of mixed evenness separates it from.  When the
     levels weakly fall, non-separation is an equivalence that the tracker
@@ -506,6 +538,11 @@ def build_rlta_chain(chain):
     Only R_ij with i < j is computed (R_ji is R_ij with its tuple halves
     swapped), on the tuples a probe combines from the components at i and
     i+1 of one member of P and those at j and j+1 of another.
+
+    The classes depend only on the residual languages that the components
+    of a tuple name, and breadth-first order opens each class at the
+    shortlex-least word that reaches it.  So any level trackers whose
+    classes each hold one language, however fine, give the same tracker.
 
     Returns (tracker, per_state_levels) where per_state_levels[s] is the
     tuple of per-level tracker states of the opener of state s.

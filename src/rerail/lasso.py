@@ -219,6 +219,32 @@ class _ProductAnalysis:
             sets.append((frozenset(acc), frozenset(uni)))
 
 
+def _least_rotation(word):
+    """The least k such that word[k:] + word[:k] is the least rotation of
+    `word`, by Booth's algorithm in linear time (unique for a primitive word).
+
+    fail[j] is the failure function of the least rotation found so far,
+    which starts at k, over the doubled word.
+    """
+    doubled = word + word
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        letter = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and letter != doubled[k + i + 1]:
+            if letter < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if letter != doubled[k + i + 1]:    # here i == -1
+            if letter < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 class LassoSweep:
     """Product analyses of one automaton shared across many lassos.
 
@@ -268,7 +294,7 @@ class LassoSweep:
         if found is None:
             root = LassoWord((), cycle).canonical().cycle    # primitive root, same word
             size = len(root)
-            shift = min(range(size), key=lambda i: root[i:] + root[:i])
+            shift = _least_rotation(root)
             word = root[shift:] + root[:shift]
             analysed = self._classes.get(word)
             if analysed is None:

@@ -234,8 +234,89 @@ def test_residual_tracker_alternates(hd5):
 def test_residual_tracker_rejects_language_nondeterminism():
     one = Alphabet(("a",))
     split = CoBuchiAutomaton(one, 2, [(0, 0, 0, 2), (0, 0, 1, 1), (1, 0, 1, 1)], 0)
-    with pytest.raises(ValueError, match="splits on symbol"):
+    with pytest.raises(ValueError, match="not language-deterministic: states 0 and 1 "):
         residual_tracking_single(split)
+
+
+def test_deterministic_level_is_its_own_tracker(monkeypatch):
+    """A deterministic level is its own tracker and plays no letter game; a
+    nondeterministic one plays one game, from the pairs its closure joins."""
+    games = []
+    letter_game = cobuchi._letter_game
+    monkeypatch.setattr(cobuchi, "_letter_game",
+                        lambda *args: games.append(args[4]) or letter_game(*args))
+    rng = random.Random(35)
+    for _ in range(20):
+        aut = oracles.random_dpw(rng, 2 + rng.randrange(6), 2 + rng.randrange(2),
+                                 1 + rng.randrange(4))
+        for level in decompose_rerailing(aut).levels:
+            tracker, state_map = residual_tracking_single(level)
+            assert not games
+            assert state_map == list(range(level.state_count))
+            assert tracker.delta == [[d for ((d, _c),) in row] for row in level._succ]
+            # the split joins the two copies of every state that a move enters
+            entered = sorted({d for row in level._succ for ((d, _c),) in row})
+            split_map = residual_tracking_single(oracles.split_states(level, CoBuchiAutomaton))[1]
+            assert len(set(split_map)) == 2 * level.state_count - len(entered)
+            assert all(split_map[2 * q] == split_map[2 * q + 1] for q in entered)
+            assert games.pop() == [qs for q in entered
+                                   for qs in ((2 * q + 1, 2 * q, 0, 0), (2 * q, 2 * q + 1, 0, 0))]
+            assert not games
+
+
+def mutual_inclusion_tracker(a):
+    """The coarsest residual tracker of a level: its mutual-inclusion classes
+    by `inclusion_table`, numbered by first match; a class whose members
+    step into two classes refuses the level."""
+    table = inclusion_table(a, a)
+    openers, state_map = cobuchi._first_match_classes(
+        range(a.state_count), lambda q, r: (q, r) in table and (r, q) in table)
+    transitions = []
+    for s in range(len(openers)):
+        for x in range(len(a.alphabet)):
+            targets = {state_map[d] for q, c in enumerate(state_map) if c == s
+                       for d in a.successor_states(q, x)}
+            if len(targets) != 1:
+                raise ValueError("not language-deterministic")
+            transitions.append((s, x, targets.pop(), 0))
+    return Rlta(a.alphabet, len(openers), transitions, state_map[a.initial]), state_map
+
+
+def test_tracker_rule_keeps_the_chain_tracker(monkeypatch, dpw_corpus):
+    """The joint tracker depends only on the languages the level trackers
+    track, so the least deterministic quotient of each level gives the same
+    `build_rlta_chain` result as the coarsest one: on 200 DPWs, 40 split
+    DPWs and the random chains of `test_random_chains_outputs_digest`,
+    where the same chains are refused."""
+    def both(chain):
+        results = []
+        for rule in (residual_tracking_single, mutual_inclusion_tracker):
+            monkeypatch.setattr(cobuchi, "residual_tracking_single", rule)
+            try:
+                results.append(build_rlta_chain(chain)[0])
+            except ValueError as exc:
+                results.append(str(exc).split(":")[0])
+        return results
+
+    chains = [decompose_rerailing(aut) for aut in dpw_corpus]
+    rng = random.Random(40)
+    chains += [decompose_rerailing(oracles.split_states(oracles.random_dpw(
+        rng, 2 + rng.randrange(4), 2, 1 + rng.randrange(3)))) for _ in range(40)]
+    for chain in chains:
+        fine, coarse = both(chain)
+        assert isinstance(fine, Rlta) and fine == coarse
+    rng = random.Random(3)
+    built = 0
+    for _ in range(300):
+        levels = []
+        for _k in range(1 + rng.randrange(3)):
+            a = oracles.random_cobuchi_automaton(rng, 1 + rng.randrange(4), 2,
+                                                 1 + rng.randrange(2))
+            levels.append(CoBuchiAutomaton(a.alphabet, a.state_count, a.transitions, a.initial))
+        fine, coarse = both(Chain(levels))
+        assert fine == coarse
+        built += isinstance(fine, Rlta)
+    assert built >= 209
 
 
 # Over {a, b}, states 0-3 accept the words with finitely many a or finitely many b
@@ -356,7 +437,7 @@ def test_random_chains_build_or_fail_cleanly():
 # sha256 over the chains of test_random_chains_build_or_fail_cleanly: the
 # serialize_automaton text of each built output, or the type and message of
 # each refusal, in order
-RANDOM_CHAINS_DIGEST = "fa7b05bc37a117dbd95902562c4ff9548d881ec73a5be269f72e0406a7d35e6c"
+RANDOM_CHAINS_DIGEST = "f80255ae65e1e37448494fa0b5c6cfc2e9a1b3b53272843241642e2a1cd2d2f3"
 
 
 def test_random_chains_outputs_digest():
@@ -486,11 +567,12 @@ def test_rij_verdict_is_one_per_tracker_class(collapse_chain, seed):
     tracker tuple, since the members of a class share one language, and it
     is the verdict of `compute_Rij`, which starts from one combination.
 
-    The chain is `collapse_chain` for seed None, else that of a 4-state DPW
-    whose top level tracks one residual with four members.
+    The chain is `collapse_chain` for seed None, else that of the split of a
+    4-state DPW: each of its tracker classes holds the two copies of a
+    state, so the games run on parity arenas.
     """
     chain = collapse_chain if seed is None else decompose_rerailing(
-        oracles.random_dpw(random.Random(seed), 4, 2, 3))
+        oracles.split_states(oracles.random_dpw(random.Random(seed), 4, 2, 3)))
     trackers = [residual_tracking_single(a) for a in chain.levels]
     n = len(chain)
     shared = 0

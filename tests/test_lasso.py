@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import tracemalloc
@@ -87,6 +88,19 @@ def test_canonical_is_stable_and_faithful(stem, cycle):
 def test_parse_format_roundtrip(stem, cycle):
     w = LassoWord(tuple(stem), tuple(cycle))
     assert parse_lasso(format_lasso(w, ABCD), ABCD) == w
+
+
+def test_least_rotation_matches_the_naive_minimum():
+    """Booth's least rotation is the shift of the least rotation on every
+    primitive word of up to 8 letters over 3 symbols."""
+    checked = 0
+    for n in range(1, 9):
+        for word in itertools.product(range(3), repeat=n):
+            if LassoWord((), word).canonical().cycle == word:
+                naive = min(range(n), key=lambda i: word[i:] + word[:i])
+                assert lasso_mod._least_rotation(word) == naive, word
+                checked += 1
+    assert checked == 9_705
 
 
 def test_enumerate_lassos_counts():
