@@ -471,17 +471,15 @@ def compute_Rij(chain, trackers, i, j, domain):
     its answer does not depend on which states those are: a tracker state
     is a class of the step closure of `residual_tracking_single`, whose
     members all accept one language.  So each tuple is decided from a
-    single start.  That start is on the diagonal where it can be: when
-    levels i and i+1 have one state count, a tracker pair (s_i, s_i1)
-    starts from (q, q) for the least state q in both classes, and likewise
-    for levels j and j+1; other pairs start from the least member of each
-    class.  On a DPW every level has the
-    input's states and its one deterministic transition function, so a
-    play from (q, q, q', q') reads one word on both halves and stays on
-    tuples (p, p, p', p'): the game has at most |Q|^2 round starts where
-    least members would give |Q|^4.  By definition R_ji is R_ij with its two
-    tuple halves swapped, which is why `build_rlta_chain` only asks for
-    i < j.
+    single start, the least state of each of its four classes, by which
+    tracker states are numbered.  On a DPW each level is its own tracker,
+    so the start is the tuple itself.  Every level has the input's states
+    and its one deterministic transition function, so a tuple that
+    `build_rlta_chain` asks for pairs one state at levels k and k+1 for
+    1 <= k < n, and a play from (q, q, q', q') reads one word on both
+    halves and stays on tuples (p, p, p', p').  By definition R_ji is R_ij
+    with its two tuple halves swapped, which is why `build_rlta_chain` only
+    asks for i < j.
 
     `domain` holds the tracker tuples to decide, and the result is the
     relation restricted to it.  For j = i + 1 a tuple whose components at
@@ -503,18 +501,8 @@ def compute_Rij(chain, trackers, i, j, domain):
     if not domain:
         return RijRelation(i, j, frozenset())
 
-    def pick(lower, upper):
-        (a, ma, da), (b, mb, db) = lower, upper
-        common = {}
-        if a.state_count == b.state_count:
-            for q in range(a.state_count):
-                common.setdefault((ma[q], mb[q]), (q, q))
-        least_a = [ma.index(s) for s in range(len(da))]
-        least_b = [mb.index(s) for s in range(len(db))]
-        return lambda sa, sb: common.get((sa, sb)) or (least_a[sa], least_b[sb])
-
-    pick_i, pick_j = pick(*levels[:2]), pick(*levels[2:])
-    starts = [pick_i(si, si1) + pick_j(sj, sj1) for (si, si1, sj, sj1) in domain]
+    li, li1, lj, lj1 = ([m.index(s) for s in range(len(d))] for (_a, m, d) in levels)
+    starts = [(li[si], li1[si1], lj[sj], lj1[sj1]) for (si, si1, sj, sj1) in domain]
     (_a, mi1, di1) = levels[1]
     twin_step = [di1[s] for s in mi1] if twins else None
     won = _letter_game(*(a for (a, _m, _d) in levels), starts, twin_step)

@@ -595,13 +595,68 @@ def test_rij_verdict_is_one_per_tracker_class(collapse_chain, seed):
     assert shared > 0 or seed is None
 
 
-def test_letter_games_stay_small_at_twenty_states(monkeypatch):
+def test_rij_starts_are_least_class_members(monkeypatch):
+    """Each R_ij game that `build_rlta_chain` asks for starts a domain tuple
+    from the least state of each of its four tracker classes.  On a DPW each
+    level is its own tracker, so the starts are the domain tuples left after
+    the twin filter.  On a DPW and on its split, whose classes hold the two
+    copies of a state, a half at levels k, k + 1 with 1 <= k < n lies on the
+    diagonal: those levels have one tracker, which the product steps alike."""
+    games, calls = [], []
+    letter_game, compute = cobuchi._letter_game, cobuchi.compute_Rij
+
+    def playing(*args):
+        games.append(args[4])
+        return letter_game(*args)
+
+    def computing(chain, trackers, i, j, domain):
+        del games[:]                    # the tracker games are played before
+        rel = compute(chain, trackers, i, j, domain)
+        calls.append((chain, trackers, i, j, domain, list(games)))
+        return rel
+
+    monkeypatch.setattr(cobuchi, "_letter_game", playing)
+    monkeypatch.setattr(cobuchi, "compute_Rij", computing)
+    rng = random.Random(36)
+    moved = 0
+    for _ in range(15):
+        dpw = oracles.random_dpw(rng, 2 + rng.randrange(6), 2, 1 + rng.randrange(4))
+        for aut in (dpw, oracles.split_states(dpw)):
+            del calls[:]
+            build_rlta_chain(decompose_rerailing(aut))
+            assert calls
+            for (chain, trackers, i, j, domain, played) in calls:
+                n = len(chain)
+                least = [[min(q for q, c in enumerate(m) if c == s) for s in range(len(d))]
+                         for (_a, m, d) in cobuchi._levels(chain, trackers)]
+                kept = [t for t in domain if not (j == i + 1 and t[1] == t[2])]
+                starts = [tuple(least[k][s] for k, s in zip((i, i + 1, j, j + 1), t))
+                          for t in kept]
+                assert played == ([starts] if kept else []), (i, j)
+                if aut is dpw:
+                    assert starts == kept, (i, j)
+                for qs in starts:
+                    assert not 1 <= i < n or qs[0] == qs[1], (i, j, qs)
+                    assert not 1 <= j < n or qs[2] == qs[3], (i, j, qs)
+                moved += starts != kept
+    assert moved > 0
+
+
+@pytest.mark.parametrize("aut, bound", [
+    (oracles.random_dpw(random.Random(20), 20, 2, 3), 2_000),
+    (oracles.split_states(oracles.random_dpw(random.Random(10), 10, 2, 3)), 13_000),
+], ids=["dpw", "split"])
+def test_letter_games_stay_small_at_twenty_states(monkeypatch, aut, bound):
     """Structural guard on the letter games: the positions of every game
-    decided while minimizing a 20-state DPW, counted as the nodes of each
-    graph search and the vertices of each parity arena.  With diagonal R_ij
-    starts all five games are graph searches with 1,061 positions in all;
-    starting from least class members takes 2,327, and the parity arenas
-    that every game used to build took about 20,000."""
+    decided while minimizing `aut`, counted as the nodes of each graph
+    search and the vertices of each parity arena.  On the DPW drawn with 20
+    states each level is its own tracker, so the least class members of an
+    R_ij tuple are the tuple itself, whose halves at two inner levels lie
+    on the diagonal: all four games are graph searches with 855 positions
+    in all, and the parity arenas that every game used to build took about
+    20,000.  The split of the DPW drawn
+    with 10 states has nondeterministic levels, so its three tracker games
+    and four R_ij games are parity arenas, with 12,567 vertices in all."""
     sizes = []
     solve, scc_decomposition = cobuchi.solve, cobuchi.scc_decomposition
 
@@ -615,8 +670,8 @@ def test_letter_games_stay_small_at_twenty_states(monkeypatch):
 
     monkeypatch.setattr(cobuchi, "solve", solving)
     monkeypatch.setattr(cobuchi, "scc_decomposition", decomposing)
-    build.minimize_rerailing(oracles.random_dpw(random.Random(20), 20, 2, 3))
-    assert 0 < sum(sizes) < 2_000
+    build.minimize_rerailing(aut)
+    assert 0 < sum(sizes) < bound
 
 
 def split_states(level):
