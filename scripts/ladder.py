@@ -18,7 +18,17 @@ on another checkout and an "after" point:
     python scripts/ladder.py --label before --src ../parent/src
 
 `--src` names the source directory the children import `rerail` from;
-tests/oracles.py always comes from this checkout.  Each rung (one size n)
+tests/oracles.py always comes from this checkout.  With `--baseline` naming
+a second source directory, one pass compares the two trees under the same
+drift: each seed of a rung runs once from each tree, back to back, and the
+tree that goes first alternates from seed to seed:
+
+    python scripts/ladder.py --label change --baseline ../parent/src
+
+Such a rung keeps the baseline's runs and summary under `baseline`, next to
+its own, and under `ratio` the ratio of its median wall time and peak RSS
+to the baseline's, with the least and greatest ratio of one seed's pair.
+Each rung (one size n)
 runs the seeds n, n + 1, ... and reports per run the wall time of the
 minimization, the child's peak RSS and the output's state count, and per
 rung the median and maximum of wall time and peak RSS over its ok runs.
@@ -130,11 +140,27 @@ def rung_summary(runs):
     return summary
 
 
+def paired_ratio(runs, baseline):
+    """Per field, the ratio of the median of `runs` to that of `baseline` and
+    the least and greatest ratio of one seed's two runs, over the seeds
+    where both runs are ok."""
+    pairs = [(r, b) for r, b in zip(runs, baseline) if r["outcome"] == b["outcome"] == "ok"]
+    ratio = {}
+    for field in ("wall_s", "peak_rss_mb"):
+        if pairs:
+            each = [r[field] / b[field] for r, b in pairs]
+            ratio[field] = {"median": round(statistics.median(r[field] for r, _b in pairs)
+                                            / statistics.median(b[field] for _r, b in pairs), 4),
+                            "min": round(min(each), 4), "max": round(max(each), 4)}
+    return ratio
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="after", help="key of this pass in the output")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory the children import rerail from")
+    parser.add_argument("--baseline", help="a second source directory, run in turn with --src")
     parser.add_argument("--sizes", type=int, nargs="+",
                         help="sizes n of every kind's rungs (default: each kind's own)")
     parser.add_argument("--seeds", type=int, default=3, help="seeds per rung")
@@ -147,16 +173,23 @@ def main(argv=None):
     if args.child:
         child(src, args.child[0], int(args.child[1]), int(args.child[2]))
         return 0
+    trees = [src] if args.baseline is None else [src, os.path.abspath(args.baseline)]
     rungs = {kind: [] for kind in RUNS}
     for kind in RUNS:
         for n in args.sizes or SIZES[kind]:
-            runs = []
-            for seed in range(n, n + args.seeds):
-                run = {"seed": seed}
-                run.update(run_one(src, kind, n, seed, args.timeout))
-                runs.append(run)
-                print("%s n=%d %s" % (kind, n, json.dumps(run)), file=sys.stderr, flush=True)
-            rungs[kind].append({"n": n, "runs": runs, **rung_summary(runs)})
+            runs = [[] for _ in trees]          # runs[t]: the runs from trees[t]
+            for k, seed in enumerate(range(n, n + args.seeds)):
+                for t in (range(len(trees)) if k % 2 else reversed(range(len(trees)))):
+                    run = {"seed": seed}
+                    run.update(run_one(trees[t], kind, n, seed, args.timeout))
+                    runs[t].append(run)
+                    print("%s n=%d %s %s" % (kind, n, trees[t], json.dumps(run)),
+                          file=sys.stderr, flush=True)
+            rung = {"n": n, "runs": runs[0], **rung_summary(runs[0])}
+            if args.baseline is not None:
+                rung["baseline"] = {"runs": runs[1], **rung_summary(runs[1])}
+                rung["ratio"] = paired_ratio(runs[0], runs[1])
+            rungs[kind].append(rung)
     results = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as handle:

@@ -10,7 +10,7 @@ the minimization pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .games import GameArena, solve
 from .raf import (AutomatonStructure, RafError, SiteError, complete_reachable_states,
@@ -59,6 +59,51 @@ class Chain:
 
     def __len__(self):
         return len(self.levels)
+
+    @cached_property
+    def _pair_graph(self):
+        """The graph on state pairs that every diagonal R_ij game plays on, or
+        None unless the chain has levels and all of them are deterministic
+        over one transition function δ, as every level of a DPW is.
+
+        A tuple (size, delta, back, accepted, inner, cyclic) of int lists.
+        Node p * size + q stands for the pair (p, q) and moves on symbol x to
+        δ(p, x) * size + δ(q, x); back[x][p] lists the states that x takes
+        to p.  accepted[k][p] is the mask of the symbols whose move from p
+        level k of `_levels` accepts: every symbol at level 0 (universal),
+        none at level n + 1 (empty).  For k in 0..n, inner[k][p] keeps of
+        those the moves that stay in p's SCC of the moves level k accepts,
+        and cyclic[k] lists the states of the SCCs with an inner move that
+        level k + 1 rejects: a good SCC of a game at levels (i, j) lies in
+        cyclic[i] x cyclic[j] (see `_pair_winners`).
+        """
+        if not self.levels:
+            return None
+        size, nsym = self.levels[0].state_count, len(self.alphabet)
+        delta = [[cell[0][0] for cell in row] for row in self.levels[0]._succ]
+        accepted = [[(1 << nsym) - 1] * size]
+        for a in self.levels:               # complete, so nsym moves per state means one per cell
+            rows = a._succ
+            if (any(sum(map(len, row)) != nsym for row in rows)
+                    or [[cell[0][0] for cell in row] for row in rows] != delta):
+                return None
+            accepted.append([sum(1 << x for x, cell in enumerate(row) if cell[0][1] == 2)
+                             for row in rows])
+        accepted.append([0] * size)
+        inner, cyclic = [], []
+        for k in range(len(self.levels) + 1):
+            masks = accepted[k]
+            comp = scc_decomposition(size, [[d for x, d in enumerate(row) if m >> x & 1]
+                                            for row, m in zip(delta, masks)])
+            inner.append([sum(1 << x for x, d in enumerate(row) if m >> x & 1 and comp[d] == c)
+                          for row, m, c in zip(delta, masks, comp)])
+            useful = {c for c, m, up in zip(comp, inner[k], accepted[k + 1]) if m & ~up}
+            cyclic.append([p for p, c in enumerate(comp) if c in useful])
+        back = [[[] for _ in range(size)] for _ in range(nsym)]
+        for p, row in enumerate(delta):
+            for x, d in enumerate(row):
+                back[x][d].append(p)
+        return size, delta, back, accepted, inner, cyclic
 
 
 def serialize_chain(chain):
@@ -201,7 +246,10 @@ def _letter_game(ai, ai1, aj, aj1, starts, twin_step=None):
     When `ai1` and `aj1` are deterministic (every DPW level is, and so is the
     empty level `inclusion_table` passes), player 1 has no choice and the
     game is a graph search: `_graph_winners`.  Otherwise it is the parity
-    game `_arena_winners`.
+    game `_arena_winners`.  `compute_Rij` plays neither for a start on the
+    diagonal of a chain whose levels share one deterministic δ, which
+    covers every R_ij game of a DPW: it decides those on the chain's one
+    pair graph (`_pair_winners`).
     """
     if all(len(row) == 1 for a in (ai1, aj1) for rows in a._succ for row in rows):
         return _graph_winners(ai, ai1, aj, aj1, starts, twin_step)
@@ -224,9 +272,12 @@ def _graph_winners(ai, ai1, aj, aj1, starts, twin_step):
       infinitely often are safe and strongly connected, hence lie in one
       SCC of the safe edges, and they include both rejecting answers.
 
-    One Tarjan pass on the safe edges and one backward walk over all edges
-    decide every start; no counter, player-1 position or parity game is
-    needed.
+    One Tarjan pass on the safe edges (`_good_nodes`, which `_pair_winners`
+    shares) and one backward walk over all edges decide every start; no
+    counter, player-1 position or parity game is needed.  This walk builds
+    the graph of one game from its starts, keyed by state tuples; the
+    diagonal starts of a chain over one deterministic δ are decided on the
+    chain's pair graph instead.
     """
     symbols = range(len(ai.alphabet))
     succ_i, succ_i1, succ_j, succ_j1 = (a._succ for a in (ai, ai1, aj, aj1))
@@ -257,16 +308,26 @@ def _graph_winners(ai, ai1, aj, aj1, starts, twin_step):
                         mark.append(m)
         safe.append(out)
         marks.append(mark)
-    component_of = scc_decomposition(len(keys), safe)
+    won = set(reachable(_good_nodes(safe, marks), preds.__getitem__))
+    return {qs for qs in starts if ids[qs] in won}
+
+
+def _good_nodes(safe, marks):
+    """The nodes 0..len(safe)-1 that lie in a good SCC of the safe edges.
+
+    safe[u] lists the safe successors of node u and marks[u] the rejection
+    bits of their answers, 1 for `ai1` and 2 for `aj1`.  One Tarjan pass on
+    the safe edges finds the good SCCs, whose internal safe edges carry
+    both bits; a start wins iff it reaches one over all edges.
+    """
+    component_of = scc_decomposition(len(safe), safe)
     seen = {}
     for u, out in enumerate(safe):
         c = component_of[u]
         for v, m in zip(out, marks[u]):
             if m and component_of[v] == c:
                 seen[c] = seen.get(c, 0) | m
-    good = [u for u, c in enumerate(component_of) if seen.get(c) == 3]
-    won = set(reachable(good, preds.__getitem__))
-    return {qs for qs in starts if ids[qs] in won}
+    return [u for u, c in enumerate(component_of) if seen.get(c) == 3]
 
 
 def _arena_winners(ai, ai1, aj, aj1, starts, twin_step):
@@ -325,6 +386,52 @@ def _arena_winners(ai, ai1, aj, aj1, starts, twin_step):
     del ids, keys, owners, colors, rows
     w0, _w1 = solve(arena)
     return {qs for (v, qs) in enumerate(firsts) if v in w0}
+
+
+def _pair_winners(graph, i, j):
+    """The nodes of `Chain._pair_graph` from which player 0 wins the R_ij
+    letter game, node p * size + q standing for the start (p, p, q, q).
+
+    The left state p plays levels i and i + 1 and the right state q levels
+    j and j + 1, both moving by the one δ.  An edge is safe when level i
+    accepts its left move and level j its right one; its rejection bits are
+    1 when level i + 1 rejects the left move and 2 when level j + 1 rejects
+    the right one.  A good SCC projects on each side into one SCC of the
+    moves that side's level accepts, and holds a move of it that the level
+    above rejects.  So `_good_nodes` runs on cyclic[i] x cyclic[j] and the
+    inner moves alone, numbered locally, and finds the same good nodes as
+    on the whole graph; the walk back from them runs on the whole graph.
+    """
+    size, delta, back, accepted, inner, cyclic = graph
+    left, right = cyclic[i], cyclic[j]
+    width, nsym = len(right), len(back)
+    at_left, at_right = [0] * size, [0] * size      # local ids, for the states listed
+    for a, p in enumerate(left):
+        at_left[p] = a * width
+    for b, q in enumerate(right):
+        at_right[q] = b
+    columns = [([at_right[d] for d in delta[q]], inner[j][q], ~accepted[j + 1][q]) for q in right]
+    safe, marks = [], []
+    moves = {}                          # (safe symbols, their rejections) -> symbols, bits
+    for p in left:
+        step = [at_left[d] for d in delta[p]]
+        ins, out = inner[i][p], ~accepted[i + 1][p]
+        for (rstep, rins, rout) in columns:
+            mask = ins & rins
+            key = (mask, out & mask, rout & mask)
+            if key not in moves:
+                xs = [x for x in range(nsym) if mask >> x & 1]
+                moves[key] = (xs, [(out >> x & 1) | (rout >> x & 1) << 1 for x in xs])
+            xs, bits = moves[key]
+            safe.append([step[x] + rstep[x] for x in xs])
+            marks.append(bits)
+
+    def preds(v):
+        p, q = divmod(v, size)
+        return [a * size + b for to in back for a in to[p] for b in to[q]]
+
+    good = [left[u // width] * size + right[u % width] for u in _good_nodes(safe, marks)]
+    return set(reachable(good, preds))
 
 
 def inclusion_table(a, b):
@@ -481,6 +588,13 @@ def compute_Rij(chain, trackers, i, j, domain):
     with its two tuple halves swapped, which is why `build_rlta_chain` only
     asks for i < j.
 
+    So when every level is deterministic over one δ, a start on the
+    diagonal, (qi, qi1, qj, qj1) with qi == qi1 or i == 0 and with
+    qj == qj1 or j == n, is the pair (qi1, qj) of the chain's pair graph,
+    built once per chain and shared by all its R_ij (`_pair_winners`).
+    Every other start, and every start of any other chain, is decided by
+    `_letter_game`.
+
     `domain` holds the tracker tuples to decide, and the result is the
     relation restricted to it.  For j = i + 1 a tuple whose components at
     i+1 and j are equal names one residual twice, which no word can both
@@ -489,7 +603,8 @@ def compute_Rij(chain, trackers, i, j, domain):
     game is played.  The pruning compares tracker states, which on a
     deterministic level are its own states, so it drops fewer moves than a
     comparison of languages would; every move it drops still names one
-    language twice.
+    language twice.  The pair graph keeps those moves: each enters a round
+    start that player 0 loses, so no winner changes.
     """
     n = len(chain.levels)
     if not (0 <= i <= n and 0 <= j <= n):
@@ -503,10 +618,19 @@ def compute_Rij(chain, trackers, i, j, domain):
 
     li, li1, lj, lj1 = ([m.index(s) for s in range(len(d))] for (_a, m, d) in levels)
     starts = [(li[si], li1[si1], lj[sj], lj1[sj1]) for (si, si1, sj, sj1) in domain]
-    (_a, mi1, di1) = levels[1]
-    twin_step = [di1[s] for s in mi1] if twins else None
-    won = _letter_game(*(a for (a, _m, _d) in levels), starts, twin_step)
-    return RijRelation(i, j, frozenset(t for t, qs in zip(domain, starts) if qs in won))
+    graph = chain._pair_graph
+    paired = [graph is not None and (i == 0 or a == b) and (j == n or c == d)
+              for (a, b, c, d) in starts]
+    size, nodes, won = 0, set(), set()
+    if any(paired):
+        size, nodes = graph[0], _pair_winners(graph, i, j)
+    if not all(paired):
+        (_a, mi1, di1) = levels[1]
+        twin_step = [di1[s] for s in mi1] if twins else None
+        won = _letter_game(*(a for (a, _m, _d) in levels),
+                           [qs for qs, on in zip(starts, paired) if not on], twin_step)
+    return RijRelation(i, j, frozenset(t for t, qs, on in zip(domain, starts, paired)
+                                       if (qs[1] * size + qs[2] in nodes if on else qs in won)))
 
 
 def build_rlta_chain(chain):
@@ -525,7 +649,10 @@ def build_rlta_chain(chain):
 
     Only R_ij with i < j is computed (R_ji is R_ij with its tuple halves
     swapped), on the tuples a probe combines from the components at i and
-    i+1 of one member of P and those at j and j+1 of another.
+    i+1 of one member of P and those at j and j+1 of another.  On a DPW
+    every level is deterministic over the input's δ and all of these
+    tuples lie on the diagonal, so `compute_Rij` decides every R_ij on the
+    chain's one pair graph and plays no letter game.
 
     The classes depend only on the residual languages that the components
     of a tuple name, and breadth-first order opens each class at the

@@ -597,25 +597,35 @@ def test_rij_verdict_is_one_per_tracker_class(collapse_chain, seed):
 
 def test_rij_starts_are_least_class_members(monkeypatch):
     """Each R_ij game that `build_rlta_chain` asks for starts a domain tuple
-    from the least state of each of its four tracker classes.  On a DPW each
-    level is its own tracker, so the starts are the domain tuples left after
-    the twin filter.  On a DPW and on its split, whose classes hold the two
-    copies of a state, a half at levels k, k + 1 with 1 <= k < n lies on the
-    diagonal: those levels have one tracker, which the product steps alike."""
-    games, calls = [], []
-    letter_game, compute = cobuchi._letter_game, cobuchi.compute_Rij
+    from the least state of each of its four tracker classes.  On a DPW
+    each level is its own tracker, so the starts are the domain tuples left
+    after the twin filter, and a half at levels k, k + 1 with 1 <= k < n
+    lies on the diagonal: those levels have one tracker, which the product
+    steps alike.  So every kept tuple of a DPW is decided on the chain's
+    pair graph, one search per (i, j), and no letter game is played.  The
+    levels of its split are nondeterministic, so each kept tuple is a start
+    of one letter game, from the least copies of its states, again on the
+    diagonal."""
+    games, searches, calls = [], [], []
+    letter_game, pair_winners, compute = (cobuchi._letter_game, cobuchi._pair_winners,
+                                          cobuchi.compute_Rij)
 
     def playing(*args):
         games.append(args[4])
         return letter_game(*args)
 
+    def searching(graph, i, j):
+        searches.append((i, j))
+        return pair_winners(graph, i, j)
+
     def computing(chain, trackers, i, j, domain):
-        del games[:]                    # the tracker games are played before
+        del games[:], searches[:]       # the tracker games are played before
         rel = compute(chain, trackers, i, j, domain)
-        calls.append((chain, trackers, i, j, domain, list(games)))
+        calls.append((chain, trackers, i, j, domain, list(games), list(searches)))
         return rel
 
     monkeypatch.setattr(cobuchi, "_letter_game", playing)
+    monkeypatch.setattr(cobuchi, "_pair_winners", searching)
     monkeypatch.setattr(cobuchi, "compute_Rij", computing)
     rng = random.Random(36)
     moved = 0
@@ -625,16 +635,18 @@ def test_rij_starts_are_least_class_members(monkeypatch):
             del calls[:]
             build_rlta_chain(decompose_rerailing(aut))
             assert calls
-            for (chain, trackers, i, j, domain, played) in calls:
+            for (chain, trackers, i, j, domain, played, searched) in calls:
                 n = len(chain)
                 least = [[min(q for q, c in enumerate(m) if c == s) for s in range(len(d))]
                          for (_a, m, d) in cobuchi._levels(chain, trackers)]
                 kept = [t for t in domain if not (j == i + 1 and t[1] == t[2])]
                 starts = [tuple(least[k][s] for k, s in zip((i, i + 1, j, j + 1), t))
                           for t in kept]
-                assert played == ([starts] if kept else []), (i, j)
                 if aut is dpw:
                     assert starts == kept, (i, j)
+                    assert (played, searched) == ([], [(i, j)] if kept else []), (i, j)
+                else:
+                    assert (played, searched) == ([starts] if kept else [], []), (i, j)
                 for qs in starts:
                     assert not 1 <= i < n or qs[0] == qs[1], (i, j, qs)
                     assert not 1 <= j < n or qs[2] == qs[3], (i, j, qs)
@@ -652,9 +664,11 @@ def test_letter_games_stay_small_at_twenty_states(monkeypatch, aut, bound):
     search and the vertices of each parity arena.  On the DPW drawn with 20
     states each level is its own tracker, so the least class members of an
     R_ij tuple are the tuple itself, whose halves at two inner levels lie
-    on the diagonal: all four games are graph searches with 855 positions
-    in all, and the parity arenas that every game used to build took about
-    20,000.  The split of the DPW drawn
+    on the diagonal: all four games are decided on the chain's one pair
+    graph, whose SCC searches count 312 positions in all (60 in the levels'
+    own SCC passes, 252 in the pair searches).  A graph search per game
+    built from its starts took 855, and the parity arenas that every game
+    used to build took about 20,000.  The split of the DPW drawn
     with 10 states has nondeterministic levels, so its three tracker games
     and four R_ij games are parity arenas, with 12,567 vertices in all."""
     sizes = []
@@ -695,13 +709,64 @@ def test_arena_start_without_a_move_loses():
     assert cobuchi._arena_winners(*game, [[0] * 2 for q in range(4)]) == set()
 
 
+# Two levels over one deterministic δ whose initial states differ, so most
+# tuples that `build_rlta_chain` asks about lie off the diagonal
+SHARED_DELTA_CHAIN = """cocoa 1
+count 2
+automaton 1
+alphabet a b
+states 3
+initial 0
+trans 0 a 1 2
+trans 0 b 0 1
+trans 1 a 0 1
+trans 1 b 2 2
+trans 2 a 2 2
+trans 2 b 2 2
+automaton 2
+alphabet a b
+states 3
+initial 1
+trans 0 a 1 2
+trans 0 b 0 1
+trans 1 a 0 1
+trans 1 b 2 1
+trans 2 a 2 1
+trans 2 b 2 2
+"""
+
+
+def pair_graph_agrees(chain):
+    """For every (i, j), the pair graph's winners are the nodes whose start
+    (p, p, q, q) the letter game wins; at the padding levels 0 and n + 1
+    the start holds their one state in place of p or q."""
+    trackers = [residual_tracking_single(a) for a in chain.levels]
+    every = cobuchi._levels(chain, trackers)
+    graph = chain._pair_graph
+    n, size = len(chain), graph[0]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            starts = {(0 if i == 0 else p, 0 if i == n else p, 0 if j == 0 else q,
+                       0 if j == n else q): p * size + q
+                      for p in range(size) for q in range(size)}
+            won = cobuchi._letter_game(*(every[k][0] for k in (i, i + 1, j, j + 1)), starts)
+            assert cobuchi._pair_winners(graph, i, j) == {starts[qs] for qs in won}, (i, j)
+
+
 def test_graph_and_arena_deciders_agree(monkeypatch):
     """The letter game is a graph search when both resolver levels are
     deterministic and a parity game otherwise.  Splitting the states of the
     deterministic levels forces the parity game on the same question, and
     both give the same winners: for every R_ij game of a few DPW chains
     (R_{i,i+1} with its twin step) and for inclusion with a nondeterministic
-    left-hand side."""
+    left-hand side.
+
+    The third decider, the pair graph of a chain whose levels share one
+    deterministic δ, gives the letter game's verdict on every diagonal
+    start of every (i, j): on those DPW chains, on the rising chain and on
+    `SHARED_DELTA_CHAIN`.  On the last, whose levels start apart,
+    `build_rlta_chain` still plays letter games for its off-diagonal tuples
+    and builds the tracker it built when every tuple was a letter game."""
     arenas = []
     solve = cobuchi.solve
     monkeypatch.setattr(cobuchi, "solve", lambda arena: arenas.append(arena) or solve(arena))
@@ -729,6 +794,7 @@ def test_graph_and_arena_deciders_agree(monkeypatch):
     for _ in range(15):
         chain = decompose_rerailing(oracles.random_dpw(rng, 2 + rng.randrange(4), 2,
                                                        1 + rng.randrange(4)))
+        pair_graph_agrees(chain)
         trackers = [residual_tracking_single(a) for a in chain.levels]
         for i in range(len(chain) + 1):
             for j in range(len(chain) + 1):
@@ -751,6 +817,17 @@ def test_graph_and_arena_deciders_agree(monkeypatch):
         assert inclusion_table(a, b) == {(p, q) for (p, q, _u, _e) in starts
                                          if (p, q, 0, 0) not in arena}
     assert games > 50 and twins > 20 and wins > 0
+    pair_graph_agrees(parse_chain(load_text("chain3_rising.chain")))
+    shared = parse_chain(SHARED_DELTA_CHAIN)
+    pair_graph_agrees(shared)
+    played = []
+    letter_game = cobuchi._letter_game
+    monkeypatch.setattr(cobuchi, "_letter_game",
+                        lambda *args: played.append(args[4]) or letter_game(*args))
+    rlta, tuples = build_rlta_chain(shared)
+    assert played and all(qs[0] != qs[1] or qs[2] != qs[3] for starts in played for qs in starts)
+    assert rlta.delta == [[1, 2], [0, 3], [4, 2], [5, 3], [2, 6], [3, 6], [6, 6]]
+    assert tuples == ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 2))
 
 
 def test_inclusion_tiny():

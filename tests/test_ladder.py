@@ -1,12 +1,13 @@
-"""Smoke test of the scaling ladder script (scripts/ladder.py) on one tiny rung of each kind."""
+"""Smoke tests of the scaling ladder script (scripts/ladder.py) on one tiny rung of each kind."""
 
 import json
 import os
 import subprocess
 import sys
 
-LADDER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "scripts", "ladder.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LADDER = os.path.join(ROOT, "scripts", "ladder.py")
+SRC = os.path.join(ROOT, "src")
 
 
 def run_ladder(out, *args):
@@ -41,3 +42,22 @@ def test_ladder_runs_one_rung_and_keeps_earlier_passes(tmp_path):
         [late] = results["late"][key]
         assert late["ok"] == 0 and [r["outcome"] for r in late["runs"]] == ["timeout"]
         assert "wall_s" not in late
+
+
+def test_paired_ladder_runs_both_trees_on_the_same_seeds(tmp_path):
+    """With a baseline tree each seed runs once from each tree, and each rung
+    keeps the baseline's runs and the ratio of the paired medians."""
+    out = tmp_path / "BENCH_ladder.json"
+    run_ladder(out, "--label", "paired", "--baseline", SRC, "--seeds", "2")
+    results = json.loads(out.read_text())
+    for key in ("rungs", "realize_rungs", "split_rungs"):
+        [rung] = results["paired"][key]
+        base = rung["baseline"]
+        assert (rung["n"], rung["ok"], rung["of"], base["ok"], base["of"]) == (8, 2, 2, 2, 2)
+        assert [r["seed"] for r in rung["runs"]] == [r["seed"] for r in base["runs"]] == [8, 9]
+        result = "realizable" if key == "realize_rungs" else "states"
+        assert [r[result] for r in rung["runs"]] == [r[result] for r in base["runs"]]
+        for field in ("wall_s", "peak_rss_mb"):
+            ratio = rung["ratio"][field]
+            assert 0 < ratio["min"] <= ratio["max"] and ratio["median"] > 0
+            assert base[field]["median"] > 0
